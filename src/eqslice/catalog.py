@@ -20,7 +20,7 @@ from .laurent import (
     format_poly,
     parse_poly,
 )
-from .matrices import LambdaMatrix, det
+from .matrices import LambdaMatrix, det, seifert_form_det, seifert_pencil
 from .modules import PresentedModule, from_seifert
 from .pairing import GramPairing, gram_from_seifert
 from .involution import SemilinearMap, swap_involution
@@ -113,11 +113,7 @@ def twist_order(a: int) -> LaurentPoly:
     Equals a^2 t^2 - (2 a^2 + 1) t + a^2, with |p(1)| = 1 and
     |p(-1)| = 4 a^2 + 1 strictly between consecutive squares.
     """
-    A = twist_seifert(a)
-    rel = LambdaMatrix(
-        [[LaurentPoly({1: A[i][j], 0: -A[j][i]}) for j in range(2)] for i in range(2)]
-    )
-    p = det(rel)
+    p = det(seifert_pencil(twist_seifert(a)))
     if p.leading_coefficient() < 0:
         p = -p
     return p
@@ -403,7 +399,7 @@ def parse_spec(text: str) -> KnotSpec:
     n = len(seifert)
     if any(len(r) != n for r in seifert):
         raise SpecParseError("seifert matrix must be square", lineno)
-    d = _det_a_minus_at(seifert)
+    d = seifert_form_det(seifert)
     if d not in (1, -1):
         raise SpecParseError(
             f"det(A - A^T) = {d}, expected +-1: not a Seifert matrix", lineno
@@ -432,13 +428,6 @@ def parse_spec(text: str) -> KnotSpec:
 
     notes = fields.get("notes", ("", 0))[0]
     return KnotSpec(name=name, params=params, seifert=seifert, involution=involution, notes=notes)
-
-
-def _det_a_minus_at(A: tuple[tuple[int, ...], ...]) -> int:
-    from .modules import _int_det
-
-    n = len(A)
-    return _int_det([[A[i][j] - A[j][i] for j in range(n)] for i in range(n)])
 
 
 def save(spec: KnotSpec, path) -> None:

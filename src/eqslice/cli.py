@@ -48,6 +48,16 @@ BUILTIN_SHOW_DEFAULTS = {
 }
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def resolve_spec(ref: str) -> KnotSpec:
     """A spec reference is a file path or `name[:k=v,...]` for a builtin."""
     if os.path.exists(ref):
@@ -286,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genus-bound", parents=[common], help="equivariant 4-genus lower bound")
     p.add_argument("spec")
-    p.add_argument("--k-upper", type=int, default=None, dest="k_upper")
+    p.add_argument("--k-upper", type=_nonnegative_int, default=None, dest="k_upper")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_genus_bound)
 

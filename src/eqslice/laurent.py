@@ -280,6 +280,11 @@ def format_poly(p: LaurentPoly) -> str:
     return " ".join(pieces)
 
 
+# ASCII only: str.isdigit also accepts superscripts, which int() rejects,
+# and the digits of other scripts, which int() converts.
+_DIGITS = "0123456789"
+
+
 def parse_poly(text: str) -> LaurentPoly:
     coeffs: list[tuple[int, Fraction]] = []
     i, n = 0, len(text)
@@ -300,7 +305,7 @@ def parse_poly(text: str) -> LaurentPoly:
             raise PolyParseError("expected '+' or '-' between terms", i)
         start = i
         num = ""
-        while i < n and (text[i].isdigit() or text[i] == "/"):
+        while i < n and (text[i] in _DIGITS or text[i] == "/"):
             num += text[i]
             i += 1
         coeff = None
@@ -320,7 +325,7 @@ def parse_poly(text: str) -> LaurentPoly:
                 j = i
                 if i < n and text[i] == "-":
                     i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
                 if i == j or text[j:i] in ("-",):
                     raise PolyParseError("expected integer exponent after '^'", j)
@@ -374,6 +379,55 @@ def laurent_quo(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return q.shift(va - vb)
 
 
+# A Mersenne prime.  Reduction modulo it maps the coefficients of almost
+# every input to a field of small integers, where Euclid has no swell.
+_PRIME = (1 << 61) - 1
+
+
+def _dense_mod_prime(p: LaurentPoly) -> list[int] | None:
+    """Coefficients of the ordinary polynomial p modulo _PRIME, lowest first;
+    None if a denominator or the leading coefficient vanishes modulo it."""
+    out = [0] * (p.degree() + 1)
+    for k, c in p.items():
+        v, d = c.numerator % _PRIME, c.denominator
+        if d != 1:
+            if not d % _PRIME:
+                return None
+            v = v * pow(d, -1, _PRIME) % _PRIME
+        out[k] = v
+    return out if out[-1] else None
+
+
+def _coprime_mod_prime(a: LaurentPoly, b: LaurentPoly) -> bool:
+    """True only if the ordinary polynomials a and b are coprime over Q.
+
+    If the leading coefficient of a survives reduction, the rational gcd
+    reduces to a factor of the same degree of the gcd of the images, so
+    images with a constant gcd certify that a and b are coprime.  False
+    means undecided.
+    """
+    x, y = _dense_mod_prime(a), _dense_mod_prime(b)
+    if x is None or y is None:
+        return False
+    if len(x) < len(y):
+        x, y = y, x
+    while len(y) > 1:
+        inv = pow(y[-1], -1, _PRIME)
+        ny = len(y) - 1
+        for i in range(len(x) - 1, ny - 1, -1):
+            f = x[i] * inv % _PRIME
+            if f:
+                for j in range(ny):
+                    x[i - ny + j] = (x[i - ny + j] - f * y[j]) % _PRIME
+        x = x[:ny]
+        while x and not x[-1]:
+            x.pop()
+        if not x:
+            return False
+        x, y = y, x
+    return True
+
+
 @lru_cache(maxsize=8192)
 def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Monic ordinary-polynomial gcd in the Laurent ring (units stripped)."""
@@ -384,6 +438,8 @@ def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     if q.is_zero():
         return p.monic_ordinary()
     a, b = p.ordinary(), q.ordinary()
+    if _coprime_mod_prime(a, b):
+        return ONE
     while not b.is_zero():
         a, b = b, poly_mod(a, b)
         if not b.is_zero():
@@ -428,6 +484,9 @@ def divexact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     """Exact quotient p/d; raises if the division leaves a remainder."""
     if p.is_zero():
         return ZERO
+    if d.is_unit():
+        (k, c), = d.items()
+        return p if d.is_one() else p._termmul(-k, 1 / c)
     vp, vd = p.valuation(), d.valuation()
     q, r = poly_divmod(p.shift(-vp), d.shift(-vd))
     if not r.is_zero():

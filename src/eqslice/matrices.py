@@ -1,5 +1,11 @@
-"""Exact matrices over the Laurent ring: determinants, adjugate inverses,
-Smith normal form with unimodular transforms, kernels, and span membership.
+"""Exact matrices over the Laurent ring: determinants, inverses, Smith
+normal form with unimodular transforms, kernels, and span membership.
+
+Determinants use one fraction-free (Bareiss) elimination, which divides
+exactly by the previous pivot: directly over the ring for `det`, and over
+the integers for `inverse_qt`, which samples the determinant and adjugate
+of the denominator-cleared matrix at integer points and interpolates them.
+Both take polynomially many ring operations.
 
 The Laurent ring is a PID (a localization of the rational polynomial ring),
 so Smith normal form exists; pivoting works on ordinary-polynomial degrees
@@ -8,6 +14,8 @@ after stripping t-power units, which keeps the Euclidean algorithm honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
+from operator import floordiv
 from typing import Iterable, Sequence
 
 from .laurent import (
@@ -115,15 +123,6 @@ class LambdaMatrix:
             out.append([ZERO] * a.cols + list(r))
         return LambdaMatrix(out)
 
-    def submatrix(self, drop_row: int, drop_col: int) -> "LambdaMatrix":
-        return LambdaMatrix(
-            [
-                [e for j, e in enumerate(r) if j != drop_col]
-                for i, r in enumerate(self._e)
-                if i != drop_row
-            ]
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LambdaMatrix):
             return NotImplemented
@@ -151,57 +150,184 @@ def mat_vec(M: LambdaMatrix, v: Sequence[LaurentPoly]) -> tuple[LaurentPoly, ...
     return tuple(_dot(r, v) for r in M._e)
 
 
+def _eliminate(rows: list[list], zero, one, divide, size, adjugate: bool = False):
+    """Fraction-free (Bareiss) elimination over an integral domain.
+
+    divide(a, b) is the ring's exact division, and each step pivots on an
+    entry of least size(entry) in the remaining block.  Returns (det, adj),
+    where adj is None unless asked for, and also None when det is zero.
+    With the adjugate this is Gauss-Jordan on [M | I].  After step k every
+    entry is, up to sign, a minor of order k + 1 of [M | I], so each
+    division by the previous pivot is exact.  At the end the right block is
+    +-adj(M) with its rows permuted as the columns were, which is undone.
+    """
+    n = len(rows)
+    a = [
+        list(r) + ([one if i == j else zero for j in range(n)] if adjugate else [])
+        for i, r in enumerate(rows)
+    ]
+    width = 2 * n if adjugate else n
+    cols = list(range(n))
+    negate = False
+    prev = one
+    for k in range(n):
+        best = None
+        for i in range(k, n):
+            for j in range(k, n):
+                e = a[i][j]
+                if e != zero:
+                    s = size(e)
+                    if best is None or s < best[0]:
+                        best = (s, i, j)
+        if best is None:
+            return zero, None
+        _, p, q = best
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            negate = not negate
+        if q != k:
+            for r in a:
+                r[k], r[q] = r[q], r[k]
+            cols[k], cols[q] = cols[q], cols[k]
+            negate = not negate
+        rk = a[k]
+        piv = rk[k]
+        # Columns up to k need no update: they end as piv * (unit vector).
+        for i in range(0 if adjugate else k + 1, n):
+            if i == k:
+                continue
+            ri = a[i]
+            f = ri[k]
+            if f == zero:
+                for j in range(k + 1, width):
+                    if ri[j] != zero:
+                        ri[j] = divide(piv * ri[j], prev)
+            else:
+                for j in range(k + 1, width):
+                    ri[j] = divide(piv * ri[j] - f * rk[j], prev)
+        prev = piv
+    d = -prev if negate else prev
+    if not adjugate:
+        return d, None
+    adj = [None] * n
+    for k in range(n):
+        adj[cols[k]] = [-e if negate else e for e in a[k][n:]]
+    return d, adj
+
+
+def _size(e: LaurentPoly) -> tuple[int, int]:
+    return e.span(), len(e.items())
+
+
 def det(M: LambdaMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> LaurentPoly:
-    """Exact determinant by fraction-free expansion over column subsets."""
+    """Exact determinant by fraction-free elimination over the ring."""
     if not M.is_square():
         raise ValueError("determinant of a non-square matrix")
-    n = M.rows
-    if n == 0:
-        return ONE
     worst = sum(
-        max((e.span() for e in M.row(i) if not e.is_zero()), default=0) for i in range(n)
+        max((e.span() for e in M.row(i) if not e.is_zero()), default=0) for i in range(M.rows)
     )
     if worst > degree_cap:
         raise DegreeCapError(f"determinant degree could reach {worst}, cap {degree_cap}")
-    memo: dict[int, LaurentPoly] = {0: ONE}
+    return _eliminate(M.to_lists(), ZERO, ONE, divexact, _size)[0]
 
-    def expand(mask: int) -> LaurentPoly:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        row = n - bin(mask).count("1")
-        acc = ZERO
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if mask & bit:
-                e = M.entry(row, j)
-                if not e.is_zero():
-                    term = e * expand(mask & ~bit)
-                    acc = acc + (term if sign > 0 else -term)
-                sign = -sign
-        memo[mask] = acc
-        return acc
 
-    return expand((1 << n) - 1)
+def seifert_form_det(A: Sequence[Sequence[int]]) -> int:
+    """det(A - A^T) for a square integer matrix A."""
+    n = len(A)
+    rows = [[A[i][j] - A[j][i] for j in range(n)] for i in range(n)]
+    return _eliminate(rows, 0, 1, floordiv, abs)[0]
+
+
+def seifert_pencil(A: Sequence[Sequence[int]]) -> LambdaMatrix:
+    """t*A - A^T for a square integer matrix A: the relations of its module.
+
+    The pairing inverts A - t*A^T, which is minus the transpose of this.
+    """
+    n = len(A)
+    return LambdaMatrix(
+        [[LaurentPoly({1: A[i][j], 0: -A[j][i]}) for j in range(n)] for i in range(n)]
+    )
+
+
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """Coefficients c_0..c_D of the integer polynomial of degree <= D through
+    the len(xs) = D + 1 points (xs, ys).
+
+    The divided differences of an integer polynomial at distinct integers are
+    integers, so every Newton step divides exactly.
+    """
+    c = list(ys)
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) // (xs[i] - xs[i - k])
+    poly = [c[-1]]
+    for k in range(len(xs) - 2, -1, -1):
+        # poly = poly * (t - xs[k]) + c[k]
+        poly = [0] + poly
+        for j in range(len(poly) - 1):
+            poly[j] -= xs[k] * poly[j + 1]
+        poly[0] += c[k]
+    return poly
 
 
 def inverse_qt(M: LambdaMatrix) -> tuple[tuple[RationalFn, ...], ...]:
-    """Adjugate-over-determinant inverse, as a grid over the fraction field."""
+    """Inverse as a grid over the fraction field, interpolated from integers.
+
+    Row i is scaled by s_i = L_i * t^(-v_i), with v_i its lowest exponent and
+    L_i the lcm of its coefficient denominators.  This makes P = S*M an
+    integer polynomial matrix whose determinant and adjugate have degree at
+    most D, the sum of its row degrees.  Both are interpolated from
+    fraction-free integer eliminations of P(x) at D + 1 integers x with
+    det P(x) != 0, and M^-1 = adj(P) * S / det(P).
+    """
     if not M.is_square():
         raise ValueError("inverse of a non-square matrix")
-    d = det(M)
-    if d.is_zero():
-        raise SingularMatrixError("matrix is singular")
     n = M.rows
+    scales: list[LaurentPoly] = []
+    P: list[list[list[int]]] = []
+    for row in M._e:
+        nonzero = [e for e in row if not e.is_zero()]
+        if not nonzero:
+            raise SingularMatrixError("matrix is singular")
+        v = min(e.valuation() for e in nonzero)
+        L = lcm(*(c.denominator for e in nonzero for _, c in e.items()))
+        scales.append(LaurentPoly({-v: L}))
+        P.append([[int(c * L) for c in e.shift(-v).dense()] for e in row])
+    D = sum(max(len(e) for e in row) - 1 for row in P)
+    if D > DEFAULT_DEGREE_CAP:
+        raise DegreeCapError(f"inverse degree could reach {D}, cap {DEFAULT_DEGREE_CAP}")
+    # A nonzero det P has at most D integer roots, so 2D + 1 samples
+    # 0, 1, -1, 2, -2, ... hold D + 1 non-roots unless det P = 0.
+    xs: list[int] = []
+    dets: list[int] = []
+    adjs: list[list[list[int]]] = []
+    for k in range(2 * D + 1):
+        x = (k + 1) // 2 if k % 2 else -(k // 2)
+        sample = [[_horner(e, x) for e in row] for row in P]
+        d, adj = _eliminate(sample, 0, 1, floordiv, abs, adjugate=True)
+        if d:
+            xs.append(x)
+            dets.append(d)
+            adjs.append(adj)
+            if len(xs) == D + 1:
+                break
+    else:
+        raise SingularMatrixError("matrix is singular")
+    den = LaurentPoly(enumerate(_interpolate(xs, dets)))
     out = []
     for i in range(n):
         row = []
         for j in range(n):
-            cof = det(M.submatrix(j, i))
-            if (i + j) % 2:
-                cof = -cof
-            row.append(RationalFn(cof, d))
+            values = [adj[i][j] for adj in adjs]
+            num = LaurentPoly(enumerate(_interpolate(xs, values))) if any(values) else ZERO
+            row.append(RationalFn(num * scales[j], den))
         out.append(tuple(row))
     return tuple(out)
 

@@ -19,7 +19,16 @@ from .laurent import (
     as_poly,
     divexact,
 )
-from .matrices import LambdaMatrix, SnfResult, in_span, inverse_qt, kernel, mat_vec, snf
+from .matrices import (
+    LambdaMatrix,
+    SnfResult,
+    in_span,
+    kernel,
+    mat_vec,
+    seifert_form_det,
+    seifert_pencil,
+    snf,
+)
 
 
 class PresentedModule:
@@ -138,36 +147,10 @@ def from_seifert(A: Sequence[Sequence[int]]) -> PresentedModule:
     n = len(A)
     if any(len(r) != n for r in A):
         raise ValueError("Seifert matrix must be square")
-    d = _int_det([[A[i][j] - A[j][i] for j in range(n)] for i in range(n)])
+    d = seifert_form_det(A)
     if d not in (1, -1):
         raise ValueError(f"det(A - A^T) = {d}, expected +-1: not a Seifert matrix")
-    rel = LambdaMatrix(
-        [[LaurentPoly({1: A[i][j], 0: -A[j][i]}) for j in range(n)] for i in range(n)]
-    )
-    return PresentedModule(n, rel)
-
-
-def _int_det(M: list[list[int]]) -> int:
-    n = len(M)
-    if n == 0:
-        return 1
-    M = [[Fraction(x) for x in row] for row in M]
-    sign = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if M[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            f = M[i][k] / M[k][k]
-            M[i] = [a - f * b for a, b in zip(M[i], M[k])]
-    out = Fraction(sign)
-    for k in range(n):
-        out *= M[k][k]
-    assert out.denominator == 1
-    return int(out)
+    return PresentedModule(n, seifert_pencil(A))
 
 
 def direct_sum(M1: PresentedModule, M2: PresentedModule) -> PresentedModule:
@@ -216,7 +199,13 @@ class RationalBasis:
         s = module.snf
         n = module.generators
         self._U = s.U
-        self._Uinv = _unimodular_inverse(s.U)
+        # U R V = D and a torsion module has rank n, so the first n columns
+        # of R V are those of U^-1 scaled by the nonzero diagonal entries.
+        cols = [
+            [divexact(e, s.diagonal[j]) for e in mat_vec(module.relations, s.V.col(j))]
+            for j in range(n)
+        ]
+        self._Uinv = LambdaMatrix(zip(*cols))
         self.blocks: list[tuple[int, LaurentPoly]] = []
         for i in range(n):
             d = s.diagonal[i]
@@ -267,19 +256,6 @@ class RationalBasis:
         coords = [Fraction(0)] * self.dimension
         coords[k] = Fraction(1)
         return self.from_coords(coords)
-
-
-def _unimodular_inverse(U: LambdaMatrix) -> LambdaMatrix:
-    inv = inverse_qt(U)
-    out = []
-    for row in inv:
-        prow = []
-        for f in row:
-            if not f.is_polynomial():
-                raise ValueError("matrix is not unimodular")
-            prow.append(f.num)
-        out.append(prow)
-    return LambdaMatrix(out)
 
 
 def q_basis(M: PresentedModule) -> RationalBasis:

@@ -21,7 +21,14 @@ from .laurent import (
     laurent_lcm,
     divexact,
 )
-from .matrices import LambdaMatrix, SingularMatrixError, in_span, inverse_qt, kernel
+from .matrices import (
+    LambdaMatrix,
+    SingularMatrixError,
+    in_span,
+    inverse_qt,
+    kernel,
+    seifert_pencil,
+)
 from .modules import ModuleElement, PresentedModule, from_seifert
 
 
@@ -38,14 +45,10 @@ class GramPairing:
 
 def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None = None) -> GramPairing:
     """Gram grid of the pairing for an integer Seifert matrix."""
-    n = len(A)
     if module is None:
         module = from_seifert(A)
-    B = LambdaMatrix(
-        [[LaurentPoly({0: A[i][j], 1: -A[j][i]}) for j in range(n)] for i in range(n)]
-    )
     try:
-        inv = inverse_qt(B)
+        inv = inverse_qt(-seifert_pencil(A).transpose())
     except SingularMatrixError:
         raise SingularMatrixError(
             "A - t*A^T is singular; the input is not a Seifert matrix of a knot"
@@ -164,10 +167,8 @@ def pair_via_solve(A: Sequence[Sequence[int]], x: Sequence[LaurentPoly], y: Sequ
     gram; used as a cross-check oracle against the gram-based evaluation.
     """
     n = len(A)
-    rows = [
-        [RationalFn(LaurentPoly({0: A[i][j], 1: -A[j][i]})) for j in range(n)]
-        for i in range(n)
-    ]
+    B = -seifert_pencil(A).transpose()
+    rows = [[RationalFn(e) for e in B.row(i)] for i in range(n)]
     rhs = [RationalFn(c.conjugate()) for c in y]
     for k in range(n):
         piv = next((i for i in range(k, n) if not rows[i][k].is_zero()), None)

@@ -96,6 +96,14 @@ class TestGenusBound:
         assert code == 0
         assert "k_upper = 1" in out
 
+    @pytest.mark.parametrize("ref", ["nine46", "trefoil"])
+    def test_negative_k_upper_is_a_usage_error(self, capsys, ref):
+        # nine46 certifies k = 0 and used to ignore the flag; trefoil rejected it
+        code, out, err = run(capsys, "genus-bound", ref, "--k-upper", "-1")
+        assert code == 2
+        assert out == ""
+        assert "must be nonnegative" in err
+
 
 class TestAmphichiral:
     def test_a3_n2(self, capsys):

@@ -119,6 +119,22 @@ class TestGcd:
             assert s * p + u * q == g
             assert g == laurent_gcd(p, q)
 
+    def test_inputs_that_defeat_the_modular_coprimality_test(self):
+        # laurent_gcd first tries to certify coprimality modulo the prime
+        # 2^61 - 1.  Here the images share a factor, or a leading coefficient
+        # or denominator vanishes modulo it, so Euclid over Q must decide.
+        p = (1 << 61) - 1
+        t, c = P("t"), LaurentPoly.const
+        cases = [
+            (t + c(1), t + c(1 + p), ONE),
+            (c(p) * t + c(1), t + c(2), ONE),
+            (t.scale(Fraction(1, p)) + c(1), t + c(2), ONE),
+            (t.scale(Fraction(1, p)) + c(1), t + c(p), t + c(p)),
+            ((t + c(1 + p)) * (t - c(3)), (t + c(1)) * (t - c(3)), t - c(3)),
+        ]
+        for a, b, g in cases:
+            assert laurent_gcd(a, b) == g == extended_gcd(a, b)[0]
+
     def test_divides_and_divexact(self):
         p, d = P("2*t^2 - 5*t + 2"), P("t - 2")
         assert divides(d, p)
@@ -349,3 +365,10 @@ class TestGrammar:
             parse_poly("")
         with pytest.raises(PolyParseError):
             parse_poly("t 5")
+
+    def test_non_ascii_digits_rejected_with_position(self):
+        # "²" and "٣" pass str.isdigit, and "٣" even converts with int()
+        for text, position in (("t^²", 2), ("²*t", 0), ("2*t + ٣", 6), ("1/٣", 0)):
+            with pytest.raises(PolyParseError) as e:
+                parse_poly(text)
+            assert e.value.position == position, text

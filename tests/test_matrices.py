@@ -13,20 +13,13 @@ from eqslice.matrices import (
     inverse_qt,
     kernel,
     mat_vec,
+    seifert_pencil,
     snf,
 )
 
 
 def P(s):
     return parse_poly(s)
-
-
-def seifert_relations(A):
-    # t*A - A^T as a matrix over the ring
-    n = len(A)
-    return LambdaMatrix(
-        [[LaurentPoly({1: A[i][j], 0: -A[j][i]}) for j in range(n)] for i in range(n)]
-    )
 
 
 def rand_matrix(rng, max_dim=5, max_deg=3):
@@ -51,7 +44,7 @@ def rand_matrix(rng, max_dim=5, max_deg=3):
 
 class TestDet:
     def test_nine46_relation_determinant(self):
-        M = seifert_relations([[0, 2], [1, 0]])
+        M = seifert_pencil([[0, 2], [1, 0]])
         # 2x2 cofactor by hand: -(2t-1)(t-2)
         assert det(M) == -(P("2*t - 1") * P("t - 2"))
 
@@ -60,7 +53,7 @@ class TestDet:
 
     def test_genus_one_closed_form(self):
         m, l = 1, 1
-        M = seifert_relations([[0, m + 1], [m, l]])
+        M = seifert_pencil([[0, m + 1], [m, l]])
         expected = P("t - 2") * P("2*t - 1")
         assert unit_equal(det(M), expected)
 
@@ -160,7 +153,7 @@ class TestSnf:
         assert s.invariant_factors == (f.monic_ordinary(),)
 
     def test_nine46_invariant_factor(self):
-        M = seifert_relations([[0, 2], [1, 0]])
+        M = seifert_pencil([[0, 2], [1, 0]])
         s = snf(M)
         self.assert_snf_contract(M, s)
         assert len(s.invariant_factors) == 1
@@ -220,7 +213,7 @@ class TestKernel:
 
 class TestInSpan:
     def test_first_column(self):
-        M = seifert_relations([[0, 2], [1, 0]])
+        M = seifert_pencil([[0, 2], [1, 0]])
         w = in_span(M.col(0), M)
         assert w is not None
         assert mat_vec(M, w) == M.col(0)
@@ -231,7 +224,7 @@ class TestInSpan:
         assert in_span([P("t - 2")], M) is None
 
     def test_zero_vector(self):
-        M = seifert_relations([[0, 2], [1, 0]])
+        M = seifert_pencil([[0, 2], [1, 0]])
         w = in_span([ZERO, ZERO], M)
         assert w is not None
         assert all(e.is_zero() for e in mat_vec(M, w))
