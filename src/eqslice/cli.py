@@ -2,7 +2,8 @@
 and verify spec files, with human-readable or machine-readable output.
 
 Exit codes: 0 on success or verdict obtained, 1 on validation failure,
-2 on parse or usage errors.
+2 on parse or usage errors, 3 on an internal error (a degree cap hit, a
+Smith form that did not converge, a certificate failing its self-check).
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from .witt import validate
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 BUILTIN_SHOW_DEFAULTS = {
     "genus_one_slice": {"m": 1, "l": 1},
@@ -343,6 +345,10 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as e:
+        # DegreeCapError and the convergence and self-check guards
+        print(f"internal error: {type(e).__name__}: {e}".replace("\n", " "), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

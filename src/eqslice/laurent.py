@@ -529,9 +529,14 @@ def _reduce_mod(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if v >= 0:
         return poly_mod(num, den)
     r = poly_mod(num.shift(-v), den)
-    tinv = _t_inverse_mod(den)
-    for _ in range(-v):
-        r = poly_mod(r * tinv, den)
+    # times t^v = (t^-1)^(-v), by square-and-multiply mod den
+    e, power = -v, _t_inverse_mod(den)
+    while e:
+        if e & 1:
+            r = poly_mod(r * power, den)
+        e >>= 1
+        if e:
+            power = poly_mod(power * power, den)
     return r
 
 

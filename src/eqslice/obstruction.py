@@ -219,9 +219,7 @@ def _self_check(T: EquivariantTriple, cert: QuadraticCertificate, rounds: int, s
         x = basis.from_coords(v)
         direct = pair(T.pairing, x, T.involution.apply(x))
         if stored != direct:
-            raise RuntimeError(
-                "internal error: quadratic certificate disagrees with direct evaluation"
-            )
+            raise RuntimeError("quadratic certificate disagrees with direct evaluation")
 
 
 def evaluate_certificate(cert: QuadraticCertificate, v: Sequence[Fraction]) -> TorsionClass:
@@ -465,10 +463,7 @@ class AmphichiralReport:
             "n": self.n,
             "branch": self.branch,
             "witness": str(self.witness),
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
+            "checks": [c.to_dict() for c in self.checks],
         }
 
 

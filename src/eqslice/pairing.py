@@ -5,10 +5,18 @@ The pairing on the module presented by t*A - A^T is
 with values in the torsion quotient.  The gram grid caches the classes of
 (t - 1) * (A - t A^T)^{-1} over the generators; sesquilinearity makes that
 grid determine the pairing everywhere.
+
+Nonsingularity is decided by two ranks over Q rather than by Smith forms:
+with den the lcm of the gram denominators, it holds iff den kills the module
+and multiplication by den * gram^T on (Lambda/den)^n has rank dim_Q M more
+than on the image of the relations.  The ranks come from Krylov spinning,
+so no coefficient swell of unimodular transforms is paid.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .laurent import (
@@ -18,15 +26,16 @@ from .laurent import (
     LaurentPoly,
     RationalFn,
     TorsionClass,
-    laurent_lcm,
+    _reduce_mod,
     divexact,
+    divides,
+    laurent_lcm,
 )
 from .matrices import (
     LambdaMatrix,
     SingularMatrixError,
-    in_span,
     inverse_qt,
-    kernel,
+    mat_vec,
     seifert_pencil,
 )
 from .modules import ModuleElement, PresentedModule, from_seifert
@@ -110,19 +119,29 @@ def vanishes_on_relations(B: GramPairing) -> bool:
 def check_nonsingular(B: GramPairing) -> bool:
     """True iff the adjoint x -> pair(x, -) has trivial kernel.
 
-    Clears denominators to a common one, solves the resulting linear system
-    over the ring, and tests that every solution maps to zero in the module.
+    With den the lcm of the gram denominators and N = den * gram, the
+    kernel is trivial iff L = {x : N^T x = 0 mod den} lies in R*Lambda^n,
+    R the relations.  As den*Lambda^n lies in L, that needs den to kill the
+    module, i.e. every Smith diagonal entry d_k to divide den.  Then in
+    V = (Lambda/den)^n, L/den*Lambda^n is the kernel of phi = N^T and
+    R*Lambda^n/den*Lambda^n the image of rho = R, of codimension
+    d = sum deg d_k = dim_Q M; and ker phi lies in im rho iff
+    rank phi - rank phi*rho = d, since phi*rho has the rank of phi on im rho.
+    Both ranks are over Q, by spinning (see _spin_rank); no Smith form.
     """
-    if not B.module.is_torsion:
+    module = B.module
+    if not module.is_torsion:
         return False
-    n = B.module.generators
+    n = module.generators
     if n == 0:
         return True
     den = ONE
     for row in B.gram:
         for g in row:
-            if not g.is_zero():
+            if not g.is_zero() and not divides(g.rep.den, den):
                 den = laurent_lcm(den, g.rep.den)
+    if not all(divides(dk, den) for dk in module.snf.diagonal):
+        return False
     N = [
         [
             ZERO if g.is_zero() else g.rep.num * divexact(den, g.rep.den)
@@ -130,16 +149,73 @@ def check_nonsingular(B: GramPairing) -> bool:
         ]
         for row in B.gram
     ]
-    # x^T * gram has entries in the ring iff N^T x = 0 mod den, i.e.
-    # [N^T | den*I] (x; y) = 0 for some y
+    # the columns of N^T are the rows of N
     Nt = LambdaMatrix(N).transpose()
-    dI = LambdaMatrix([[den if i == j else ZERO for j in range(n)] for i in range(n)])
-    K = kernel(Nt.hstack(dI))
-    for jcol in range(K.cols):
-        x = list(K.col(jcol))[:n]
-        if in_span(x, B.module.relations, B.module.snf) is None:
-            return False
-    return True
+    R = module.relations
+    phi_rho = [mat_vec(Nt, R.col(c)) for c in range(R.cols)]
+    d = sum(dk.degree() for dk in module.snf.diagonal)
+    return _spin_rank(N, den) - _spin_rank(phi_rho, den) == d
+
+
+def _spin_rank(vectors: Sequence[Sequence[LaurentPoly]], den: LaurentPoly) -> int:
+    """Q-dimension of the submodule of (Lambda/den)^k the vectors generate.
+
+    den is monic ordinary with nonzero constant term.  An entry is stored
+    as its coefficients of t^0 .. t^(D-1) mod den, D = deg den, and a
+    vector as the integer multiple of those coordinates with content 1.
+    Krylov spinning: each vector is reduced against a fraction-free echelon
+    basis; only an independent one joins it and queues its image under t.
+    So every basis vector's image is in the final span, which is therefore
+    t-stable, and it holds each input: handled are the k inputs plus one
+    vector per rank, not the k*D of a direct elimination.
+    """
+    D = den.degree()
+    if D == 0:
+        return 0
+    dense = den.dense()
+    scale = lcm(*(c.denominator for c in dense))
+    coeffs = [int(c * scale) for c in dense]
+
+    def coords(v: Sequence[LaurentPoly]) -> list[int]:
+        flat: list[Fraction] = []
+        for e in v:
+            r = _reduce_mod(e, den)
+            flat.extend(r.coefficient(j) for j in range(D))
+        common = lcm(*(c.denominator for c in flat))
+        return _primitive([int(c * common) for c in flat])
+
+    def times_t(v: list[int]) -> list[int]:
+        # scale * (t*p mod den) for p of degree < D; scale is den's leading
+        # coefficient after clearing denominators
+        out = []
+        for k in range(0, len(v), D):
+            top = v[k + D - 1]
+            out.append(-top * coeffs[0])
+            out.extend(scale * v[k + j - 1] - top * coeffs[j] for j in range(1, D))
+        return _primitive(out)
+
+    basis: dict[int, list[int]] = {}  # by the position of the first nonzero
+    queue = [coords(v) for v in vectors]
+    while queue:
+        v = queue.pop()
+        p = _leading(v, 0)
+        while p in basis:
+            b = basis[p]
+            v = _primitive([b[p] * x - v[p] * y for x, y in zip(v, b)])
+            p = _leading(v, p + 1)
+        if p is not None:
+            basis[p] = v
+            queue.append(times_t(v))
+    return len(basis)
+
+
+def _leading(v: list[int], start: int) -> int | None:
+    return next((i for i in range(start, len(v)) if v[i]), None)
+
+
+def _primitive(v: list[int]) -> list[int]:
+    g = gcd(*v)
+    return v if g <= 1 else [a // g for a in v]
 
 
 def direct_sum_pairing(B1: GramPairing, B2: GramPairing, module: PresentedModule) -> GramPairing:

@@ -58,6 +58,9 @@ class AxiomCheck:
     passed: bool
     detail: str = ""
 
+    def to_dict(self) -> dict:
+        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -73,10 +76,7 @@ class ValidationReport:
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
+            "checks": [c.to_dict() for c in self.checks],
         }
 
 
@@ -161,10 +161,7 @@ class MetabolizerReport:
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks()
-            ],
+            "checks": [c.to_dict() for c in self.checks()],
         }
 
 

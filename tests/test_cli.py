@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from eqslice.cli import main
+from eqslice.cli import EXIT_INTERNAL, main
+from eqslice.laurent import ONE, RationalFn, TorsionClass, parse_poly
+from eqslice.matrices import DegreeCapError
 
 
 def run(capsys, *argv):
@@ -50,6 +52,36 @@ class TestPairAndTau:
         code, _, err = run(capsys, "pair", "nine46", "--x", "1", "--y", "0,1")
         assert code == 2
         assert "error" in err
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize(
+        "error",
+        [
+            DegreeCapError("intermediate degree 600 exceeds cap 512"),
+            RuntimeError("Smith normal form failed to converge"),
+        ],
+    )
+    def test_guard_in_the_smith_form(self, capsys, monkeypatch, error):
+        def failing_snf(M):
+            raise error
+
+        monkeypatch.setattr("eqslice.modules.snf", failing_snf)
+        code, out, err = run(capsys, "alexander", "nine46")
+        assert code == EXIT_INTERNAL == 3
+        assert out == ""
+        assert err == f"internal error: {type(error).__name__}: {error}\n"
+
+    def test_certificate_self_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "eqslice.obstruction.evaluate_certificate",
+            lambda cert, v: TorsionClass(RationalFn(ONE, parse_poly("t - 3"))),
+        )
+        code, out, err = run(capsys, "obstruct", "nine46", "--json")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("internal error: RuntimeError: quadratic certificate disagrees")
 
 
 class TestObstruct:

@@ -10,10 +10,13 @@ from eqslice.laurent import (
     PolyParseError,
     RationalFn,
     TorsionClass,
+    _reduce_mod,
+    _t_inverse_mod,
     coprime_split,
     divexact,
     divides,
     extended_gcd,
+    poly_mod,
     format_poly,
     gcd_free_basis,
     in_lambda,
@@ -196,6 +199,24 @@ class TestTorsionClass:
         x = TorsionClass(RationalFn(ONE, P("t - 2")))
         assert x.scale(P("t - 2")).is_zero()
         assert not x.scale(P("2*t - 1")).is_zero()
+
+    def test_large_negative_exponent_reduces_fast(self):
+        r = _reduce_mod(P("t^-100000"), P("t - 2"))
+        assert r == LaurentPoly.const(Fraction(1, 2**100000))
+
+    def test_negative_power_matches_repeated_inverse(self):
+        den = P("t^2 - 3*t + 1")
+        tinv = _t_inverse_mod(den)
+        r = ONE
+        for _ in range(20000):
+            r = poly_mod(r * tinv, den)
+        assert _reduce_mod(P("t^-20000"), den) == r
+        for v in range(-40, 0):
+            num = P(f"2/3*t^{v} + 5*t^3 - t")
+            expected = poly_mod(num.shift(-v), den)
+            for _ in range(-v):
+                expected = poly_mod(expected * tinv, den)
+            assert _reduce_mod(num, den) == expected
 
     def test_class_zero_iff_in_ring(self):
         rng = random.Random(8)
