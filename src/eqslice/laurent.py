@@ -57,10 +57,6 @@ class LaurentPoly:
         return cls({0: c})
 
     @classmethod
-    def term(cls, c: Coeffable, k: int) -> "LaurentPoly":
-        return cls({k: c})
-
-    @classmethod
     def from_dense(cls, coeffs: Iterable[Coeffable], valuation: int = 0) -> "LaurentPoly":
         return cls({valuation + i: c for i, c in enumerate(coeffs)})
 
@@ -75,9 +71,6 @@ class LaurentPoly:
 
     def is_one(self) -> bool:
         return self._c == {0: Fraction(1)}
-
-    def is_constant(self) -> bool:
-        return not self._c or set(self._c) == {0}
 
     def is_unit(self) -> bool:
         """Units of the Laurent ring: a single term c*t^k, c != 0."""
@@ -550,6 +543,13 @@ class RationalFn:
     and shares no non-unit factor with the numerator; the t-power unit slack
     lives in the numerator.  This makes equality and ring membership
     syntactic.
+
+    Sums use Henrici's addition (Knuth, TAOCP vol. 2, 4.5.1): with
+    g = gcd(d1, d2), the sum is (n1*(d2/g) + n2*(d1/g)) / (d1*(d2/g)), and
+    only gcd(numerator, g) is left to cancel.  Equal denominators need one
+    gcd against that denominator; coprime ones (g = 1) need none, since
+    every factor of d1 divides the n2*d1 term but not the n1*d2 term, and
+    symmetrically for d2.
     """
 
     __slots__ = ("num", "den")
@@ -582,10 +582,24 @@ class RationalFn:
         return self.den.is_one()
 
     def __add__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
+        # Henrici's addition, see the class docstring
+        g = laurent_gcd(self.den, other.den)
+        a, b = divexact(self.den, g), divexact(other.den, g)
+        num = self.num * b + other.num * a
+        if num.is_zero():
+            return RationalFn(ZERO)
+        den = self.den * b
+        if not g.is_one():
+            h = laurent_gcd(num, g)
+            if not h.is_one():
+                num, den = divexact(num, h), divexact(den, h)
+        out = RationalFn.__new__(RationalFn)
+        out.num = num
+        out.den = den
+        return out
 
     def __sub__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + (-other)
 
     def __neg__(self) -> "RationalFn":
         out = RationalFn.__new__(RationalFn)
@@ -621,11 +635,6 @@ class RationalFn:
         return f"RationalFn({str(self)!r})"
 
 
-def in_lambda(f: RationalFn) -> bool:
-    """True iff f lies in the Laurent ring, i.e. its torsion class is zero."""
-    return f.is_polynomial()
-
-
 # ---------------------------------------------------------------------------
 # The torsion quotient.
 
@@ -652,10 +661,6 @@ class TorsionClass:
         out.num = r
         out.den = rep.den
         self.rep = out
-
-    @classmethod
-    def of(cls, num, den) -> "TorsionClass":
-        return cls(RationalFn(num, den))
 
     def is_zero(self) -> bool:
         return self.rep.num.is_zero()

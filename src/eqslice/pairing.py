@@ -6,16 +6,21 @@ with values in the torsion quotient.  The gram grid caches the classes of
 (t - 1) * (A - t A^T)^{-1} over the generators; sesquilinearity makes that
 grid determine the pairing everywhere.
 
+Values are summed over one common denominator: each pairing caches den, the
+lcm of its gram denominators, and the polynomial matrix N = den * gram.  A
+value is then the Laurent polynomial x^T N conj(y), reduced mod den and
+made canonical once, and well-definedness is den dividing N * conj(r).
+
 Nonsingularity is decided by two ranks over Q rather than by Smith forms:
-with den the lcm of the gram denominators, it holds iff den kills the module
-and multiplication by den * gram^T on (Lambda/den)^n has rank dim_Q M more
-than on the image of the relations.  The ranks come from Krylov spinning,
-so no coefficient swell of unimodular transforms is paid.
+it holds iff den kills the module and multiplication by N^T on
+(Lambda/den)^n has rank dim_Q M more than on the image of the relations.
+The ranks come from Krylov spinning on integer coordinates, so no
+coefficient swell of unimodular transforms is paid.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence
 
@@ -34,6 +39,7 @@ from .laurent import (
 from .matrices import (
     LambdaMatrix,
     SingularMatrixError,
+    _dot,
     inverse_qt,
     mat_vec,
     seifert_pencil,
@@ -48,8 +54,28 @@ class GramPairing:
     module: PresentedModule
     gram: tuple[tuple[TorsionClass, ...], ...]
 
-    def pair(self, x: ModuleElement, y: ModuleElement) -> TorsionClass:
-        return pair(self, x, y)
+    @cached_property
+    def common(self) -> tuple[LaurentPoly, LambdaMatrix]:
+        """(den, N): den the lcm of the gram denominators, N = den * gram.
+
+        den is monic ordinary with nonzero constant term, and every entry
+        of N is an ordinary polynomial of degree below deg den.
+        """
+        den = ONE
+        for row in self.gram:
+            for g in row:
+                if not g.is_zero() and not divides(g.rep.den, den):
+                    den = laurent_lcm(den, g.rep.den)
+        N = LambdaMatrix([[_scaled_numerator(g, den) for g in row] for row in self.gram])
+        return den, N
+
+
+def _scaled_numerator(g: TorsionClass, den: LaurentPoly) -> LaurentPoly:
+    # where the entry is already over den, N shares the gram's numerator, so
+    # the cache holds no second copy of a knot's gram
+    if g.is_zero():
+        return ZERO
+    return g.rep.num if g.rep.den == den else g.rep.num * divexact(den, g.rep.den)
 
 
 def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None = None) -> GramPairing:
@@ -74,21 +100,9 @@ def pair(B: GramPairing, x: ModuleElement, y: ModuleElement) -> TorsionClass:
     n = B.module.generators
     if len(x.coeffs) != n or len(y.coeffs) != n:
         raise ValueError("element does not match the pairing's module")
-    acc = TORSION_ZERO
-    for j in range(n):
-        yj = y.coeffs[j]
-        if yj.is_zero():
-            continue
-        cj = yj.conjugate()
-        for i in range(n):
-            xi = x.coeffs[i]
-            if xi.is_zero():
-                continue
-            g = B.gram[i][j]
-            if g.is_zero():
-                continue
-            acc = acc + g.scale(xi * cj)
-    return acc
+    den, N = B.common
+    value = _dot(x.coeffs, mat_vec(N, [c.conjugate() for c in y.coeffs]))
+    return TorsionClass(RationalFn(_reduce_mod(value, den), den))
 
 
 def check_hermitian(B: GramPairing) -> bool:
@@ -101,101 +115,119 @@ def check_hermitian(B: GramPairing) -> bool:
 
 
 def vanishes_on_relations(B: GramPairing) -> bool:
-    """Well-definedness: gram * conj(r) is zero for every relation column r."""
-    R = B.module.relations
-    n = B.module.generators
-    for col in range(R.cols):
-        r = [R.entry(i, col).conjugate() for i in range(n)]
-        for i in range(n):
-            acc = TORSION_ZERO
-            for j in range(n):
-                if not r[j].is_zero():
-                    acc = acc + B.gram[i][j].scale(r[j])
-            if not acc.is_zero():
-                return False
-    return True
+    """Well-definedness: gram * conj(r) is zero for every relation column r,
+    i.e. den divides every entry of N * conj(r)."""
+    den, N = B.common
+    R = B.module.relations.conjugate()
+    return all(divides(den, e) for c in range(R.cols) for e in mat_vec(N, R.col(c)))
 
 
 def check_nonsingular(B: GramPairing) -> bool:
     """True iff the adjoint x -> pair(x, -) has trivial kernel.
 
-    With den the lcm of the gram denominators and N = den * gram, the
-    kernel is trivial iff L = {x : N^T x = 0 mod den} lies in R*Lambda^n,
-    R the relations.  As den*Lambda^n lies in L, that needs den to kill the
-    module, i.e. every Smith diagonal entry d_k to divide den.  Then in
-    V = (Lambda/den)^n, L/den*Lambda^n is the kernel of phi = N^T and
-    R*Lambda^n/den*Lambda^n the image of rho = R, of codimension
-    d = sum deg d_k = dim_Q M; and ker phi lies in im rho iff
-    rank phi - rank phi*rho = d, since phi*rho has the rank of phi on im rho.
-    Both ranks are over Q, by spinning (see _spin_rank); no Smith form.
+    With (den, N) = B.common, the kernel is trivial iff
+    L = {x : N^T x = 0 mod den} lies in R*Lambda^n, R the relations.  As
+    den*Lambda^n lies in L, that needs den to kill the module, i.e. every
+    Smith diagonal entry d_k to divide den.  Then in V = (Lambda/den)^n,
+    L/den*Lambda^n is the kernel of phi = N^T and R*Lambda^n/den*Lambda^n
+    the image of rho = R, of codimension d = sum deg d_k = dim_Q M; and
+    ker phi lies in im rho iff rank phi - rank phi*rho = d, since phi*rho
+    has the rank of phi on im rho.  Both ranks are over Q, by spinning
+    (see _spin_rank); no Smith form.
     """
     module = B.module
     if not module.is_torsion:
         return False
-    n = module.generators
-    if n == 0:
-        return True
-    den = ONE
-    for row in B.gram:
-        for g in row:
-            if not g.is_zero() and not divides(g.rep.den, den):
-                den = laurent_lcm(den, g.rep.den)
+    den, N = B.common
     if not all(divides(dk, den) for dk in module.snf.diagonal):
         return False
-    N = [
-        [
-            ZERO if g.is_zero() else g.rep.num * divexact(den, g.rep.den)
-            for g in row
-        ]
-        for row in B.gram
-    ]
-    # the columns of N^T are the rows of N
-    Nt = LambdaMatrix(N).transpose()
+    if den.is_one():
+        return True  # den kills the module, which is therefore zero (or n = 0)
+    space = _Quotient(den)
+    # the columns of N^T are the rows of N, and phi*rho sends a relation
+    # column r to sum_j r_j * (row j of N)
+    phi = space.coordinates(N.to_lists())
     R = module.relations
-    phi_rho = [mat_vec(Nt, R.col(c)) for c in range(R.cols)]
+    phi_rho = [space.combine(phi, R.col(c)) for c in range(R.cols)]
     d = sum(dk.degree() for dk in module.snf.diagonal)
-    return _spin_rank(N, den) - _spin_rank(phi_rho, den) == d
+    return _spin_rank(phi, space) - _spin_rank(phi_rho, space) == d
 
 
-def _spin_rank(vectors: Sequence[Sequence[LaurentPoly]], den: LaurentPoly) -> int:
-    """Q-dimension of the submodule of (Lambda/den)^k the vectors generate.
+class _Quotient:
+    """(Lambda/den)^k in integer coordinates.
 
-    den is monic ordinary with nonzero constant term.  An entry is stored
-    as its coefficients of t^0 .. t^(D-1) mod den, D = deg den, and a
-    vector as the integer multiple of those coordinates with content 1.
+    den is monic ordinary with nonzero constant term, D = deg den.  An
+    entry is stored as its coefficients of t^0 .. t^(D-1) mod den and a
+    vector as the concatenation of its entries' coordinates; only the
+    Q-span of a vector matters, so every vector is kept as some nonzero
+    integer multiple of its exact coordinates.
+    """
+
+    def __init__(self, den: LaurentPoly):
+        self.D = den.degree()
+        dense = den.dense()
+        scale = lcm(*(c.denominator for c in dense))
+        # den times scale; its leading coefficient is scale
+        self.coeffs = [c.numerator * (scale // c.denominator) for c in dense]
+        self.den = den
+
+    def coordinates(self, vectors: Sequence[Sequence[LaurentPoly]]) -> list[list[int]]:
+        """The vectors reduced mod den, all scaled by one common integer."""
+        flat = []
+        for v in vectors:
+            reduced = [_reduce_mod(e, self.den) for e in v]
+            flat.append([r.coefficient(j) for r in reduced for j in range(self.D)])
+        common = lcm(*(c.denominator for row in flat for c in row))
+        return [[c.numerator * (common // c.denominator) for c in row] for row in flat]
+
+    def times_t(self, v: list[int]) -> list[int]:
+        """scale * (t * v mod den), scale the leading coefficient of coeffs."""
+        D, coeffs = self.D, self.coeffs
+        scale = coeffs[-1]
+        out = []
+        for k in range(0, len(v), D):
+            top = v[k + D - 1]
+            out.append(-top * coeffs[0])
+            out.extend(scale * v[k + j - 1] - top * coeffs[j] for j in range(1, D))
+        return out
+
+    def combine(self, rows: list[list[int]], r: Sequence[LaurentPoly]) -> list[int]:
+        """sum_j r_j * rows[j] mod den, by Horner in t over the exponents of r.
+
+        rows share one scale.  The result is that sum times t^-v, v the
+        least exponent in r, and times a positive integer that clears the
+        denominators of r; neither factor changes the submodule it spins.
+        """
+        out = [0] * len(rows[0])
+        nonzero = [e for e in r if not e.is_zero()]
+        if not nonzero:
+            return out
+        v = min(e.valuation() for e in nonzero)
+        # times_t multiplies by scale, so the terms added after k steps carry
+        # scale^k to keep one multiple throughout
+        mult = lcm(*(c.denominator for e in nonzero for _, c in e.items()))
+        for m in range(max(e.degree() for e in nonzero), v - 1, -1):
+            out = self.times_t(out)
+            for e, row in zip(r, rows):
+                c = e.coefficient(m)
+                if c:
+                    f = c.numerator * (mult // c.denominator)
+                    out = [a + f * b for a, b in zip(out, row)]
+            mult *= self.coeffs[-1]
+        return out
+
+
+def _spin_rank(vectors: Sequence[list[int]], space: _Quotient) -> int:
+    """Q-dimension of the submodule of space the vectors generate.
+
     Krylov spinning: each vector is reduced against a fraction-free echelon
     basis; only an independent one joins it and queues its image under t.
     So every basis vector's image is in the final span, which is therefore
     t-stable, and it holds each input: handled are the k inputs plus one
     vector per rank, not the k*D of a direct elimination.
     """
-    D = den.degree()
-    if D == 0:
-        return 0
-    dense = den.dense()
-    scale = lcm(*(c.denominator for c in dense))
-    coeffs = [int(c * scale) for c in dense]
-
-    def coords(v: Sequence[LaurentPoly]) -> list[int]:
-        flat: list[Fraction] = []
-        for e in v:
-            r = _reduce_mod(e, den)
-            flat.extend(r.coefficient(j) for j in range(D))
-        common = lcm(*(c.denominator for c in flat))
-        return _primitive([int(c * common) for c in flat])
-
-    def times_t(v: list[int]) -> list[int]:
-        # scale * (t*p mod den) for p of degree < D; scale is den's leading
-        # coefficient after clearing denominators
-        out = []
-        for k in range(0, len(v), D):
-            top = v[k + D - 1]
-            out.append(-top * coeffs[0])
-            out.extend(scale * v[k + j - 1] - top * coeffs[j] for j in range(1, D))
-        return _primitive(out)
-
     basis: dict[int, list[int]] = {}  # by the position of the first nonzero
-    queue = [coords(v) for v in vectors]
+    queue = [_primitive(v) for v in vectors]
     while queue:
         v = queue.pop()
         p = _leading(v, 0)
@@ -205,7 +237,7 @@ def _spin_rank(vectors: Sequence[Sequence[LaurentPoly]], den: LaurentPoly) -> in
             p = _leading(v, p + 1)
         if p is not None:
             basis[p] = v
-            queue.append(times_t(v))
+            queue.append(_primitive(space.times_t(v)))
     return len(basis)
 
 
@@ -234,38 +266,3 @@ def negate_pairing(B: GramPairing) -> GramPairing:
         module=B.module,
         gram=tuple(tuple(-g for g in row) for row in B.gram),
     )
-
-
-def pair_via_solve(A: Sequence[Sequence[int]], x: Sequence[LaurentPoly], y: Sequence[LaurentPoly]) -> TorsionClass:
-    """Independent evaluation path: fresh linear solve of (A - t A^T) z = conj(y).
-
-    Gaussian elimination over the fraction field, no adjugate and no cached
-    gram; used as a cross-check oracle against the gram-based evaluation.
-    """
-    n = len(A)
-    B = -seifert_pencil(A).transpose()
-    rows = [[RationalFn(e) for e in B.row(i)] for i in range(n)]
-    rhs = [RationalFn(c.conjugate()) for c in y]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if not rows[i][k].is_zero()), None)
-        if piv is None:
-            raise SingularMatrixError("singular system")
-        rows[k], rows[piv] = rows[piv], rows[k]
-        rhs[k], rhs[piv] = rhs[piv], rhs[k]
-        for i in range(k + 1, n):
-            if rows[i][k].is_zero():
-                continue
-            f = rows[i][k] / rows[k][k]
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
-            rhs[i] = rhs[i] - f * rhs[k]
-    z = [RationalFn(ZERO)] * n
-    for i in range(n - 1, -1, -1):
-        acc = rhs[i]
-        for j in range(i + 1, n):
-            acc = acc - rows[i][j] * z[j]
-        z[i] = acc / rows[i][i]
-    tm1 = RationalFn(LaurentPoly({1: 1, 0: -1}))
-    total = RationalFn(ZERO)
-    for xi, zi in zip(x, z):
-        total = total + RationalFn(xi) * zi
-    return TorsionClass(tm1 * total)

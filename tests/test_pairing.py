@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from eqslice.catalog import assemble, builtin
 from eqslice.laurent import (
     ONE,
     ZERO,
@@ -20,9 +21,11 @@ from eqslice.pairing import (
     gram_from_seifert,
     negate_pairing,
     pair,
-    pair_via_solve,
     vanishes_on_relations,
 )
+from pairing_oracles import pair_per_term, pair_via_solve, vanishes_per_term
+from test_acceptance import CATALOG_GRID
+from test_exact_linear_algebra import dense_seifert
 
 
 def P(s):
@@ -115,6 +118,17 @@ class TestPair:
             rhs = pair(B, x, y).scale(pp * qq.conjugate())
             assert lhs == rhs
 
+    def test_vanishes_fails_on_a_class_the_relations_do_not_kill(self):
+        # nine46 has relations (0, t - 2) and (2t - 1, 0), and 1/(t - 2)
+        # times conj(t - 2) = t^-1 - 2 leaves (1 - 2t)/(t(t - 2)) behind
+        B = gram_from_seifert(NINE46)
+        for (i, j), den, kept in [((1, 1), "t - 2", False), ((0, 1), "t - 3", False), ((0, 0), "t - 2", True)]:
+            gram = [list(row) for row in B.gram]
+            gram[i][j] = gram[i][j] + cls("1", den)
+            shifted = GramPairing(module=B.module, gram=tuple(tuple(r) for r in gram))
+            assert vanishes_on_relations(shifted) is kept
+            assert vanishes_per_term(shifted) is kept
+
     def test_vanishes_on_relations(self):
         for A in [NINE46, genus_one(2, 3), [[1, 1], [0, -1]]]:
             B = gram_from_seifert(A)
@@ -191,3 +205,68 @@ class TestSolveOracle:
                 via_gram = pair(B, M.element(x), M.element(y))
                 via_solve = pair_via_solve(A, x, y)
                 assert via_gram == via_solve
+
+
+def doubled(B):
+    return direct_sum_pairing(B, B, direct_sum(B.module, B.module))
+
+
+def block_diagonal(A, B):
+    n, m = len(A), len(B)
+    return [list(r) + [0] * m for r in A] + [[0] * n + list(r) for r in B]
+
+
+def differential_cases():
+    """(label, pairing, sign, Seifert matrix): the pairing is sign times the
+    one of the Seifert matrix, or the matrix is None."""
+    for name, params in CATALOG_GRID:
+        spec = builtin(name, **params)
+        B = assemble(spec).pairing
+        A = [list(r) for r in spec.seifert]
+        if not A or gram_from_seifert(A).gram != B.gram:
+            A = None
+        yield f"{name}{params}", B, 1, A
+        yield f"{name}{params} negated", negate_pairing(B), -1, A
+        yield f"{name}{params} doubled", doubled(B), 1, A and block_diagonal(A, A)
+    rng = random.Random(33)
+    for genus in (1, 2, 3):
+        A = dense_seifert(genus, rng)
+        swap = block_diagonal(A, [list(r) for r in zip(*A)])
+        yield f"swap double of dense genus {genus}", gram_from_seifert(swap), 1, swap
+    # entries over different denominators: zero, a unit (t^3, a zero class),
+    # coprime linear and quadratic factors, and a square
+    M = direct_sum(from_seifert(NINE46), from_seifert([[1, 1], [0, -1]]))
+    entries = [
+        [cls("1", "t - 2"), TorsionClass(), cls("5", "t^3"), cls("t + 1", "2*t^2 - 5*t + 2")],
+        [cls("2*t", "t^2 - 3*t + 1"), cls("1", "t + 1"), TorsionClass(), cls("1 - t", "t - 2")],
+        [TorsionClass(), cls("3", "2*t - 1"), cls("t", "t^2 - 4*t + 4"), cls("1/2", "t^2 - t + 1")],
+        [cls("t^-1", "t^2 - t + 1"), TorsionClass(), cls("1", "t - 3"), cls("-4*t + 1", "t^2 - 3*t + 1")],
+    ]
+    yield "hand-built", GramPairing(module=M, gram=tuple(tuple(r) for r in entries)), 1, None
+    yield "hand-built zero", GramPairing(module=M, gram=tuple((TorsionClass(),) * 4 for _ in range(4))), 1, None
+
+
+DIFFERENTIAL = list(differential_cases())
+
+
+@pytest.mark.parametrize("label, B, sign, A", DIFFERENTIAL, ids=[c[0] for c in DIFFERENTIAL])
+def test_common_denominator_matches_per_term_and_solve(label, B, sign, A):
+    assert vanishes_on_relations(B) == vanishes_per_term(B)
+    n = B.module.generators
+    rng = random.Random(label)
+    for trial in range(6):
+        x = [LaurentPoly({k: rng.randint(-2, 2) for k in range(-1, 2)}) for _ in range(n)]
+        y = [LaurentPoly({k: rng.randint(-2, 2) for k in range(-1, 2)}) for _ in range(n)]
+        if trial == 0:
+            x[0] = ZERO
+        value = pair(B, B.module.element(x), B.module.element(y))
+        assert value == pair_per_term(B, B.module.element(x), B.module.element(y))
+        if A is not None and (trial < 2 or n <= 4):
+            expected = pair_via_solve(A, x, y)
+            assert value == (expected if sign == 1 else -expected)
+
+
+def test_differential_cases_reach_every_oracle():
+    assert sum(A is not None for _, _, _, A in DIFFERENTIAL) >= 30
+    verdicts = [vanishes_on_relations(B) for _, B, _, _ in DIFFERENTIAL]
+    assert verdicts.count(True) >= 30 and verdicts.count(False) == 1

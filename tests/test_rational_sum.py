@@ -1,0 +1,76 @@
+"""Property test: RationalFn sums by Henrici's addition equal the naive
+canonical form (n1*d2 +- n2*d1)/(d1*d2), which cancels one full gcd."""
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from eqslice.laurent import ONE, LaurentPoly, RationalFn, parse_poly
+
+# pairwise coprime irreducibles over Q (t - 1/2 is an associate of 2t - 1)
+FACTORS = [parse_poly(s) for s in ("t - 2", "2*t - 1", "t + 1", "t^2 - 3*t + 1", "3*t^2 + t + 2", "t")]
+
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+polys = st.builds(
+    lambda valuation, coeffs: LaurentPoly({valuation + i: c for i, c in enumerate(coeffs)}),
+    st.integers(-2, 2),
+    st.lists(coefficients, max_size=4),
+)
+factor_lists = st.lists(st.sampled_from(range(len(FACTORS))), max_size=3)
+
+
+def product(indices, unit):
+    p = LaurentPoly({unit[1]: unit[0]})
+    for i in indices:
+        p = p * FACTORS[i]
+    return p
+
+
+units = st.tuples(st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3)]), st.integers(-1, 1))
+
+
+@st.composite
+def pairs(draw):
+    """Two fractions whose denominators are equal, coprime or share factors."""
+    shared = draw(factor_lists)
+    mode = draw(st.sampled_from(["equal", "coprime", "shared"]))
+    own1, own2 = draw(factor_lists), draw(factor_lists)
+    if mode == "equal":
+        own2 = own1
+    elif mode == "coprime":
+        shared = []
+        own2 = [i for i in own2 if i not in own1]
+    d1 = product(shared + own1, draw(units))
+    d2 = product(shared + own2, draw(units))
+    x = RationalFn(draw(polys), d1)
+    y = RationalFn(draw(polys), d2)
+    if mode == "equal" and draw(st.booleans()):
+        # x + y is the polynomial p: the whole denominator cancels
+        y = RationalFn(draw(polys) * x.den - x.num, x.den)
+    return x, y
+
+
+def naive(x, y, sign):
+    return RationalFn(x.num * y.den + y.num.scale(sign) * x.den, x.den * y.den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs())
+def test_sum_and_difference_match_the_naive_canonical_form(xy):
+    x, y = xy
+    assert x + y == naive(x, y, 1)
+    assert x - y == naive(x, y, -1)
+    assert y + x == x + y
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs())
+def test_sums_that_cancel(xy):
+    x, _ = xy
+    assert (x + (-x)).is_zero() and (x - x).is_zero()
+    assert (x + (-x)).den == ONE
+    # x + (p - x) is the polynomial p, whatever the denominators share
+    p = RationalFn(FACTORS[0])
+    assert x + (p - x) == p
