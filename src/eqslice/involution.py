@@ -35,10 +35,6 @@ class SemilinearMap:
         return ModuleElement(self.module, mat_vec(self.matrix, conj))
 
 
-def apply(T: SemilinearMap, x: ModuleElement) -> ModuleElement:
-    return T.apply(x)
-
-
 def is_well_defined(T: SemilinearMap) -> bool:
     """Relation columns must map into the relation span."""
     R = T.module.relations
@@ -63,10 +59,6 @@ def is_involutive(T: SemilinearMap) -> bool:
         if in_span(diff, R, T.module.snf) is None:
             return False
     return True
-
-
-def verify_involution(T: SemilinearMap) -> bool:
-    return is_well_defined(T) and is_involutive(T)
 
 
 def verify_anti_isometry(T: SemilinearMap, B: GramPairing) -> bool:

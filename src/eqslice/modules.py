@@ -135,13 +135,6 @@ class ModuleElement:
         return f"ModuleElement({', '.join(str(c) for c in self.coeffs)})"
 
 
-def element_equal(module: PresentedModule, x: ModuleElement, y: ModuleElement) -> bool:
-    if len(x.coeffs) != len(y.coeffs) or len(x.coeffs) != module.generators:
-        raise ValueError("generator count mismatch")
-    diff = tuple(a - b for a, b in zip(x.coeffs, y.coeffs))
-    return in_span(list(diff), module.relations, module.snf) is not None
-
-
 def from_seifert(A: Sequence[Sequence[int]]) -> PresentedModule:
     """Module presented by t*A - A^T for an integer Seifert matrix A."""
     n = len(A)
@@ -158,10 +151,6 @@ def direct_sum(M1: PresentedModule, M2: PresentedModule) -> PresentedModule:
         M1.generators + M2.generators,
         LambdaMatrix.block_diag(M1.relations, M2.relations),
     )
-
-
-def generating_rank(M: PresentedModule) -> int:
-    return M.grk
 
 
 def submodule_presentation(M: PresentedModule, gens: Sequence[ModuleElement]) -> PresentedModule:
@@ -256,7 +245,3 @@ class RationalBasis:
         coords = [Fraction(0)] * self.dimension
         coords[k] = Fraction(1)
         return self.from_coords(coords)
-
-
-def q_basis(M: PresentedModule) -> RationalBasis:
-    return RationalBasis(M)

@@ -21,6 +21,7 @@ from typing import Sequence
 from .laurent import (
     ONE,
     TORSION_ZERO,
+    ZERO,
     LaurentPoly,
     RationalFn,
     TorsionClass,
@@ -31,7 +32,7 @@ from .laurent import (
     symmetric_quadratic_tests,
 )
 from .matrices import LambdaMatrix as _Matrix
-from .modules import ModuleElement, RationalBasis, q_basis
+from .modules import ModuleElement, RationalBasis
 from .pairing import pair
 from .witt import AxiomCheck, EquivariantTriple, validate
 
@@ -142,15 +143,17 @@ def _definiteness(Q: Sequence[Sequence[Fraction]]) -> tuple[int, list[Fraction]]
     return sign, pivots
 
 
-def tau_quadratic(T: EquivariantTriple, self_checks: int = 20, seed: int = 0) -> QuadraticCertificate:
+def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
     """Express pairing-against-involuted-argument as coprime quadratic parts.
 
     For x with rational coordinates v over the module's rational basis, the
     value equals sum over parts of N(v, t)/denominator, where N's t-power
-    coefficients are the stored quadratic forms.  Spot-checked against
-    direct evaluation on random vectors before returning.
+    coefficients are the stored quadratic forms.  Before returning, every
+    basis-pair class is rebuilt from the stored forms and compared exactly
+    (see _check_forms), and two seeded random vectors are evaluated
+    end to end, through from_coords, the involution and pair.
     """
-    basis = q_basis(T.module)
+    basis = RationalBasis(T.module)
     dim = basis.dimension
     if dim == 0:
         return QuadraticCertificate(basis=basis, parts=(), verdict=UNDECIDED, seed=seed)
@@ -206,14 +209,48 @@ def tau_quadratic(T: EquivariantTriple, self_checks: int = 20, seed: int = 0) ->
             parts.append(CoprimePart(denominator=F, forms=layers))
 
     cert = QuadraticCertificate(basis=basis, parts=tuple(parts), verdict=UNDECIDED, seed=seed)
-    _self_check(T, cert, self_checks, seed)
+    _check_forms(cert, sym)
+    _check_samples(T, cert)
     return cert
 
 
-def _self_check(T: EquivariantTriple, cert: QuadraticCertificate, rounds: int, seed: int):
-    rng = random.Random(seed)
+def _check_forms(cert: QuadraticCertificate, sym: list[list[TorsionClass]]) -> None:
+    """Raise unless the stored parts give pair(x, tau x) for every rational x.
+
+    With v the coordinates of x, pair(x, tau x) = sum over k, l of
+    v_k v_l sym[k][l].  The stored parts give the same sum with sym[k][l]
+    replaced by the sum over parts of (sum_m forms[m][k][l] t^m)/denominator,
+    which is rebuilt/P over P, the product of the part denominators.  Both
+    fractions are proper (numerator degree below the denominator's), and two
+    proper fractions are equal in Q(t)/Lambda only when equal in Q(t), so
+    cross-multiplying decides each class without a gcd or a reduction.
+    Symmetric forms that agree at every k <= l are right on every vector.
+    """
+    P = ONE
+    for part in cert.parts:
+        P = P * part.denominator
+    cofactors = [divexact(P, part.denominator) for part in cert.parts]
+    dim = cert.basis.dimension
+    for k in range(dim):
+        for l in range(k, dim):
+            rebuilt = ZERO
+            for part, cofactor in zip(cert.parts, cofactors):
+                if any(Q[k][l] != Q[l][k] for Q in part.forms):
+                    raise RuntimeError(f"quadratic certificate disagrees: forms are not symmetric at ({k}, {l})")
+                num = LaurentPoly({m: Q[k][l] for m, Q in enumerate(part.forms)})
+                if not num.is_zero():
+                    rebuilt = rebuilt + num * cofactor
+            want = sym[k][l].rep
+            if rebuilt * want.den != want.num * P:
+                raise RuntimeError(f"quadratic certificate disagrees with the pairing at ({k}, {l})")
+
+
+def _check_samples(T: EquivariantTriple, cert: QuadraticCertificate) -> None:
+    """Two seeded end-to-end evaluations, through from_coords, the involution
+    and pair, of what _check_forms proves from the basis-pair classes."""
     basis = cert.basis
-    for _ in range(rounds):
+    rng = random.Random(cert.seed)
+    for _ in range(2):
         v = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(basis.dimension)]
         stored = evaluate_certificate(cert, v)
         x = basis.from_coords(v)
@@ -303,24 +340,7 @@ def certify_k0(T: EquivariantTriple, seed: int = 0, samples: int = 300) -> Quadr
                 )
 
     # (3) falsifier
-    rng = random.Random(seed)
-    candidates: list[list[Fraction]] = []
-    for k in range(dim):
-        e = [Fraction(0)] * dim
-        e[k] = Fraction(1)
-        candidates.append(e)
-    for k in range(dim):
-        for l in range(k + 1, dim):
-            for sgn in (1, -1):
-                e = [Fraction(0)] * dim
-                e[k] = Fraction(1)
-                e[l] = Fraction(sgn)
-                candidates.append(e)
-    for _ in range(samples):
-        candidates.append(
-            [Fraction(rng.randint(-32, 32), rng.randint(1, 32)) for _ in range(dim)]
-        )
-    for v in candidates:
+    for v in _falsifier_candidates(dim, samples, seed):
         if not any(v):
             continue
         if all(_eval_form(Q, v) == 0 for Q in forms):
@@ -341,6 +361,28 @@ def certify_k0(T: EquivariantTriple, seed: int = 0, samples: int = 300) -> Quadr
         evidence={"falsifier_samples": samples},
         seed=seed,
     )
+
+
+def _falsifier_candidates(dim: int, samples: int, seed: int):
+    """Unit vectors, then e_k +- e_l for k < l, then seeded random vectors.
+
+    A generator, so a falsifier that stops at an early counterexample never
+    draws the random vectors it would not try.
+    """
+    for k in range(dim):
+        e = [Fraction(0)] * dim
+        e[k] = Fraction(1)
+        yield e
+    for k in range(dim):
+        for l in range(k + 1, dim):
+            for sgn in (1, -1):
+                e = [Fraction(0)] * dim
+                e[k] = Fraction(1)
+                e[l] = Fraction(sgn)
+                yield e
+    rng = random.Random(seed)
+    for _ in range(samples):
+        yield [Fraction(rng.randint(-32, 32), rng.randint(1, 32)) for _ in range(dim)]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from eqslice.catalog import assemble, builtin, sum_specs, twist_cyclic_triple
-from eqslice.involution import verify_anti_isometry, verify_involution
+from eqslice.involution import is_involutive, is_well_defined, verify_anti_isometry
 from eqslice.laurent import (
     ONE,
     ZERO,
@@ -242,7 +242,7 @@ def test_criterion_07_structural_axioms():
         assert check_hermitian(triple.pairing)
         assert vanishes_on_relations(triple.pairing)
         assert check_nonsingular(triple.pairing)
-        assert verify_involution(triple.involution)
+        assert is_well_defined(triple.involution) and is_involutive(triple.involution)
         assert verify_anti_isometry(triple.involution, triple.pairing)
     for a in (1, 2, 3):
         assert validate(twist_cyclic_triple(a)).ok

@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from eqslice.catalog import assemble, builtin, sum_specs, twist_cyclic_triple
+from eqslice.catalog import KnotSpec, assemble, builtin, sum_specs, twist_cyclic_triple
 from eqslice.laurent import unit_equal, parse_poly
 from eqslice.obstruction import (
     CERTIFIED_K0,
@@ -12,6 +13,8 @@ from eqslice.obstruction import (
     NOT_EQUIVARIANTLY_ALGEBRAICALLY_SLICE,
     NOT_EQUIVARIANTLY_SLICE,
     UNDECIDED,
+    _check_forms,
+    _falsifier_candidates,
     amphichiral_obstruction,
     certify_k0,
     equivariant_slice_verdict,
@@ -21,6 +24,8 @@ from eqslice.obstruction import (
 )
 from eqslice.pairing import pair
 from eqslice.witt import triple_sum, negate
+from test_acceptance import CATALOG_GRID
+from test_exact_linear_algebra import dense_seifert
 
 
 def nine46():
@@ -97,6 +102,157 @@ class TestTauQuadratic:
                 assert stored == direct
 
 
+def sampled_self_check(T, cert, rounds=20, seed=0):
+    """The certificate check that the exact one replaced, kept as an oracle:
+    compare the stored parts with direct evaluation on random vectors."""
+    rng = random.Random(seed)
+    basis = cert.basis
+    for _ in range(rounds):
+        v = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(basis.dimension)]
+        stored = evaluate_certificate(cert, v)
+        x = basis.from_coords(v)
+        direct = pair(T.pairing, x, T.involution.apply(x))
+        if stored != direct:
+            raise RuntimeError("quadratic certificate disagrees with direct evaluation")
+
+
+def symmetrised_grid(T, basis):
+    """(pair(b_k, tau b_l) + pair(b_l, tau b_k))/2 over the rational basis."""
+    beta = [basis.basis_element(k) for k in range(basis.dimension)]
+    images = [T.involution.apply(b) for b in beta]
+    return [
+        [
+            (pair(T.pairing, beta[k], images[l]) + pair(T.pairing, beta[l], images[k])).scale(Fraction(1, 2))
+            for l in range(len(beta))
+        ]
+        for k in range(len(beta))
+    ]
+
+
+def swap_double_of(A, name):
+    n = len(A)
+    double = tuple(tuple(A[r]) + (0,) * n for r in range(n)) + tuple(
+        (0,) * n + tuple(A[c][r] for c in range(n)) for r in range(n)
+    )
+    return assemble(KnotSpec(name=name, seifert=double, involution="swap"))
+
+
+def check_cases():
+    for name, params in CATALOG_GRID:
+        spec = builtin(name, **params)
+        yield f"{name}{params}", assemble(spec)
+        yield f"{name}{params} doubled", assemble(sum_specs([spec, spec]))
+    rng = random.Random(52)
+    for genus, count in ((1, 3), (2, 2)):
+        for i in range(count):
+            yield f"swap dense g{genus} #{i}", swap_double_of(dense_seifert(genus, rng), f"swap_g{genus}_{i}")
+
+
+def with_forms(cert, idx, edit):
+    """A copy of cert whose part idx has its forms rewritten by edit(forms)."""
+    part = cert.parts[idx]
+    forms = [[list(row) for row in Q] for Q in part.forms]
+    edit(forms)
+    layers = tuple(tuple(tuple(row) for row in Q) for Q in forms)
+    parts = list(cert.parts)
+    parts[idx] = replace(part, forms=layers)
+    return replace(cert, parts=tuple(parts))
+
+
+def first_nonzero(forms, diagonal):
+    for m, Q in enumerate(forms):
+        for k in range(len(Q)):
+            for l in range(k, len(Q)):
+                if Q[k][l] and (k == l) == diagonal:
+                    return m, k, l
+    return None
+
+
+def mutations(cert):
+    """Named corruptions of a certificate, each wrong on some rational vector."""
+    dim = cert.basis.dimension
+    if len(cert.parts) > 1:
+        yield "dropped part", replace(cert, parts=cert.parts[1:])
+    yield "dropped last part", replace(cert, parts=cert.parts[:-1])
+
+    def bump(k, l, asymmetric=False):
+        def edit(forms):
+            forms[0][k][l] += 1
+            if l != k and not asymmetric:
+                forms[0][l][k] += 1
+
+        return edit
+
+    yield "perturbed diagonal", with_forms(cert, 0, bump(0, 0))
+    if dim > 1:
+        yield "perturbed off-diagonal", with_forms(cert, 0, bump(0, 1))
+        yield "asymmetric lower entry", with_forms(cert, 0, bump(1, 0, asymmetric=True))
+    for idx, part in enumerate(cert.parts):
+        for diagonal in (True, False):
+            spot = first_nonzero(part.forms, diagonal)
+            if spot is None or dim < 2:
+                continue
+            m, k, l = spot
+            a, b = (0, 1) if (k, l) != (0, 1) else (0, 0)
+
+            def move(forms, m=m, k=k, l=l, a=a, b=b):
+                value = forms[m][k][l]
+                forms[m][k][l] = forms[m][l][k] = Fraction(0)
+                forms[m][a][b] += value
+                if a != b:
+                    forms[m][b][a] += value
+
+            yield f"part {idx} {'diagonal' if diagonal else 'off-diagonal'} entry moved", with_forms(cert, idx, move)
+
+
+class TestCertificateCheck:
+    def test_exact_and_sampled_checks_accept(self):
+        for _label, T in check_cases():
+            cert = tau_quadratic(T)  # runs the exact check
+            sampled_self_check(T, cert)
+            _check_forms(cert, symmetrised_grid(T, cert.basis))
+
+    @pytest.mark.parametrize(
+        "triple",
+        [
+            nine46,
+            lambda: genus_one(-2, 3, 2),
+            lambda: nine46_sum(2),
+            lambda: assemble(builtin("swap_double", inner="nine46")),
+        ],
+        ids=["nine46", "genus_one", "nine46x2", "swap_nine46"],
+    )
+    def test_mutations_rejected(self, triple):
+        T = triple()
+        cert = tau_quadratic(T)
+        sym = symmetrised_grid(T, cert.basis)
+        seen = []
+        for label, bad in mutations(cert):
+            seen.append(label)
+            with pytest.raises(RuntimeError, match="quadratic certificate disagrees"):
+                _check_forms(bad, sym)
+            with pytest.raises(RuntimeError, match="quadratic certificate disagrees"):
+                sampled_self_check(T, bad)
+        assert {"dropped last part", "perturbed diagonal", "perturbed off-diagonal"} <= set(seen)
+        assert any("entry moved" in label for label in seen)
+
+    def test_sampled_evaluations(self, monkeypatch):
+        # the exact check alone would pass; two end-to-end samples still run
+        calls = []
+
+        def counting(cert, v):
+            calls.append(v)
+            return evaluate_certificate(cert, v)
+
+        monkeypatch.setattr("eqslice.obstruction.evaluate_certificate", counting)
+        cert = tau_quadratic(nine46(), seed=5)
+        rng = random.Random(5)
+        dim = cert.basis.dimension
+        assert calls == [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)] for _round in range(2)
+        ]
+
+
 class TestCertifyK0:
     def test_nine46_certified(self):
         cert = certify_k0(nine46())
@@ -134,6 +290,29 @@ class TestCertifyK0:
                 continue
             x = cert.basis.from_coords(v)
             assert not pair(triple.pairing, x, triple.involution.apply(x)).is_zero()
+
+    def test_lazy_falsifier_candidates(self):
+        def eager(dim, samples, seed):
+            # the list certify_k0 built before the candidates became a generator
+            rng = random.Random(seed)
+            candidates = []
+            for k in range(dim):
+                e = [Fraction(0)] * dim
+                e[k] = Fraction(1)
+                candidates.append(e)
+            for k in range(dim):
+                for l in range(k + 1, dim):
+                    for sgn in (1, -1):
+                        e = [Fraction(0)] * dim
+                        e[k] = Fraction(1)
+                        e[l] = Fraction(sgn)
+                        candidates.append(e)
+            for _ in range(samples):
+                candidates.append([Fraction(rng.randint(-32, 32), rng.randint(1, 32)) for _ in range(dim)])
+            return candidates
+
+        for dim, samples, seed in ((1, 0, 0), (1, 5, 3), (2, 300, 0), (4, 300, 7), (6, 17, 11)):
+            assert list(_falsifier_candidates(dim, samples, seed)) == eager(dim, samples, seed)
 
     def test_deterministic_given_seed(self):
         a = certify_k0(nine46(), seed=7)
