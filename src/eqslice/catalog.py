@@ -57,17 +57,6 @@ class KnotSpec:
     involution: Union[str, LambdaMatrix] = "swap"
     notes: str = ""
 
-    def __eq__(self, other):
-        if not isinstance(other, KnotSpec):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.params == other.params
-            and self.seifert == other.seifert
-            and self.involution == other.involution
-            and self.notes == other.notes
-        )
-
 
 def _as_int(value, name: str) -> int:
     f = Fraction(value)
@@ -278,21 +267,29 @@ def _require_int(params: dict, key: str) -> int:
     return _as_int(params.pop(key), key)
 
 
-def assemble(spec: KnotSpec) -> EquivariantTriple:
-    """Build and validate the triple (module, pairing, involution)."""
+def build(spec: KnotSpec) -> EquivariantTriple:
+    """The triple (module, pairing, involution) of a spec, not validated."""
     module = from_seifert(spec.seifert)
     pairing = gram_from_seifert(spec.seifert, module)
-    if isinstance(spec.involution, str):
-        if spec.involution != "swap":
-            raise CatalogError(f"unknown involution constructor {spec.involution!r}")
-        invol = swap_involution(module)
-    else:
-        invol = SemilinearMap(module=module, matrix=spec.involution)
-    triple = EquivariantTriple(module=module, pairing=pairing, involution=invol)
+    return EquivariantTriple(module=module, pairing=pairing, involution=_involution(spec, module))
+
+
+def assemble(spec: KnotSpec) -> EquivariantTriple:
+    """Build and validate the triple (module, pairing, involution)."""
+    triple = build(spec)
     report = validate(triple)
     if not report.ok:
         raise CatalogValidationError(report)
     return triple
+
+
+def _involution(spec: KnotSpec, module: PresentedModule) -> SemilinearMap:
+    """The spec's involution on module: the named swap or its matrix."""
+    if isinstance(spec.involution, str):
+        if spec.involution != "swap":
+            raise CatalogError(f"unknown involution constructor {spec.involution!r}")
+        return swap_involution(module)
+    return SemilinearMap(module=module, matrix=spec.involution)
 
 
 def sum_specs(specs: Sequence[KnotSpec], name: str | None = None) -> KnotSpec:
@@ -303,13 +300,7 @@ def sum_specs(specs: Sequence[KnotSpec], name: str | None = None) -> KnotSpec:
     seifert: tuple[tuple[int, ...], ...] = ()
     matrices = []
     for s in specs:
-        module = from_seifert(s.seifert)
-        if isinstance(s.involution, str):
-            if s.involution != "swap":
-                raise CatalogError(f"unknown involution constructor {s.involution!r}")
-            matrices.append(swap_involution(module).matrix)
-        else:
-            matrices.append(s.involution)
+        matrices.append(_involution(s, from_seifert(s.seifert)).matrix)
         old = len(seifert)
         n = len(s.seifert)
         seifert = tuple(row + (0,) * n for row in seifert) + tuple(

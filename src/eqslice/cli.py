@@ -19,6 +19,7 @@ from .catalog import (
     KnotSpec,
     SpecParseError,
     assemble,
+    build,
     builtin,
     format_spec,
     list_builtins,
@@ -242,12 +243,7 @@ def cmd_catalog(args, out: Output) -> int:
 
 
 def cmd_verify(args, out: Output) -> int:
-    spec = resolve_spec(args.spec)
-    try:
-        triple = assemble(spec)
-        report = validate(triple)
-    except CatalogValidationError as e:
-        report = e.report
+    report = validate(build(resolve_spec(args.spec)))
     payload = report.to_dict()
     lines = [
         f"{c.name}: {'pass' if c.passed else 'FAIL'}" + (f" ({c.detail})" if c.detail else "")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .laurent import ONE, ZERO
 from .matrices import LambdaMatrix, in_span, mat_vec
 from .modules import ModuleElement, PresentedModule, direct_sum
-from .pairing import GramPairing, pair
+from .pairing import GramPairing, pair_grid
 
 
 @dataclass(frozen=True)
@@ -64,20 +64,16 @@ def is_involutive(T: SemilinearMap) -> bool:
 def verify_anti_isometry(T: SemilinearMap, B: GramPairing) -> bool:
     """pair(x, y) = conj(pair(tau x, tau y)), checked on generator pairs.
 
-    Sesquilinearity of the pairing and semilinearity of tau propagate the
-    generator-pair identity to all elements.
+    tau e_i is column i of the matrix, so one grid pairs every image with
+    every image.  Sesquilinearity of the pairing and semilinearity of tau
+    propagate the generator-pair identity to all elements.
     """
     if B.module.generators != T.module.generators:
         raise ValueError("pairing and involution live on different modules")
     n = T.module.generators
-    images = [T.apply(ModuleElement(T.module, tuple(ONE if k == i else ZERO for k in range(n)))) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = B.gram[i][j]
-            rhs = pair(B, images[i], images[j]).conjugate()
-            if lhs != rhs:
-                return False
-    return True
+    images = [ModuleElement(T.module, T.matrix.col(i)) for i in range(n)]
+    grid = pair_grid(B, images, images)
+    return all(B.gram[i][j] == grid[i][j].conjugate() for i in range(n) for j in range(n))
 
 
 def swap_involution(M: PresentedModule) -> SemilinearMap:
@@ -86,43 +82,31 @@ def swap_involution(M: PresentedModule) -> SemilinearMap:
     Requires the relation matrix to be a block sum whose blocks are mutually
     conjugate presentations (each block's conjugated relations lie in the
     other block's span), which is exactly what makes the swap well defined.
+    The relations being block diagonal, the swap sends a block-one relation
+    (c, 0) to (0, conj c), which lies in their span iff conj c lies in the
+    span of block two, and symmetrically; so is_well_defined on the swap,
+    against the module's own Smith form, is that test.
     """
     n = M.generators
     if n % 2:
         raise ValueError("module is not an even-split direct sum")
     h = n // 2
     R = M.relations
-    split = None
-    for m1 in range(R.cols + 1):
-        top_right_zero = all(
-            R.entry(i, j).is_zero() for i in range(h) for j in range(m1, R.cols)
-        )
-        bottom_left_zero = all(
-            R.entry(i, j).is_zero() for i in range(h, n) for j in range(m1)
-        )
-        if top_right_zero and bottom_left_zero:
-            split = m1
-            break
-    if split is None:
+    two_blocks = any(
+        all(R.entry(i, j).is_zero() for i in range(h) for j in range(m1, R.cols))
+        and all(R.entry(i, j).is_zero() for i in range(h, n) for j in range(m1))
+        for m1 in range(R.cols + 1)
+    )
+    if not two_blocks:
         raise ValueError("relation matrix is not a two-block sum")
-    R1 = LambdaMatrix([[R.entry(i, j) for j in range(split)] for i in range(h)])
-    R2 = LambdaMatrix([[R.entry(i, j) for j in range(split, R.cols)] for i in range(h, n)])
-    from .matrices import snf as _snf
-
-    s1, s2 = _snf(R1), _snf(R2)
-    for col in range(R1.cols):
-        c = [R1.entry(i, col).conjugate() for i in range(h)]
-        if in_span(c, R2, s2) is None:
-            raise ValueError("blocks are not conjugate presentations; swap is not well defined")
-    for col in range(R2.cols):
-        c = [R2.entry(i, col).conjugate() for i in range(h)]
-        if in_span(c, R1, s1) is None:
-            raise ValueError("blocks are not conjugate presentations; swap is not well defined")
     entries = [[ZERO] * n for _ in range(n)]
     for i in range(h):
         entries[i][h + i] = ONE
         entries[h + i][i] = ONE
-    return SemilinearMap(module=M, matrix=LambdaMatrix(entries))
+    swap = SemilinearMap(module=M, matrix=LambdaMatrix(entries))
+    if not is_well_defined(swap):
+        raise ValueError("blocks are not conjugate presentations; swap is not well defined")
+    return swap
 
 
 def direct_sum_involution(T1: SemilinearMap, T2: SemilinearMap, module: PresentedModule | None = None) -> SemilinearMap:

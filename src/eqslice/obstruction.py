@@ -33,7 +33,7 @@ from .laurent import (
 )
 from .matrices import LambdaMatrix as _Matrix
 from .modules import ModuleElement, RationalBasis
-from .pairing import pair
+from .pairing import pair, pair_grid
 from .witt import AxiomCheck, EquivariantTriple, validate
 
 CERTIFIED_K0 = "CERTIFIED_K0"
@@ -146,11 +146,17 @@ def _definiteness(Q: Sequence[Sequence[Fraction]]) -> tuple[int, list[Fraction]]
 def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
     """Express pairing-against-involuted-argument as coprime quadratic parts.
 
-    For x with rational coordinates v over the module's rational basis, the
-    value equals sum over parts of N(v, t)/denominator, where N's t-power
-    coefficients are the stored quadratic forms.  Before returning, every
-    basis-pair class is rebuilt from the stored forms and compared exactly
-    (see _check_forms), and two seeded random vectors are evaluated
+    For x with rational coordinates v over the module's rational basis b,
+    pair(x, tau x) is the sum over k, l of v_k v_l grid[k][l], with
+    grid[k][l] = pair(b_k, tau b_l), and equals the sum over parts of
+    N(v, t)/denominator, where N's t-power coefficients are the stored
+    quadratic forms.  The grid is the forms' matrix as it stands: for every
+    triple that passes validate it is symmetric, as anti-isometry,
+    involutivity and the Hermitian property give
+    pair(b_l, tau b_k) = conj(pair(tau b_l, b_k)) = pair(b_k, tau b_l).
+    A grid that is not symmetric raises RuntimeError.  Before returning,
+    every basis-pair class is rebuilt from the stored forms and compared
+    exactly (see _check_forms), and two seeded random vectors are evaluated
     end to end, through from_coords, the involution and pair.
     """
     basis = RationalBasis(T.module)
@@ -159,15 +165,13 @@ def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
         return QuadraticCertificate(basis=basis, parts=(), verdict=UNDECIDED, seed=seed)
 
     beta = [basis.basis_element(k) for k in range(dim)]
-    tau_beta = [T.involution.apply(b) for b in beta]
-    grid = [[pair(T.pairing, beta[k], tau_beta[l]) for l in range(dim)] for k in range(dim)]
-    sym = [
-        [
-            (grid[k][l] + grid[l][k]).scale(Fraction(1, 2))
-            for l in range(dim)
-        ]
-        for k in range(dim)
-    ]
+    grid = pair_grid(T.pairing, beta, [T.involution.apply(b) for b in beta])
+    for k in range(dim):
+        for l in range(k + 1, dim):
+            if grid[k][l] != grid[l][k]:
+                raise RuntimeError(
+                    f"pairing against the involution is not symmetric at ({k}, {l}): the triple is not valid"
+                )
 
     base = gcd_free_basis(list(T.module.invariant_factors), split_quadratics=True)
     factor_powers: list[LaurentPoly] = []
@@ -186,7 +190,7 @@ def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
 
     for k in range(dim):
         for l in range(k, dim):
-            cls = sym[k][l]
+            cls = grid[k][l]
             if cls.is_zero():
                 continue
             pieces = coprime_split(cls, factor_powers)
@@ -209,16 +213,17 @@ def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
             parts.append(CoprimePart(denominator=F, forms=layers))
 
     cert = QuadraticCertificate(basis=basis, parts=tuple(parts), verdict=UNDECIDED, seed=seed)
-    _check_forms(cert, sym)
+    _check_forms(cert, grid)
     _check_samples(T, cert)
     return cert
 
 
-def _check_forms(cert: QuadraticCertificate, sym: list[list[TorsionClass]]) -> None:
+def _check_forms(cert: QuadraticCertificate, grid: list[list[TorsionClass]]) -> None:
     """Raise unless the stored parts give pair(x, tau x) for every rational x.
 
-    With v the coordinates of x, pair(x, tau x) = sum over k, l of
-    v_k v_l sym[k][l].  The stored parts give the same sum with sym[k][l]
+    grid is the symmetric grid pair(b_k, tau b_l) of tau_quadratic.  With v
+    the coordinates of x, pair(x, tau x) = sum over k, l of
+    v_k v_l grid[k][l].  The stored parts give the same sum with grid[k][l]
     replaced by the sum over parts of (sum_m forms[m][k][l] t^m)/denominator,
     which is rebuilt/P over P, the product of the part denominators.  Both
     fractions are proper (numerator degree below the denominator's), and two
@@ -240,7 +245,7 @@ def _check_forms(cert: QuadraticCertificate, sym: list[list[TorsionClass]]) -> N
                 num = LaurentPoly({m: Q[k][l] for m, Q in enumerate(part.forms)})
                 if not num.is_zero():
                     rebuilt = rebuilt + num * cofactor
-            want = sym[k][l].rep
+            want = grid[k][l].rep
             if rebuilt * want.den != want.num * P:
                 raise RuntimeError(f"quadratic certificate disagrees with the pairing at ({k}, {l})")
 

@@ -10,6 +10,8 @@ Values are summed over one common denominator: each pairing caches den, the
 lcm of its gram denominators, and the polynomial matrix N = den * gram.  A
 value is then the Laurent polynomial x^T N conj(y), reduced mod den and
 made canonical once, and well-definedness is den dividing N * conj(r).
+pair_grid is the only evaluator: it pairs a list of elements against
+another, forming each N * conj(y) once, and pair is its 1 x 1 case.
 
 Nonsingularity is decided by two ranks over Q rather than by Smith forms:
 it holds iff den kills the module and multiplication by N^T on
@@ -95,14 +97,26 @@ def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None
     return GramPairing(module=module, gram=gram)
 
 
-def pair(B: GramPairing, x: ModuleElement, y: ModuleElement) -> TorsionClass:
-    """Evaluate the pairing; sesquilinear in the ring coefficients."""
+def pair_grid(B: GramPairing, xs: Sequence[ModuleElement], ys: Sequence[ModuleElement]) -> list[list[TorsionClass]]:
+    """[[pair(x, y) for y in ys] for x in xs], forming each N * conj(y) once.
+
+    The one place the pairing is evaluated: each value is the Laurent
+    polynomial x^T N conj(y) over the cached (den, N), reduced mod den.
+    """
     n = B.module.generators
-    if len(x.coeffs) != n or len(y.coeffs) != n:
+    if any(len(v.coeffs) != n for v in (*xs, *ys)):
         raise ValueError("element does not match the pairing's module")
     den, N = B.common
-    value = _dot(x.coeffs, mat_vec(N, [c.conjugate() for c in y.coeffs]))
-    return TorsionClass(RationalFn(_reduce_mod(value, den), den))
+    columns = [mat_vec(N, [c.conjugate() for c in y.coeffs]) for y in ys]
+    return [
+        [TorsionClass(RationalFn(_reduce_mod(_dot(x.coeffs, col), den), den)) for col in columns]
+        for x in xs
+    ]
+
+
+def pair(B: GramPairing, x: ModuleElement, y: ModuleElement) -> TorsionClass:
+    """Evaluate the pairing; sesquilinear in the ring coefficients."""
+    return pair_grid(B, [x], [y])[0][0]
 
 
 def check_hermitian(B: GramPairing) -> bool:

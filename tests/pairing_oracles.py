@@ -1,10 +1,13 @@
 """Independent and per-term evaluations of the pairing, kept as test oracles.
 
 The library sums pairing values over the gram's common denominator; these
-follow the definitions term by term instead.
+follow the definitions term by term instead.  Also kept: the symmetrised
+tau-grid and the block-by-block swap check that the library replaced.
 """
-from eqslice.laurent import TORSION_ZERO, ZERO, LaurentPoly, RationalFn, TorsionClass
-from eqslice.matrices import SingularMatrixError, seifert_pencil
+from fractions import Fraction
+
+from eqslice.laurent import ONE, TORSION_ZERO, ZERO, LaurentPoly, RationalFn, TorsionClass
+from eqslice.matrices import LambdaMatrix, SingularMatrixError, in_span, seifert_pencil, snf
 
 
 def pair_per_term(B, x, y):
@@ -66,3 +69,54 @@ def pair_via_solve(A, x, y):
     for xi, zi in zip(x, z):
         total = total + RationalFn(xi) * zi
     return TorsionClass(tm1 * total)
+
+
+def symmetrised_grid(B, xs, ys):
+    """(pair(x_k, y_l) + pair(x_l, y_k))/2, per term, for equally long xs, ys.
+
+    With ys the involution images of xs, this is the grid tau_quadratic
+    averaged before it required pair(x_k, y_l) itself to be symmetric.
+    """
+    return [
+        [
+            (pair_per_term(B, xs[k], ys[l]) + pair_per_term(B, xs[l], ys[k])).scale(Fraction(1, 2))
+            for l in range(len(ys))
+        ]
+        for k in range(len(xs))
+    ]
+
+
+def swap_by_block_smith_forms(M):
+    """The swap matrix on a two-block sum, checked block by block.
+
+    Each block's conjugated relation columns must lie in the other block's
+    span, tested against a Smith form of each block.  Raises ValueError with
+    the library's messages.
+    """
+    n = M.generators
+    if n % 2:
+        raise ValueError("module is not an even-split direct sum")
+    h = n // 2
+    R = M.relations
+    split = None
+    for m1 in range(R.cols + 1):
+        top_right_zero = all(R.entry(i, j).is_zero() for i in range(h) for j in range(m1, R.cols))
+        bottom_left_zero = all(R.entry(i, j).is_zero() for i in range(h, n) for j in range(m1))
+        if top_right_zero and bottom_left_zero:
+            split = m1
+            break
+    if split is None:
+        raise ValueError("relation matrix is not a two-block sum")
+    R1 = LambdaMatrix([[R.entry(i, j) for j in range(split)] for i in range(h)])
+    R2 = LambdaMatrix([[R.entry(i, j) for j in range(split, R.cols)] for i in range(h, n)])
+    for block, other in ((R1, R2), (R2, R1)):
+        s = snf(other)
+        for col in range(block.cols):
+            c = [block.entry(i, col).conjugate() for i in range(h)]
+            if in_span(c, other, s) is None:
+                raise ValueError("blocks are not conjugate presentations; swap is not well defined")
+    entries = [[ZERO] * n for _ in range(n)]
+    for i in range(h):
+        entries[i][h + i] = ONE
+        entries[h + i][i] = ONE
+    return LambdaMatrix(entries)

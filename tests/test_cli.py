@@ -174,6 +174,16 @@ class TestVerify:
         assert code == 1
         assert "involution_well_defined" in out
 
+    def test_non_conjugate_swap_exit_2(self, capsys, tmp_path):
+        # figure eight beside a trefoil: two blocks, not conjugate presentations
+        bad = tmp_path / "bad.knot"
+        bad.write_text(
+            "schema=1\nname=bad\nseifert=1,1,0,0;0,-1,0,0;0,0,-1,1;0,0,0,-1\ninvolution=swap\n"
+        )
+        code, out, err = run(capsys, "verify", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "error: blocks are not conjugate presentations; swap is not well defined\n"
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.knot"
         bad.write_text("schema=1\nname=bad\nseifert=0,1;1,0\ninvolution=swap\n")
@@ -187,6 +197,11 @@ class TestUsage:
         code, _, err = run(capsys, "alexander", "nonesuch")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("flag", ["--json", "--quiet"])
+    def test_flags_follow_the_subcommand(self, capsys, flag):
+        assert run(capsys, "obstruct", "nine46", flag)[0] == 0
+        assert run(capsys, flag, "obstruct", "nine46")[0] == 2
 
     def test_missing_command(self, capsys):
         assert run(capsys, )[0] == 2

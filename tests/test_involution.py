@@ -15,6 +15,8 @@ from eqslice.laurent import ONE, ZERO, LaurentPoly, parse_poly
 from eqslice.matrices import LambdaMatrix
 from eqslice.modules import PresentedModule, direct_sum, from_seifert
 from eqslice.pairing import direct_sum_pairing, gram_from_seifert, negate_pairing, pair
+from pairing_oracles import swap_by_block_smith_forms
+from test_obstruction import check_cases
 
 
 def P(s):
@@ -194,6 +196,24 @@ class TestSwapInvolution:
         M = direct_sum(M1, M1)
         with pytest.raises(ValueError):
             swap_involution(M)
+
+    def test_matches_block_smith_form_check(self):
+        def outcome(swap, M):
+            try:
+                return swap(M)
+            except ValueError as e:
+                return str(e)
+
+        M1 = PresentedModule(1, LambdaMatrix([[P("t - 2")]]))
+        modules = [T.module for _, T in check_cases()] + [direct_sum(M1, M1)]
+        verdicts = []
+        for M in modules:
+            old = outcome(swap_by_block_smith_forms, M)
+            new = outcome(swap_involution, M)
+            assert (new if isinstance(new, str) else new.matrix) == old
+            verdicts.append(old if isinstance(old, str) else "accepted")
+        assert "accepted" in verdicts
+        assert "blocks are not conjugate presentations; swap is not well defined" in verdicts
 
     def test_rejects_odd_rank(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from eqslice.catalog import KnotSpec, assemble, builtin, sum_specs, twist_cyclic_triple
-from eqslice.laurent import unit_equal, parse_poly
+from eqslice.laurent import ONE, ZERO, parse_poly, unit_equal
 from eqslice.obstruction import (
     CERTIFIED_K0,
     COUNTEREXAMPLE,
@@ -22,8 +22,11 @@ from eqslice.obstruction import (
     genus_lower_bound,
     tau_quadratic,
 )
-from eqslice.pairing import pair
-from eqslice.witt import triple_sum, negate
+from eqslice.involution import SemilinearMap
+from eqslice.matrices import LambdaMatrix
+from eqslice.pairing import pair, pair_grid
+from eqslice.witt import EquivariantTriple, triple_sum, negate, validate
+from pairing_oracles import symmetrised_grid
 from test_acceptance import CATALOG_GRID
 from test_exact_linear_algebra import dense_seifert
 
@@ -116,17 +119,10 @@ def sampled_self_check(T, cert, rounds=20, seed=0):
             raise RuntimeError("quadratic certificate disagrees with direct evaluation")
 
 
-def symmetrised_grid(T, basis):
-    """(pair(b_k, tau b_l) + pair(b_l, tau b_k))/2 over the rational basis."""
+def tau_grid_oracle(T, basis):
+    """The old symmetrised tau-grid over the rational basis, per term."""
     beta = [basis.basis_element(k) for k in range(basis.dimension)]
-    images = [T.involution.apply(b) for b in beta]
-    return [
-        [
-            (pair(T.pairing, beta[k], images[l]) + pair(T.pairing, beta[l], images[k])).scale(Fraction(1, 2))
-            for l in range(len(beta))
-        ]
-        for k in range(len(beta))
-    ]
+    return symmetrised_grid(T.pairing, beta, [T.involution.apply(b) for b in beta])
 
 
 def swap_double_of(A, name):
@@ -210,7 +206,7 @@ class TestCertificateCheck:
         for _label, T in check_cases():
             cert = tau_quadratic(T)  # runs the exact check
             sampled_self_check(T, cert)
-            _check_forms(cert, symmetrised_grid(T, cert.basis))
+            _check_forms(cert, tau_grid_oracle(T, cert.basis))
 
     @pytest.mark.parametrize(
         "triple",
@@ -225,7 +221,7 @@ class TestCertificateCheck:
     def test_mutations_rejected(self, triple):
         T = triple()
         cert = tau_quadratic(T)
-        sym = symmetrised_grid(T, cert.basis)
+        sym = tau_grid_oracle(T, cert.basis)
         seen = []
         for label, bad in mutations(cert):
             seen.append(label)
@@ -235,6 +231,32 @@ class TestCertificateCheck:
                 sampled_self_check(T, bad)
         assert {"dropped last part", "perturbed diagonal", "perturbed off-diagonal"} <= set(seen)
         assert any("entry moved" in label for label in seen)
+
+    def test_symmetrised_grid_gives_the_same_parts(self, monkeypatch):
+        # the grid is already symmetric, so the old averaged one, put in its
+        # place, yields the same parts
+        for label, T in check_cases():
+            cert = tau_quadratic(T)
+            beta = [cert.basis.basis_element(k) for k in range(cert.basis.dimension)]
+            images = [T.involution.apply(b) for b in beta]
+            assert pair_grid(T.pairing, beta, images) == symmetrised_grid(T.pairing, beta, images), label
+            with monkeypatch.context() as m:
+                m.setattr("eqslice.obstruction.pair_grid", symmetrised_grid)
+                assert tau_quadratic(T).parts == cert.parts, label
+
+    def test_asymmetric_grid_raises(self):
+        # on a doubled figure eight, tau' = tau o L with L(a, b) = (a, a - b):
+        # well defined and involutive (L commutes with tau and L^2 = 1), but
+        # L is no isometry, so pair(b_k, tau' b_l) is not symmetric
+        spec = builtin("figure_eight")
+        T = assemble(sum_specs([spec, spec]))
+        L = LambdaMatrix(
+            [[ONE, ZERO, ZERO, ZERO], [ZERO, ONE, ZERO, ZERO], [ONE, ZERO, -ONE, ZERO], [ZERO, ONE, ZERO, -ONE]]
+        )
+        bad = EquivariantTriple(T.module, T.pairing, SemilinearMap(T.module, T.involution.matrix * L))
+        assert validate(bad).failing() == ["anti_isometry"]
+        with pytest.raises(RuntimeError, match="not symmetric"):
+            tau_quadratic(bad)
 
     def test_sampled_evaluations(self, monkeypatch):
         # the exact check alone would pass; two end-to-end samples still run

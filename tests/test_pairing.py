@@ -21,11 +21,13 @@ from eqslice.pairing import (
     gram_from_seifert,
     negate_pairing,
     pair,
+    pair_grid,
     vanishes_on_relations,
 )
 from pairing_oracles import pair_per_term, pair_via_solve, vanishes_per_term
 from test_acceptance import CATALOG_GRID
 from test_exact_linear_algebra import dense_seifert
+from test_obstruction import check_cases
 
 
 def P(s):
@@ -270,3 +272,39 @@ def test_differential_cases_reach_every_oracle():
     assert sum(A is not None for _, _, _, A in DIFFERENTIAL) >= 30
     verdicts = [vanishes_on_relations(B) for _, B, _, _ in DIFFERENTIAL]
     assert verdicts.count(True) >= 30 and verdicts.count(False) == 1
+
+
+def random_elements(M, count, rng):
+    return [
+        M.element([LaurentPoly({k: rng.randint(-2, 2) for k in range(-1, 2)}) for _ in range(M.generators)])
+        for _ in range(count)
+    ]
+
+
+def test_pair_grid_matches_per_term():
+    # every CATALOG_GRID builtin, its doubled sum, swap doubles of dense
+    # genus 1-2; grids of 3 x 2, 1 x 4 and 2 x 2 elements
+    rng = random.Random(34)
+    for label, T in check_cases():
+        B, M = T.pairing, T.module
+        for rows, cols in ((3, 2), (1, 4), (2, 2)):
+            xs, ys = random_elements(M, rows, rng), random_elements(M, cols, rng)
+            grid = pair_grid(B, xs, ys)
+            assert grid == [[pair_per_term(B, x, y) for y in ys] for x in xs], label
+            assert grid[0][0] == pair(B, xs[0], ys[0])
+
+
+def test_pair_grid_empty_and_wrong_length():
+    B = gram_from_seifert(NINE46)
+    xs = random_elements(B.module, 2, random.Random(35))
+    assert pair_grid(B, [], xs) == []
+    assert pair_grid(B, xs, []) == [[], []]
+    assert pair_grid(B, [], []) == []
+    wide = direct_sum(B.module, B.module).generator(0)
+    for x, y in ((xs[0], wide), (wide, xs[0])):
+        with pytest.raises(ValueError, match="does not match the pairing's module"):
+            pair_grid(B, [x], [y])
+        with pytest.raises(ValueError, match="does not match the pairing's module"):
+            pair(B, x, y)
+    with pytest.raises(ValueError, match="does not match the pairing's module"):
+        pair_grid(B, [], [xs[0], wide])
