@@ -1,6 +1,8 @@
 """Built-in knot families with Seifert matrices and involution data, plus a
 diff-friendly text format for user-supplied knots.
 
+Each builtin is one entry of `_BUILTINS`: its description, its parameters,
+the parameters `catalog show` uses and the constructor that checks them.
 Involution matrices are catalog data verified against the axioms at
 assembly time, not derived from diagrams.  The genus-one slice family keeps
 the involution scale c as a free rational parameter (default 1); the
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .laurent import (
     ONE,
@@ -20,8 +22,8 @@ from .laurent import (
     format_poly,
     parse_poly,
 )
-from .matrices import LambdaMatrix, det, seifert_form_det, seifert_pencil
-from .modules import PresentedModule, from_seifert
+from .matrices import LambdaMatrix, det, seifert_pencil
+from .modules import PresentedModule, check_seifert, from_seifert
 from .pairing import GramPairing, gram_from_seifert
 from .involution import SemilinearMap, swap_involution
 from .witt import EquivariantTriple, ValidationReport, validate
@@ -56,13 +58,6 @@ class KnotSpec:
     seifert: tuple[tuple[int, ...], ...] = ()
     involution: Union[str, LambdaMatrix] = "swap"
     notes: str = ""
-
-
-def _as_int(value, name: str) -> int:
-    f = Fraction(value)
-    if f.denominator != 1:
-        raise CatalogError(f"parameter {name} must be an integer, got {f}")
-    return int(f)
 
 
 def _genus_one_data(m: int, l: int, c: Fraction):
@@ -111,9 +106,7 @@ def twist_order(a: int) -> LaurentPoly:
 def twist_cyclic_triple(a: int) -> EquivariantTriple:
     """Cyclic presentation of the twist family: one generator, fixed by the
     involution up to conjugation; normative for the amphichiral routine."""
-    if a < 1:
-        raise CatalogError("a must be a positive integer")
-    A = twist_seifert(a)
+    A, _ = _twist_ka(a)
     two_gen = gram_from_seifert(A)
     module = PresentedModule(1, LambdaMatrix([[twist_order(a)]]))
     gram = ((two_gen.gram[1][1],),)
@@ -124,147 +117,154 @@ def twist_cyclic_triple(a: int) -> EquivariantTriple:
     )
 
 
-def _builtin_specs():
-    return {
-        "nine46": (
-            "",
-            "pretzel presentation of the slice knot with two coprime cyclic summands; factor-swapping inversion",
-        ),
-        "figure_eight": ("", "amphichiral twist knot; inversion conjugates the cyclic generator"),
-        "stevedore": ("", "genus-one slice twist knot; inversion negates and conjugates the cyclic generator"),
-        "trefoil": ("", "cyclic module with symmetric order; conjugation inversion"),
-        "genus_one_slice": ("m, l, c=1", "genus-one algebraically slice shape [[0,m+1],[m,l]]"),
-        "twist_ka": ("a", "amphichiral twist family with irreducible order polynomial"),
-        "pretzel": ("a, c=1", "odd pretzel family P(a,-a,a) in the genus-one shape, (m,l) = ((a-1)/2, a)"),
-        "generalized_twist": ("b, c=1", "even two-bridge family [b,b+2]+ in the genus-one shape, (m,l) = (b/2, 1)"),
-        "swap_double": ("inner=trefoil", "connected sum of a knot and its reverse with the factor-swapping inversion"),
-    }
+def _twist_ka(a: int):
+    if a < 1:
+        raise CatalogError("a must be a positive integer")
+    # cyclic generator b2 with b1 = -a(t-1) b2, so tau(b1) = (a - a t^-1) b2
+    return twist_seifert(a), LambdaMatrix([[ZERO, ZERO], [LaurentPoly({0: a, -1: -a}), ONE]])
+
+
+def _pretzel(a: int, c: Fraction):
+    if a < 3 or a % 2 == 0:
+        raise CatalogError("pretzel parameter a must be odd and at least 3")
+    return _genus_one_data((a - 1) // 2, a, c)
+
+
+def _generalized_twist(b: int, c: Fraction):
+    if b < 2 or b % 2:
+        raise CatalogError("generalized twist parameter b must be even and positive")
+    return _genus_one_data(b // 2, 1, c)
+
+
+def _swap_double(inner: str):
+    A = builtin(inner).seifert
+    return _block_sum([A, tuple(zip(*A))]), "swap"
+
+
+def _block_sum(blocks: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, ...], ...]:
+    """Block-diagonal integer matrix with the given square blocks."""
+    size = sum(len(b) for b in blocks)
+    rows: list[tuple[int, ...]] = []
+    for b in blocks:
+        left, right = len(rows), size - len(rows) - len(b)
+        rows += [(0,) * left + tuple(r) + (0,) * right for r in b]
+    return tuple(rows)
+
+
+@dataclass(frozen=True)
+class _Builtin:
+    """One catalog entry.  `make` takes the checked parameters and returns
+    the Seifert matrix and the involution."""
+
+    description: str
+    make: Callable[..., tuple]
+    # (name, int | Fraction | str, default); a default of None makes it required
+    params: tuple[tuple[str, type, object], ...] = ()
+    show: dict = field(default_factory=dict)  # the parameters `catalog show` uses
+    note: str = ""  # appended to the spec's notes, formatted with the parameters
+
+
+_BUILTINS = {
+    "nine46": _Builtin(
+        "pretzel presentation of the slice knot with two coprime cyclic summands; factor-swapping inversion",
+        lambda: (((0, 2), (1, 0)), LambdaMatrix([[ZERO, ONE], [ONE, ZERO]])),
+    ),
+    "figure_eight": _Builtin(
+        "amphichiral twist knot; inversion conjugates the cyclic generator",
+        lambda: (((1, 1), (0, -1)), LambdaMatrix([[ONE, parse_poly("t^-1 - 1")], [ZERO, ZERO]])),
+    ),
+    "stevedore": _Builtin(
+        "genus-one slice twist knot; inversion negates and conjugates the cyclic generator",
+        lambda: _genus_one_data(1, 1, Fraction(2)),
+        note="; equals genus_one_slice(1, 1, c=2)",
+    ),
+    "trefoil": _Builtin(
+        "cyclic module with symmetric order; conjugation inversion",
+        lambda: (((-1, 1), (0, -1)), LambdaMatrix([[ONE, parse_poly("1 - t^-1")], [ZERO, ZERO]])),
+    ),
+    "genus_one_slice": _Builtin(
+        "genus-one algebraically slice shape [[0,m+1],[m,l]]",
+        _genus_one_data,
+        (("m", int, None), ("l", int, None), ("c", Fraction, 1)),
+        {"m": 1, "l": 1},
+    ),
+    "twist_ka": _Builtin(
+        "amphichiral twist family with irreducible order polynomial",
+        _twist_ka,
+        (("a", int, None),),
+        {"a": 1},
+    ),
+    "pretzel": _Builtin(
+        "odd pretzel family P(a,-a,a) in the genus-one shape, (m,l) = ((a-1)/2, a)",
+        _pretzel,
+        (("a", int, None), ("c", Fraction, 1)),
+        {"a": 3},
+    ),
+    "generalized_twist": _Builtin(
+        "even two-bridge family [b,b+2]+ in the genus-one shape, (m,l) = (b/2, 1)",
+        _generalized_twist,
+        (("b", int, None), ("c", Fraction, 1)),
+        {"b": 2},
+    ),
+    "swap_double": _Builtin(
+        "connected sum of a knot and its reverse with the factor-swapping inversion",
+        _swap_double,
+        (("inner", str, "trefoil"),),
+        note="; inner = {inner}",
+    ),
+}
 
 
 def list_builtins() -> list[tuple[str, str, str]]:
-    return [(name, sig, desc) for name, (sig, desc) in sorted(_builtin_specs().items())]
+    return [
+        (name, ", ".join(k if d is None else f"{k}={d}" for k, _, d in b.params), b.description)
+        for name, b in sorted(_BUILTINS.items())
+    ]
 
 
-def builtin(name: str, **params) -> KnotSpec:
+def _entry(name: str) -> _Builtin:
+    if name not in _BUILTINS:
+        raise CatalogError(f"unknown builtin {name!r}")
+    return _BUILTINS[name]
+
+
+def _param(name: str, kind: type, value):
+    """A builtin parameter as its kind: an int, a Fraction or a str."""
+    if kind is str:
+        return str(value)
+    try:
+        f = Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        f = None
+    if f is None or (kind is int and f.denominator != 1):
+        what = "an integer" if kind is int else "a rational number"
+        raise CatalogError(f"parameter {name} must be {what}, got {value}")
+    return kind(f)
+
+
+def builtin(name: str, /, **params) -> KnotSpec:
     """Assemble a built-in knot spec; validates parameters, not axioms."""
-    if name == "nine46":
-        _no_params(name, params)
-        return KnotSpec(
-            name=name,
-            seifert=((0, 2), (1, 0)),
-            involution=LambdaMatrix([[ZERO, ONE], [ONE, ZERO]]),
-            notes=_builtin_specs()[name][1],
-        )
-    if name == "figure_eight":
-        _no_params(name, params)
-        return KnotSpec(
-            name=name,
-            seifert=((1, 1), (0, -1)),
-            involution=LambdaMatrix([[ONE, parse_poly("t^-1 - 1")], [ZERO, ZERO]]),
-            notes=_builtin_specs()[name][1],
-        )
-    if name == "trefoil":
-        _no_params(name, params)
-        return KnotSpec(
-            name=name,
-            seifert=((-1, 1), (0, -1)),
-            involution=LambdaMatrix([[ONE, parse_poly("1 - t^-1")], [ZERO, ZERO]]),
-            notes=_builtin_specs()[name][1],
-        )
-    if name == "stevedore":
-        _no_params(name, params)
-        seifert, _ = _genus_one_data(1, 1, Fraction(2))
-        return KnotSpec(
-            name=name,
-            seifert=seifert,
-            involution=LambdaMatrix([[-ONE, parse_poly("2*t^-1 - 1")], [ZERO, ZERO]]),
-            notes=_builtin_specs()[name][1] + "; equals genus_one_slice(1, 1, c=2)",
-        )
-    if name == "genus_one_slice":
-        m = _require_int(params, "m")
-        l = _require_int(params, "l")
-        c = Fraction(params.pop("c", 1))
-        _no_params(name, params)
-        seifert, matrix = _genus_one_data(m, l, c)
-        return KnotSpec(
-            name=name,
-            params={"m": m, "l": l, "c": c},
-            seifert=seifert,
-            involution=matrix,
-            notes=_builtin_specs()[name][1],
-        )
-    if name == "twist_ka":
-        a = _require_int(params, "a")
-        _no_params(name, params)
-        if a < 1:
-            raise CatalogError("a must be a positive integer")
-        # cyclic generator b2 with b1 = -a(t-1) b2, so tau(b1) = (a - a t^-1) b2
-        matrix = LambdaMatrix([[ZERO, ZERO], [LaurentPoly({0: a, -1: -a}), ONE]])
-        return KnotSpec(
-            name=name,
-            params={"a": a},
-            seifert=twist_seifert(a),
-            involution=matrix,
-            notes=_builtin_specs()[name][1],
-        )
-    if name == "pretzel":
-        a = _require_int(params, "a")
-        c = Fraction(params.pop("c", 1))
-        _no_params(name, params)
-        if a < 3 or a % 2 == 0:
-            raise CatalogError("pretzel parameter a must be odd and at least 3")
-        m = (a - 1) // 2
-        seifert, matrix = _genus_one_data(m, a, c)
-        return KnotSpec(
-            name=name,
-            params={"a": a, "c": c},
-            seifert=seifert,
-            involution=matrix,
-            notes=_builtin_specs()[name][1],
-        )
-    if name == "generalized_twist":
-        b = _require_int(params, "b")
-        c = Fraction(params.pop("c", 1))
-        _no_params(name, params)
-        if b < 2 or b % 2:
-            raise CatalogError("generalized twist parameter b must be even and positive")
-        seifert, matrix = _genus_one_data(b // 2, 1, c)
-        return KnotSpec(
-            name=name,
-            params={"b": b, "c": c},
-            seifert=seifert,
-            involution=matrix,
-            notes=_builtin_specs()[name][1],
-        )
-    if name == "swap_double":
-        inner_name = params.pop("inner", "trefoil")
-        _no_params(name, params)
-        inner = builtin(str(inner_name))
-        A = inner.seifert
-        n = len(A)
-        At = tuple(tuple(A[j][i] for j in range(n)) for i in range(n))
-        block = tuple(
-            tuple(A[i]) + (0,) * n for i in range(n)
-        ) + tuple((0,) * n + tuple(At[i]) for i in range(n))
-        return KnotSpec(
-            name=name,
-            params={"inner": str(inner_name)},
-            seifert=block,
-            involution="swap",
-            notes=_builtin_specs()[name][1] + f"; inner = {inner_name}",
-        )
-    raise CatalogError(f"unknown builtin {name!r}")
-
-
-def _no_params(name: str, params: dict):
+    entry = _entry(name)
+    values = {}
+    for key, kind, default in entry.params:
+        if key not in params and default is None:
+            raise CatalogError(f"missing required parameter {key!r}")
+        values[key] = _param(key, kind, params.pop(key, default))
     if params:
         raise CatalogError(f"unexpected parameters for {name}: {sorted(params)}")
+    seifert, involution = entry.make(**values)
+    return KnotSpec(
+        name=name,
+        params=values,
+        seifert=seifert,
+        involution=involution,
+        notes=entry.description + entry.note.format(**values),
+    )
 
 
-def _require_int(params: dict, key: str) -> int:
-    if key not in params:
-        raise CatalogError(f"missing required parameter {key!r}")
-    return _as_int(params.pop(key), key)
+def builtin_example(name: str) -> KnotSpec:
+    """The builtin with the parameters `catalog show` uses."""
+    return builtin(name, **_entry(name).show)
 
 
 def build(spec: KnotSpec) -> EquivariantTriple:
@@ -297,21 +297,12 @@ def sum_specs(specs: Sequence[KnotSpec], name: str | None = None) -> KnotSpec:
     block involution matrix."""
     if not specs:
         raise CatalogError("cannot sum zero specs")
-    seifert: tuple[tuple[int, ...], ...] = ()
-    matrices = []
-    for s in specs:
-        matrices.append(_involution(s, from_seifert(s.seifert)).matrix)
-        old = len(seifert)
-        n = len(s.seifert)
-        seifert = tuple(row + (0,) * n for row in seifert) + tuple(
-            (0,) * old + tuple(r) for r in s.seifert
-        )
-    total = matrices[0]
-    for m in matrices[1:]:
-        total = LambdaMatrix.block_diag(total, m)
+    total = _involution(specs[0], from_seifert(specs[0].seifert)).matrix
+    for s in specs[1:]:
+        total = LambdaMatrix.block_diag(total, _involution(s, from_seifert(s.seifert)).matrix)
     return KnotSpec(
         name=name or "+".join(s.name for s in specs),
-        seifert=seifert,
+        seifert=_block_sum([s.seifert for s in specs]),
         involution=total,
         notes="equivariant connected sum of " + ", ".join(s.name for s in specs),
     )
@@ -339,6 +330,25 @@ def format_spec(spec: KnotSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_params(text: str) -> dict:
+    """Read `k=v,...`: integral values become ints, other rationals
+    Fractions, and anything else stays a string."""
+    params: dict = {}
+    if text:
+        for piece in text.split(","):
+            if "=" not in piece:
+                raise CatalogError(f"bad parameter {piece!r}")
+            k, _, v = piece.partition("=")
+            try:
+                value = Fraction(v.strip())
+                if value.denominator == 1:
+                    value = int(value)
+            except (ValueError, ZeroDivisionError):
+                value = v.strip()
+            params[k.strip()] = value
+    return params
+
+
 def parse_spec(text: str) -> KnotSpec:
     fields: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -364,19 +374,12 @@ def parse_spec(text: str) -> KnotSpec:
 
     name = fields["name"][0].strip()
     params: dict = {}
-    if "params" in fields and fields["params"][0].strip():
+    if "params" in fields:
         value, lineno = fields["params"]
-        for piece in value.split(","):
-            if "=" not in piece:
-                raise SpecParseError(f"bad parameter {piece!r}", lineno)
-            k, _, v = piece.partition("=")
-            try:
-                parsed = Fraction(v.strip())
-                if parsed.denominator == 1:
-                    parsed = int(parsed)
-            except (ValueError, ZeroDivisionError):
-                parsed = v.strip()
-            params[k.strip()] = parsed
+        try:
+            params = parse_params(value.strip())
+        except CatalogError as e:
+            raise SpecParseError(str(e), lineno) from None
 
     value, lineno = fields["seifert"]
     seifert_rows = []
@@ -387,14 +390,11 @@ def parse_spec(text: str) -> KnotSpec:
             except ValueError:
                 raise SpecParseError(f"bad integer row {row!r}", lineno) from None
     seifert = tuple(seifert_rows)
+    try:
+        check_seifert(seifert)
+    except ValueError as e:
+        raise SpecParseError(str(e), lineno) from None
     n = len(seifert)
-    if any(len(r) != n for r in seifert):
-        raise SpecParseError("seifert matrix must be square", lineno)
-    d = seifert_form_det(seifert)
-    if d not in (1, -1):
-        raise SpecParseError(
-            f"det(A - A^T) = {d}, expected +-1: not a Seifert matrix", lineno
-        )
 
     value, lineno = fields["involution"]
     inv_text = value.strip()

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .catalog import (
     CatalogError,
@@ -21,9 +20,11 @@ from .catalog import (
     assemble,
     build,
     builtin,
+    builtin_example,
     format_spec,
     list_builtins,
     load,
+    parse_params,
     save,
     sum_specs,
 )
@@ -42,15 +43,6 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-BUILTIN_SHOW_DEFAULTS = {
-    "genus_one_slice": {"m": 1, "l": 1},
-    "twist_ka": {"a": 1},
-    "pretzel": {"a": 3},
-    "generalized_twist": {"b": 2},
-    "swap_double": {},
-}
-
-
 def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
@@ -66,17 +58,7 @@ def resolve_spec(ref: str) -> KnotSpec:
     if os.path.exists(ref):
         return load(ref)
     name, _, rest = ref.partition(":")
-    params = {}
-    if rest:
-        for piece in rest.split(","):
-            if "=" not in piece:
-                raise CatalogError(f"bad parameter {piece!r} in spec reference")
-            k, _, v = piece.partition("=")
-            try:
-                params[k.strip()] = Fraction(v.strip())
-            except (ValueError, ZeroDivisionError):
-                params[k.strip()] = v.strip()
-    return builtin(name.strip(), **params)
+    return builtin(name.strip(), **parse_params(rest))
 
 
 def parse_vector(text: str, n: int):
@@ -102,6 +84,10 @@ class Output:
         # shown even under --quiet: the one-line result
         if not self.as_json:
             print(line)
+
+
+def _check_line(c) -> str:
+    return f"{c.name}: {'pass' if c.passed else 'FAIL'}" + (f" ({c.detail})" if c.detail else "")
 
 
 def _gram_strings(triple):
@@ -218,9 +204,7 @@ def cmd_amphichiral(args, out: Output) -> int:
     report = amphichiral_obstruction(args.a, args.n)
     payload = report.to_dict()
     lines = [f"verdict = {report.verdict}", f"branch = {report.branch}"]
-    for c in report.checks:
-        lines.append(f"  {c.name}: {'pass' if c.passed else 'FAIL'}"
-                     + (f" ({c.detail})" if c.detail else ""))
+    lines += ["  " + _check_line(c) for c in report.checks]
     out.emit(payload, lines)
     return EXIT_OK
 
@@ -235,9 +219,7 @@ def cmd_catalog(args, out: Output) -> int:
         return EXIT_OK
     if not args.name:
         raise CatalogError("catalog show requires a builtin name")
-    params = BUILTIN_SHOW_DEFAULTS.get(args.name, {})
-    spec = builtin(args.name, **params)
-    text = format_spec(spec)
+    text = format_spec(builtin_example(args.name))
     out.emit({"spec": text}, [text.rstrip("\n")])
     return EXIT_OK
 
@@ -245,10 +227,7 @@ def cmd_catalog(args, out: Output) -> int:
 def cmd_verify(args, out: Output) -> int:
     report = validate(build(resolve_spec(args.spec)))
     payload = report.to_dict()
-    lines = [
-        f"{c.name}: {'pass' if c.passed else 'FAIL'}" + (f" ({c.detail})" if c.detail else "")
-        for c in report.checks
-    ]
+    lines = [_check_line(c) for c in report.checks]
     lines.append("ok" if report.ok else "FAILED: " + ", ".join(report.failing()))
     out.emit(payload, lines)
     return EXIT_OK if report.ok else EXIT_VALIDATION
@@ -330,7 +309,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args, out)
     except CatalogValidationError as e:
-        print(f"validation failed: {', '.join(e.report.failing())}", file=sys.stderr)
+        print(e, file=sys.stderr)
         return EXIT_VALIDATION
     except (SpecParseError, PolyParseError, CatalogError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -135,15 +135,20 @@ class ModuleElement:
         return f"ModuleElement({', '.join(str(c) for c in self.coeffs)})"
 
 
-def from_seifert(A: Sequence[Sequence[int]]) -> PresentedModule:
-    """Module presented by t*A - A^T for an integer Seifert matrix A."""
+def check_seifert(A: Sequence[Sequence[int]]) -> None:
+    """Raise ValueError unless A is square with det(A - A^T) = +-1."""
     n = len(A)
     if any(len(r) != n for r in A):
         raise ValueError("Seifert matrix must be square")
     d = seifert_form_det(A)
     if d not in (1, -1):
         raise ValueError(f"det(A - A^T) = {d}, expected +-1: not a Seifert matrix")
-    return PresentedModule(n, seifert_pencil(A))
+
+
+def from_seifert(A: Sequence[Sequence[int]]) -> PresentedModule:
+    """Module presented by t*A - A^T for an integer Seifert matrix A."""
+    check_seifert(A)
+    return PresentedModule(len(A), seifert_pencil(A))
 
 
 def direct_sum(M1: PresentedModule, M2: PresentedModule) -> PresentedModule:

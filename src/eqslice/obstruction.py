@@ -13,7 +13,7 @@ zero element is isotropic, which is the k = 0 input of the genus bound.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil
 from typing import Sequence
@@ -285,13 +285,7 @@ def certify_k0(T: EquivariantTriple, seed: int = 0, samples: int = 300) -> Quadr
     base = tau_quadratic(T, seed=seed)
     dim = base.basis.dimension
     if dim == 0:
-        return QuadraticCertificate(
-            basis=base.basis,
-            parts=base.parts,
-            verdict=CERTIFIED_K0,
-            evidence={"reason": "trivial module"},
-            seed=seed,
-        )
+        return replace(base, verdict=CERTIFIED_K0, evidence={"reason": "trivial module"})
     forms = base.all_forms()
 
     if forms:
@@ -306,13 +300,7 @@ def certify_k0(T: EquivariantTriple, seed: int = 0, samples: int = 300) -> Quadr
                 partition.append({"form": fi, "sign": d[0], "support": supp})
                 covered.update(supp)
         if covered == set(range(dim)):
-            return QuadraticCertificate(
-                basis=base.basis,
-                parts=base.parts,
-                verdict=CERTIFIED_K0,
-                evidence={"support_partition": partition},
-                seed=seed,
-            )
+            return replace(base, verdict=CERTIFIED_K0, evidence={"support_partition": partition})
 
         # (2) sign-normalized nonnegative combinations
         for label, flipped in (("sign_normalized_sum", True), ("plain_sum", False)):
@@ -330,9 +318,8 @@ def certify_k0(T: EquivariantTriple, seed: int = 0, samples: int = 300) -> Quadr
                         total[i][j] += w * Q[i][j]
             d = _definiteness(total)
             if d is not None and d[0] > 0:
-                return QuadraticCertificate(
-                    basis=base.basis,
-                    parts=base.parts,
+                return replace(
+                    base,
                     verdict=CERTIFIED_K0,
                     evidence={
                         "combination": {
@@ -341,7 +328,6 @@ def certify_k0(T: EquivariantTriple, seed: int = 0, samples: int = 300) -> Quadr
                             "pivots": [str(p) for p in d[1]],
                         }
                     },
-                    seed=seed,
                 )
 
     # (3) falsifier
@@ -351,21 +337,13 @@ def certify_k0(T: EquivariantTriple, seed: int = 0, samples: int = 300) -> Quadr
         if all(_eval_form(Q, v) == 0 for Q in forms):
             x = base.basis.from_coords(v)
             if not x.is_zero() and pair(T.pairing, x, T.involution.apply(x)).is_zero():
-                return QuadraticCertificate(
-                    basis=base.basis,
-                    parts=base.parts,
+                return replace(
+                    base,
                     verdict=COUNTEREXAMPLE,
                     counterexample=x,
                     evidence={"coordinates": [str(c) for c in v]},
-                    seed=seed,
                 )
-    return QuadraticCertificate(
-        basis=base.basis,
-        parts=base.parts,
-        verdict=UNDECIDED,
-        evidence={"falsifier_samples": samples},
-        seed=seed,
-    )
+    return replace(base, verdict=UNDECIDED, evidence={"falsifier_samples": samples})
 
 
 def _falsifier_candidates(dim: int, samples: int, seed: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .laurent import ONE, LaurentPoly, laurent_gcd, unit_equal
-from .matrices import LambdaMatrix, in_span
+from .matrices import LambdaMatrix
 from .modules import (
     ModuleElement,
     PresentedModule,
@@ -64,6 +64,9 @@ class AxiomCheck:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Named pass/fail checks: the structural axioms or the metabolizer
+    conditions."""
+
     checks: tuple[AxiomCheck, ...]
 
     @property
@@ -141,37 +144,14 @@ def negate(T: EquivariantTriple) -> EquivariantTriple:
     )
 
 
-@dataclass(frozen=True)
-class MetabolizerReport:
-    pairwise_vanishing: AxiomCheck
-    order_identity: AxiomCheck
-    tau_invariant: AxiomCheck
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.pairwise_vanishing.passed
-            and self.order_identity.passed
-            and self.tau_invariant.passed
-        )
-
-    def checks(self) -> tuple[AxiomCheck, ...]:
-        return (self.pairwise_vanishing, self.order_identity, self.tau_invariant)
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [c.to_dict() for c in self.checks()],
-        }
-
-
-def is_metabolizer(T: EquivariantTriple, P: SubmoduleWitness) -> MetabolizerReport:
+def is_metabolizer(T: EquivariantTriple, P: SubmoduleWitness) -> ValidationReport:
     """Check the three metabolizer conditions for a generated submodule.
 
     (a) the pairing vanishes on generator pairs (sesquilinearity extends
     this to the whole submodule); (b) |P| * conj|P| equals |H| up to units;
-    (c) the submodule is invariant under the involution, both inclusions
-    checked through span membership.
+    (c) the submodule is invariant under the involution: the images of the
+    generators lie in it, and the generators lie in the submodule the
+    images generate.
     """
     n = T.module.generators
     for g in P.generators:
@@ -191,27 +171,23 @@ def is_metabolizer(T: EquivariantTriple, P: SubmoduleWitness) -> MetabolizerRepo
         detail = "submodule or module not torsion"
     check_b = AxiomCheck("order_identity", order_ok, detail)
 
-    if P.generators:
-        G = LambdaMatrix(zip(*[g.coeffs for g in P.generators]))
-        span_matrix = G.hstack(T.module.relations)
-        images = [T.involution.apply(g) for g in P.generators]
-        forward = all(
-            in_span(list(img.coeffs), span_matrix) is not None for img in images
-        )
-        if forward:
-            TG = LambdaMatrix(zip(*[img.coeffs for img in images]))
-            tspan = TG.hstack(T.module.relations)
-            backward = all(
-                in_span(list(g.coeffs), tspan) is not None for g in P.generators
-            )
-        else:
-            backward = False
-        tau_ok = forward and backward
-    else:
-        tau_ok = True
+    images = [T.involution.apply(g) for g in P.generators]
+    tau_ok = _in_submodule(T.module, P.generators, images) and _in_submodule(
+        T.module, images, P.generators
+    )
     check_c = AxiomCheck("tau_invariant", tau_ok)
 
-    return MetabolizerReport(check_a, check_b, check_c)
+    return ValidationReport((check_a, check_b, check_c))
+
+
+def _in_submodule(M: PresentedModule, gens, xs) -> bool:
+    """Whether every x lies in the submodule of M generated by gens, tested
+    as zero in the quotient of M by gens, whose Smith form serves every x."""
+    if not xs:
+        return True
+    G = LambdaMatrix(zip(*[g.coeffs for g in gens]))
+    quotient = PresentedModule(M.generators, G.hstack(M.relations))
+    return all(quotient.element(x.coeffs).is_zero() for x in xs)
 
 
 def diagonal_metabolizer(T: EquivariantTriple) -> SubmoduleWitness:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -192,6 +193,30 @@ class TestFileFormat:
         text = "schema=1\nname=x\nparams=\nseifert=0,1;1,0\ninvolution=swap\nnotes=\n"
         with pytest.raises(SpecParseError):
             parse_spec(text)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,1;1", "Seifert matrix must be square"),
+            ("0,1,1;1,0,0", "Seifert matrix must be square"),
+            ("0,1;1,0", "det(A - A^T) = 0, expected +-1: not a Seifert matrix"),
+            ("1,2;0,1", "det(A - A^T) = 4, expected +-1: not a Seifert matrix"),
+        ],
+    )
+    def test_seifert_check_has_line(self, rows, message):
+        text = f"schema=1\nname=x\nparams=\nseifert={rows}\ninvolution=swap\n"
+        with pytest.raises(SpecParseError) as e:
+            parse_spec(text)
+        assert (e.value.line, str(e.value)) == (4, f"line 4: {message}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_seifert([[int(x) for x in row.split(",")] for row in rows.split(";")])
+
+    def test_params_line(self):
+        text = "schema=1\nname=x\nparams=a=1,b=1/2,c=z\nseifert=0,2;1,0\ninvolution=swap\n"
+        assert parse_spec(text).params == {"a": 1, "b": Fraction(1, 2), "c": "z"}
+        with pytest.raises(SpecParseError) as e:
+            parse_spec(text.replace("c=z", "c"))
+        assert (e.value.line, str(e.value)) == (3, "line 3: bad parameter 'c'")
 
     def test_polynomial_error_has_line(self):
         text = "schema=1\nname=x\nparams=\nseifert=0,2;1,0\ninvolution=0,t^;1,0\nnotes=\n"

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from eqslice.cli import EXIT_INTERNAL, main
+from eqslice.catalog import CatalogError
+from eqslice.cli import EXIT_INTERNAL, main, resolve_spec
 from eqslice.laurent import ONE, RationalFn, TorsionClass, parse_poly
 from eqslice.matrices import DegreeCapError
 
@@ -192,7 +193,50 @@ class TestVerify:
         assert "line" in err
 
 
+# Each builtin with parameters gets a missing, a non-integer, an unknown and
+# an out-of-range one; genus_one_slice also a bad rational c, swap_double a
+# bad inner; nine46 a parameter it does not take and malformed references.
+BAD_PARAMETERS = [
+    "genus_one_slice:l=1",
+    "genus_one_slice:m=1/2,l=1",
+    "genus_one_slice:m=1,l=1,x=2",
+    "genus_one_slice:m=0,l=1",
+    "genus_one_slice:m=1,l=0",
+    "genus_one_slice:m=1,l=x",
+    "genus_one_slice:m=1,l=1,c=0",
+    "genus_one_slice:m=1,l=1,c=abc",
+    "genus_one_slice:m=1,l=1,c=1/0",
+    "twist_ka",
+    "twist_ka:a=1/2",
+    "twist_ka:a=1,b=2",
+    "twist_ka:a=0",
+    "pretzel",
+    "pretzel:a=3/2",
+    "pretzel:a=3,z=1",
+    "pretzel:a=4",
+    "generalized_twist",
+    "generalized_twist:b=2.5",
+    "generalized_twist:b=2,q=1",
+    "generalized_twist:b=3",
+    "swap_double:foo=1",
+    "swap_double:inner=nonesuch",
+    "swap_double:inner=genus_one_slice",
+    "nine46:a=1",
+    "nine46:name=1",
+    "nine46:a",
+    "nine46:a=1,",
+]
+
+
 class TestUsage:
+    @pytest.mark.parametrize("ref", BAD_PARAMETERS)
+    def test_bad_builtin_parameter(self, capsys, ref):
+        with pytest.raises(CatalogError):
+            resolve_spec(ref)
+        code, out, err = run(capsys, "alexander", ref)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_builtin(self, capsys):
         code, _, err = run(capsys, "alexander", "nonesuch")
         assert code == 2
