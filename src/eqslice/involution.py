@@ -9,9 +9,10 @@ diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .laurent import ONE, ZERO
-from .matrices import LambdaMatrix, in_span, mat_vec
+from .matrices import LambdaMatrix, mat_vec
 from .modules import ModuleElement, PresentedModule, direct_sum
 from .pairing import GramPairing, pair_grid
 
@@ -34,29 +35,31 @@ class SemilinearMap:
         conj = [c.conjugate() for c in x.coeffs]
         return ModuleElement(self.module, mat_vec(self.matrix, conj))
 
+    @cached_property
+    def well_defined(self) -> bool:
+        """is_well_defined of this map, decided once."""
+        return is_well_defined(self)
+
 
 def is_well_defined(T: SemilinearMap) -> bool:
-    """Relation columns must map into the relation span."""
-    R = T.module.relations
+    """Relation columns must map to zero in the module."""
+    M = T.module
+    R = M.relations
     for col in range(R.cols):
         r = [R.entry(i, col).conjugate() for i in range(R.rows)]
-        image = mat_vec(T.matrix, r)
-        if in_span(list(image), R, T.module.snf) is None:
+        if not ModuleElement(M, mat_vec(T.matrix, r)).is_zero():
             return False
     return True
 
 
 def is_involutive(T: SemilinearMap) -> bool:
     """tau composed with itself is the identity modulo relations."""
-    n = T.module.generators
+    M = T.module
+    n = M.generators
     square = T.matrix * T.matrix.conjugate()
-    R = T.module.relations
     for j in range(n):
-        diff = [
-            square.entry(i, j) - (ONE if i == j else ZERO)
-            for i in range(n)
-        ]
-        if in_span(diff, R, T.module.snf) is None:
+        diff = tuple(square.entry(i, j) - (ONE if i == j else ZERO) for i in range(n))
+        if not ModuleElement(M, diff).is_zero():
             return False
     return True
 
@@ -84,8 +87,8 @@ def swap_involution(M: PresentedModule) -> SemilinearMap:
     other block's span), which is exactly what makes the swap well defined.
     The relations being block diagonal, the swap sends a block-one relation
     (c, 0) to (0, conj c), which lies in their span iff conj c lies in the
-    span of block two, and symmetrically; so is_well_defined on the swap,
-    against the module's own Smith form, is that test.
+    span of block two, and symmetrically; so is_well_defined on the swap is
+    that test.  The map keeps the verdict, so validate does not repeat it.
     """
     n = M.generators
     if n % 2:
@@ -104,7 +107,7 @@ def swap_involution(M: PresentedModule) -> SemilinearMap:
         entries[i][h + i] = ONE
         entries[h + i][i] = ONE
     swap = SemilinearMap(module=M, matrix=LambdaMatrix(entries))
-    if not is_well_defined(swap):
+    if not swap.well_defined:
         raise ValueError("blocks are not conjugate presentations; swap is not well defined")
     return swap
 

@@ -1,14 +1,23 @@
 """Finitely presented torsion modules over the Laurent ring.
 
 A module is given by a generator count and a relation matrix whose columns
-are relators.  The Smith normal form of the relations is computed eagerly
-and cached; invariant factors, order, and generating rank come from it.
-Presentations are not canonical, so module comparisons go through invariant
-factors rather than through the presentation itself.
+are relators.  Invariant factors, order and generating rank are computed
+at construction; presentations are not canonical, so module comparisons go
+through invariant factors rather than through the presentation itself.
+
+A module of a Seifert matrix A with det A != 0 carries its rational model:
+Q^n with t acting by C = A^T A^-1 (see _RationalModel), which gives the
+invariant factors and decides whether an element is zero.  Every other
+presentation reads both off the Smith normal form of its relations, taken
+at construction.  A module with a model takes the Smith form, with its
+unimodular transforms, on first use, which is a RationalBasis.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from operator import floordiv
 from typing import Sequence
 
 from .laurent import (
@@ -18,10 +27,12 @@ from .laurent import (
     _reduce_mod,
     as_poly,
     divexact,
+    laurent_gcd,
 )
 from .matrices import (
     LambdaMatrix,
     SnfResult,
+    _eliminate,
     in_span,
     kernel,
     mat_vec,
@@ -32,18 +43,32 @@ from .matrices import (
 
 
 class PresentedModule:
-    """Cokernel of a relation matrix, with cached normal-form data."""
+    """Cokernel of a relation matrix, with cached normal-form data.
 
-    def __init__(self, generators: int, relations: LambdaMatrix | None = None):
+    model, when given, is the rational model of these relations (see
+    from_seifert); it then replaces the Smith form for the invariant factors
+    and for deciding whether an element is zero.
+    """
+
+    def __init__(
+        self,
+        generators: int,
+        relations: LambdaMatrix | None = None,
+        model: "_RationalModel | None" = None,
+    ):
         if relations is None:
             relations = LambdaMatrix.zeros(generators, 0)
         if relations.rows != generators:
             raise ValueError("relation matrix must have one row per generator")
         self.generators = generators
         self.relations = relations
-        self.snf: SnfResult = snf(relations)
-        self.invariant_factors: tuple[LaurentPoly, ...] = self.snf.invariant_factors
-        self.free_rank = generators - self.snf.rank
+        self.model = model
+        if model is None:
+            self.invariant_factors: tuple[LaurentPoly, ...] = self.snf.invariant_factors
+            self.free_rank = generators - self.snf.rank
+        else:
+            self.invariant_factors = model.invariant_factors()
+            self.free_rank = 0
         if self.free_rank:
             self.order = ZERO
         else:
@@ -52,6 +77,11 @@ class PresentedModule:
                 order = order * f
             self.order = order
         self.grk = self.free_rank + len(self.invariant_factors)
+
+    @cached_property
+    def snf(self) -> SnfResult:
+        """Smith normal form of the relations, taken on first use."""
+        return snf(self.relations)
 
     @property
     def is_torsion(self) -> bool:
@@ -72,6 +102,8 @@ class PresentedModule:
     def is_zero_element(self, x: "ModuleElement") -> bool:
         if x.coeffs and all(c.is_zero() for c in x.coeffs):
             return True
+        if self.model is not None:
+            return self.model.is_zero(x.coeffs)
         return in_span(list(x.coeffs), self.relations, self.snf) is not None
 
     def __eq__(self, other) -> bool:
@@ -146,9 +178,149 @@ def check_seifert(A: Sequence[Sequence[int]]) -> None:
 
 
 def from_seifert(A: Sequence[Sequence[int]]) -> PresentedModule:
-    """Module presented by t*A - A^T for an integer Seifert matrix A."""
+    """Module presented by t*A - A^T for an integer Seifert matrix A.
+
+    With det A != 0 the module carries its rational model; a singular A
+    keeps the Smith form.
+    """
     check_seifert(A)
-    return PresentedModule(len(A), seifert_pencil(A))
+    d, adj = _eliminate([list(r) for r in A], 0, 1, floordiv, abs, adjugate=True)
+    return PresentedModule(len(A), seifert_pencil(A), _RationalModel(A, d, adj) if d else None)
+
+
+class _RationalModel:
+    """coker(t*A - A^T) for det A != 0, as Q^n with t acting by C = A^T A^-1.
+
+    Relation column j says t*(A e_j) = A^T e_j, so t*u = C*u for every
+    constant vector u, and t^-1 acts by C^-1.  The constant vectors
+    therefore span the module over Q, and since deg det(t*A - A^T) = n
+    they are a basis: the module is Q^n with t acting by C (Trotter 1973,
+    Invent. Math. 20; Levine 1977, "Knot modules. I").  So an element
+    sum_k v_k t^k is zero iff sum_k C^k v_k = 0, and the invariant factors
+    are those of C.  C is kept as the integer matrix A^T adj(A) over the
+    positive integer det A, reduced by their common content.
+    """
+
+    def __init__(self, A: Sequence[Sequence[int]], d: int, adj: list[list[int]]):
+        n = self.n = len(A)
+        num = [[sum(A[k][i] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        g = gcd(d, *(e for row in num for e in row))
+        if d < 0:
+            g = -g
+        self.num = [[e // g for e in row] for row in num]
+        self.den = d // g
+
+    def _apply(self, v: list[int]) -> list[int]:
+        """num * v, that is den * C * v."""
+        return [sum(a * b for a, b in zip(row, v) if b) for row in self.num]
+
+    def is_zero(self, coeffs: Sequence[LaurentPoly]) -> bool:
+        """Whether the element with these coefficients is zero.
+
+        With v_k the t^k coefficients and m the least exponent, it is zero
+        iff sum_k C^(k - m) v_k = 0, t^-m being a unit.  That sum times
+        den^(top - m), by Horner over integer vectors.
+        """
+        nonzero = [c for c in coeffs if not c.is_zero()]
+        if not nonzero:
+            return True
+        low = min(c.valuation() for c in nonzero)
+        top = max(c.degree() for c in nonzero)
+        scale = lcm(*(x.denominator for c in nonzero for _, x in c.items()))
+        acc = [0] * self.n
+        for k in range(top, low - 1, -1):
+            acc = self._apply(acc)
+            acc = [a + int(c.coefficient(k) * scale) for a, c in zip(acc, coeffs)]
+            scale *= self.den
+        return not any(acc)
+
+    def invariant_factors(self) -> tuple[LaurentPoly, ...]:
+        """The invariant factors of C, from its Krylov chains.
+
+        The k chain generators present the module by the upper triangular
+        k x k matrix of _chains.  One chain (every dense draw tried) makes
+        its polynomial the only factor.  A diagonal matrix (n-fold sums)
+        becomes a divisibility chain by replacing every pair (a, b) by
+        (gcd, lcm), coprime pairs included, since Lambda/a + Lambda/b is
+        Lambda/gcd + Lambda/lcm.  Any other takes the Smith form of the
+        small matrix.
+        """
+        T = self._chains()
+        k = len(T)
+        if any(not T[l][j].is_zero() for j in range(k) for l in range(j)):
+            return snf(LambdaMatrix(T)).invariant_factors
+        diag = [T[j][j] for j in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                a, b = diag[i], diag[j]
+                if a.is_one():
+                    break
+                if a != b:
+                    # when g = a the pair is already (gcd, lcm)
+                    g = laurent_gcd(a, b)
+                    if g != a:
+                        diag[i], diag[j] = g, divexact(a * b, g)
+        return tuple(p for p in diag if not p.is_unit())
+
+    def _chains(self) -> list[list[LaurentPoly]]:
+        """Presentation of the module by Krylov chains of C, over Q[t].
+
+        Spin e_0, e_1, ... in turn: each vector C^i e_s is reduced against
+        one fraction-free echelon basis of the vectors spun so far, while
+        tracking its combination of them.  An e_s in the span starts no
+        chain; otherwise its chain x_j = e_s runs until C^(d_j) x_j depends
+        on the basis, and that dependency is relation j,
+        p_j(t) x_j + sum_(l<j) q_lj(t) x_l = 0 with p_j monic of degree d_j.
+        The chains' vectors are a basis of Q^n and these relations have
+        determinant of degree n = dim M, so they present M: column j of the
+        returned matrix holds q_0j .. q_(j-1)j, p_j and zeros below.
+        """
+        n = self.n
+        basis: dict[int, tuple[list[int], list[int]]] = {}  # by pivot: vector, combination
+        spun: list[tuple[int, int, Fraction]] = []  # chain, power, scale of each basis vector
+        columns: list[list[LaurentPoly]] = []
+        for s in range(n):
+            if len(basis) == n:
+                break
+            # w is scale * C^power e_s, kept primitive
+            w = [int(i == s) for i in range(n)]
+            scale, power = Fraction(1), 0
+            while True:
+                v, combo = w, [0] * (n + 1)
+                combo[len(spun)] = 1
+                p = _leading(v, 0)
+                while p in basis:
+                    b, bc = basis[p]
+                    f, g = b[p], v[p]
+                    v = [f * x - g * y for x, y in zip(v, b)]
+                    combo = [f * x - g * y for x, y in zip(combo, bc)]
+                    c = gcd(*v, *combo)
+                    if c > 1:
+                        v = [x // c for x in v]
+                        combo = [x // c for x in combo]
+                    p = _leading(v, p + 1)
+                if p is None:
+                    break
+                basis[p] = (v, combo)
+                spun.append((len(columns), power, scale))
+                w = self._apply(w)
+                c = gcd(*w)
+                w = [x // c for x in w]
+                scale, power = scale * self.den / c, power + 1
+            if power:
+                # sum over the spun vectors and w of combo * scale * t^power x_chain is 0
+                terms: list[dict[int, Fraction]] = [{} for _ in range(len(columns) + 1)]
+                for (j, i, sc), c in zip(spun + [(len(columns), power, scale)], combo):
+                    if c:
+                        terms[j][i] = c * sc
+                lead = terms[-1][power]
+                columns.append([LaurentPoly({i: c / lead for i, c in t.items()}) for t in terms])
+        k = len(columns)
+        return [[columns[j][l] if l < len(columns[j]) else ZERO for j in range(k)] for l in range(k)]
+
+
+def _leading(v: list[int], start: int) -> int | None:
+    return next((i for i in range(start, len(v)) if v[i]), None)
 
 
 def direct_sum(M1: PresentedModule, M2: PresentedModule) -> PresentedModule:

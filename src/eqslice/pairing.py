@@ -46,7 +46,7 @@ from .matrices import (
     mat_vec,
     seifert_pencil,
 )
-from .modules import ModuleElement, PresentedModule, from_seifert
+from .modules import ModuleElement, PresentedModule, _leading, from_seifert
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def check_nonsingular(B: GramPairing) -> bool:
     With (den, N) = B.common, the kernel is trivial iff
     L = {x : N^T x = 0 mod den} lies in R*Lambda^n, R the relations.  As
     den*Lambda^n lies in L, that needs den to kill the module, i.e. every
-    Smith diagonal entry d_k to divide den.  Then in V = (Lambda/den)^n,
+    invariant factor d_k to divide den.  Then in V = (Lambda/den)^n,
     L/den*Lambda^n is the kernel of phi = N^T and R*Lambda^n/den*Lambda^n
     the image of rho = R, of codimension d = sum deg d_k = dim_Q M; and
     ker phi lies in im rho iff rank phi - rank phi*rho = d, since phi*rho
@@ -153,7 +153,7 @@ def check_nonsingular(B: GramPairing) -> bool:
     if not module.is_torsion:
         return False
     den, N = B.common
-    if not all(divides(dk, den) for dk in module.snf.diagonal):
+    if not all(divides(dk, den) for dk in module.invariant_factors):
         return False
     if den.is_one():
         return True  # den kills the module, which is therefore zero (or n = 0)
@@ -163,7 +163,7 @@ def check_nonsingular(B: GramPairing) -> bool:
     phi = space.coordinates(N.to_lists())
     R = module.relations
     phi_rho = [space.combine(phi, R.col(c)) for c in range(R.cols)]
-    d = sum(dk.degree() for dk in module.snf.diagonal)
+    d = sum(dk.degree() for dk in module.invariant_factors)
     return _spin_rank(phi, space) - _spin_rank(phi_rho, space) == d
 
 
@@ -253,10 +253,6 @@ def _spin_rank(vectors: Sequence[list[int]], space: _Quotient) -> int:
             basis[p] = v
             queue.append(_primitive(space.times_t(v)))
     return len(basis)
-
-
-def _leading(v: list[int], start: int) -> int | None:
-    return next((i for i in range(start, len(v)) if v[i]), None)
 
 
 def _primitive(v: list[int]) -> list[int]:

@@ -22,7 +22,6 @@ from .involution import (
     SemilinearMap,
     direct_sum_involution,
     is_involutive,
-    is_well_defined,
     verify_anti_isometry,
 )
 from .pairing import (
@@ -100,7 +99,7 @@ def validate(T: EquivariantTriple) -> ValidationReport:
             "" if torsion else "skipped: module not torsion",
         )
     )
-    wd = is_well_defined(T.involution)
+    wd = T.involution.well_defined
     checks.append(AxiomCheck("involution_well_defined", wd))
     checks.append(AxiomCheck("involutive", is_involutive(T.involution) if wd else False))
     checks.append(

@@ -67,8 +67,10 @@ class TestInternalErrors:
         def failing_snf(M):
             raise error
 
+        # alexander reads the rational model; obstruct still takes the Smith
+        # form, for its RationalBasis
         monkeypatch.setattr("eqslice.modules.snf", failing_snf)
-        code, out, err = run(capsys, "alexander", "nine46")
+        code, out, err = run(capsys, "obstruct", "nine46")
         assert code == EXIT_INTERNAL == 3
         assert out == ""
         assert err == f"internal error: {type(error).__name__}: {error}\n"
@@ -182,6 +184,15 @@ class TestVerify:
             "schema=1\nname=bad\nseifert=1,1,0,0;0,-1,0,0;0,0,-1,1;0,0,0,-1\ninvolution=swap\n"
         )
         code, out, err = run(capsys, "verify", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "error: blocks are not conjugate presentations; swap is not well defined\n"
+
+    def test_non_conjugate_swap_exit_2_from_obstruct(self, capsys, tmp_path):
+        bad = tmp_path / "bad.knot"
+        bad.write_text(
+            "schema=1\nname=bad\nseifert=1,1,0,0;0,-1,0,0;0,0,-1,1;0,0,0,-1\ninvolution=swap\n"
+        )
+        code, out, err = run(capsys, "obstruct", str(bad))
         assert (code, out) == (2, "")
         assert err == "error: blocks are not conjugate presentations; swap is not well defined\n"
 

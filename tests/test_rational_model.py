@@ -1,0 +1,220 @@
+"""The rational model of a Seifert module against the Smith form.
+
+A module built by from_seifert(A) with det A != 0 reads its invariant
+factors and its zero test off C = A^T A^-1.  The oracle here is the Smith
+form of the relations and in_span against it, the route every other
+presentation still takes.
+"""
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+import eqslice.involution
+import eqslice.matrices
+import eqslice.modules
+from eqslice.catalog import assemble, build, builtin
+from eqslice.cli import main
+from eqslice.involution import SemilinearMap
+from eqslice.laurent import ONE, ZERO, LaurentPoly, parse_poly
+from eqslice.matrices import LambdaMatrix, in_span, mat_vec, snf
+from eqslice.modules import from_seifert
+from eqslice.pairing import check_nonsingular, gram_from_seifert
+
+from test_acceptance import CATALOG_GRID
+from test_exact_linear_algebra import dense_seifert
+
+# C has one Jordan block of t^2 - 3t + 1 while e_0 spans a chain of degree
+# 2 only, so the chain presentation is [[p, q], [0, p]] with q != 0 and the
+# module is cyclic: dropping q would give p twice.
+JORDAN = [[-1, 0, -1, -1], [-1, 0, -1, 0], [-1, -1, -1, 1], [-1, 0, 0, 0]]
+
+
+def block_sum(blocks):
+    n = sum(len(B) for B in blocks)
+    out, offset = [], 0
+    for B in blocks:
+        out += [[0] * offset + list(row) + [0] * (n - offset - len(B)) for row in B]
+        offset += len(B)
+    return out
+
+
+def seifert_cases():
+    for name, params in CATALOG_GRID:
+        A = builtin(name, **params).seifert
+        for k in (1, 2, 3, 8):
+            yield f"{name}{params} x{k}", block_sum([A] * k)
+    rng = random.Random(71)
+    for i in range(5):
+        A = dense_seifert(1 + i % 2, rng)
+        yield f"swap double g{1 + i % 2} #{i}", block_sum([A, list(zip(*A))])
+    rng = random.Random(72)
+    for genus in range(1, 6):
+        for i in range(8 if genus < 4 else 2):
+            A = dense_seifert(genus, rng)
+            if not eqslice.matrices.det(LambdaMatrix(A)).is_zero():
+                yield f"dense g{genus} #{i}", A
+    yield "jordan", JORDAN
+
+
+def singular_draws(count):
+    """Dense genus-2 draws with det A = 0, which keep the Smith form."""
+    rng = random.Random(73)
+    found = []
+    while len(found) < count:
+        A = dense_seifert(2, rng)
+        if eqslice.matrices.det(LambdaMatrix(A)).is_zero():
+            found.append(A)
+    return found
+
+
+CASES = dict(seifert_cases())
+
+
+@lru_cache(maxsize=None)
+def module(case):
+    """The case's module; both tests below share its Smith form, M.snf."""
+    return from_seifert(CASES[case])
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_invariant_factors_match_smith_form(case):
+    M = module(case)
+    assert M.model is not None
+    s = M.snf
+    assert M.invariant_factors == s.invariant_factors
+    assert M.free_rank == M.generators - s.rank == 0
+
+
+def test_jordan_case_takes_the_small_smith_form():
+    M = from_seifert(JORDAN)
+    T = M.model._chains()
+    assert len(T) == 2 and not T[0][1].is_zero()
+    assert T[0][0] == T[1][1] == parse_poly("t^2 - 3*t + 1")
+    assert M.invariant_factors == (parse_poly("t^2 - 3*t + 1") ** 2,)
+
+
+@pytest.mark.parametrize("A", singular_draws(3))
+def test_singular_seifert_matrix_keeps_the_smith_form(A):
+    M = from_seifert(A)
+    assert M.model is None
+    assert M.invariant_factors == snf(M.relations).invariant_factors
+    x = M.element([parse_poly("t^-1 + 2"), ZERO, ONE, parse_poly("t")])
+    assert x.is_zero() == (in_span(list(x.coeffs), M.relations, M.snf) is not None)
+
+
+def random_poly(rng, low=-2, high=2):
+    return LaurentPoly({k: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for k in range(low, high + 1)})
+
+
+def membership_cases():
+    """(module, coefficients) pairs inside and outside the relation span."""
+    rng = random.Random(74)
+    for case in sorted(CASES):
+        M = module(case)
+        n, R = M.generators, M.relations
+        for _ in range(2):
+            w = [random_poly(rng) if rng.random() < 0.7 else ZERO for _ in range(R.cols)]
+            inside = mat_vec(R, w)
+            yield case, M, inside
+            bump = [ZERO] * n
+            bump[rng.randrange(n)] = random_poly(rng, -1, 0)
+            yield case, M, tuple(a + b for a, b in zip(inside, bump))
+
+
+def test_membership_matches_in_span():
+    verdicts = []
+    for case, M, coeffs in membership_cases():
+        oracle = in_span(list(coeffs), M.relations, M.snf) is not None
+        assert M.element(coeffs).is_zero() == oracle, case
+        verdicts.append(oracle)
+    assert True in verdicts and False in verdicts
+
+
+def oracle_well_defined(T):
+    R = T.module.relations
+    s = snf(R)
+    return all(
+        in_span(list(mat_vec(T.matrix, [e.conjugate() for e in R.col(c)])), R, s) is not None
+        for c in range(R.cols)
+    )
+
+
+def oracle_involutive(T):
+    n, R = T.module.generators, T.module.relations
+    s = snf(R)
+    square = T.matrix * T.matrix.conjugate()
+    return all(
+        in_span([square.entry(i, j) - (ONE if i == j else ZERO) for i in range(n)], R, s) is not None
+        for j in range(n)
+    )
+
+
+@pytest.mark.parametrize("name, params", [("trefoil", {}), ("twist_ka", {"a": 1}), ("twist_ka", {"a": 2})])
+def test_involution_axioms_match_in_span(name, params):
+    # these involutions have t-powers, so negative exponents reach the model
+    T = build(builtin(name, **params)).involution
+    assert any(e.span() or e.valuation() for row in T.matrix.to_lists() for e in row if not e.is_zero())
+    rng = random.Random(75)
+    maps = [T]
+    for _ in range(6):
+        entries = T.matrix.to_lists()
+        i, j = rng.randrange(len(entries)), rng.randrange(len(entries))
+        entries[i][j] = entries[i][j] + random_poly(rng, -1, 1)
+        maps.append(SemilinearMap(module=T.module, matrix=LambdaMatrix(entries)))
+    verdicts = []
+    for tau in maps:
+        wd = eqslice.involution.is_well_defined(tau)
+        assert wd == oracle_well_defined(tau)
+        assert eqslice.involution.is_involutive(tau) == oracle_involutive(tau)
+        verdicts.append(wd)
+    assert verdicts[0] and False in verdicts
+    x = T.module.element([random_poly(rng) for _ in range(T.module.generators)])
+    assert (T.apply(T.apply(x)) - x).is_zero()
+    assert not (T.apply(x) - x - T.module.generator(0)).is_zero()
+
+
+@pytest.fixture
+def smith_forms(monkeypatch):
+    """Count the Smith forms taken, wherever they are looked up."""
+    calls = []
+    original = eqslice.matrices.snf
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(eqslice.matrices, "snf", counting)
+    monkeypatch.setattr(eqslice.modules, "snf", counting)
+    return calls
+
+
+def test_sum_takes_no_smith_form(smith_forms, tmp_path, capsys):
+    assert main(["sum", "nine46", "figure_eight", "-o", str(tmp_path / "x.knot")]) == 0
+    assert smith_forms == []
+
+
+def test_dense_genus_8_pipeline_takes_no_smith_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Smith form taken")
+
+    monkeypatch.setattr(eqslice.matrices, "snf", refuse)
+    monkeypatch.setattr(eqslice.modules, "snf", refuse)
+    A = dense_seifert(8, random.Random(76))
+    M = from_seifert(A)
+    assert M.model is not None and M.invariant_factors[0].degree() == 16
+    assert check_nonsingular(gram_from_seifert(A, M))
+
+
+def test_swap_is_checked_once(monkeypatch):
+    calls = []
+    original = eqslice.involution.is_well_defined
+
+    def counting(T):
+        calls.append(1)
+        return original(T)
+
+    monkeypatch.setattr(eqslice.involution, "is_well_defined", counting)
+    assert assemble(builtin("swap_double", inner="nine46")).involution.well_defined
+    assert len(calls) == 1
