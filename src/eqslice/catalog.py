@@ -21,6 +21,7 @@ from .laurent import (
     PolyParseError,
     format_poly,
     parse_poly,
+    parse_rational,
 )
 from .matrices import LambdaMatrix, det, seifert_pencil
 from .modules import PresentedModule, check_seifert, from_seifert
@@ -232,14 +233,15 @@ def _param(name: str, kind: type, value):
     """A builtin parameter as its kind: an int, a Fraction or a str."""
     if kind is str:
         return str(value)
-    try:
-        f = Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        f = None
-    if f is None or (kind is int and f.denominator != 1):
+    if isinstance(value, str):
+        try:
+            value = parse_rational(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    if not isinstance(value, (int, Fraction)) or (kind is int and value.denominator != 1):
         what = "an integer" if kind is int else "a rational number"
         raise CatalogError(f"parameter {name} must be {what}, got {value}")
-    return kind(f)
+    return kind(value)
 
 
 def builtin(name: str, /, **params) -> KnotSpec:
@@ -332,7 +334,8 @@ def format_spec(spec: KnotSpec) -> str:
 
 def parse_params(text: str) -> dict:
     """Read `k=v,...`: integral values become ints, other rationals
-    Fractions, and anything else stays a string."""
+    Fractions, and anything else stays a string.  Numbers follow the
+    coefficient grammar of parse_rational, so `0.5` and `1e3` are strings."""
     params: dict = {}
     if text:
         for piece in text.split(","):
@@ -340,7 +343,7 @@ def parse_params(text: str) -> dict:
                 raise CatalogError(f"bad parameter {piece!r}")
             k, _, v = piece.partition("=")
             try:
-                value = Fraction(v.strip())
+                value = parse_rational(v.strip())
                 if value.denominator == 1:
                     value = int(value)
             except (ValueError, ZeroDivisionError):

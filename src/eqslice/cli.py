@@ -55,9 +55,11 @@ def _nonnegative_int(text: str) -> int:
 
 def resolve_spec(ref: str) -> KnotSpec:
     """A spec reference is a file path or `name[:k=v,...]` for a builtin."""
-    if os.path.exists(ref):
+    if os.path.isfile(ref):
         return load(ref)
     name, _, rest = ref.partition(":")
+    if name.strip() not in {b for b, _, _ in list_builtins()}:
+        raise CatalogError(f"{ref!r} is neither an existing file nor a builtin name")
     return builtin(name.strip(), **parse_params(rest))
 
 
@@ -79,11 +81,6 @@ class Output:
         elif not self.quiet:
             for line in lines:
                 print(line)
-
-    def result_line(self, line: str):
-        # shown even under --quiet: the one-line result
-        if not self.as_json:
-            print(line)
 
 
 def _check_line(c) -> str:
@@ -314,7 +311,7 @@ def main(argv=None) -> int:
     except (SpecParseError, PolyParseError, CatalogError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as e:

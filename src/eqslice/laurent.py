@@ -8,6 +8,7 @@ nonzero rational; canonical forms below fix that ambiguity.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -276,6 +277,17 @@ def format_poly(p: LaurentPoly) -> str:
 # ASCII only: str.isdigit also accepts superscripts, which int() rejects,
 # and the digits of other scripts, which int() converts.
 _DIGITS = "0123456789"
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """A rational number written as an optional sign, ASCII digits and an
+    optional /digits, the grammar of a coefficient in parse_poly.  Raises
+    ValueError on anything else (exponents, decimals, underscores) and
+    ZeroDivisionError on a zero denominator."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"bad rational {text!r}")
+    return Fraction(text)
 
 
 def parse_poly(text: str) -> LaurentPoly:
@@ -304,7 +316,7 @@ def parse_poly(text: str) -> LaurentPoly:
         coeff = None
         if num:
             try:
-                coeff = Fraction(num)
+                coeff = parse_rational(num)
             except (ValueError, ZeroDivisionError):
                 raise PolyParseError(f"bad rational {num!r}", start) from None
             if i < n and text[i] == "*":

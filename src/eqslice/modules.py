@@ -11,6 +11,11 @@ invariant factors and decides whether an element is zero.  Every other
 presentation reads both off the Smith normal form of its relations, taken
 at construction.  A module with a model takes the Smith form, with its
 unimodular transforms, on first use, which is a RationalBasis.
+
+The integer Krylov arithmetic on Q[t]-modules is here, once: the Horner
+sum _combine, the fraction-free echelon step _reduce and the spin
+_spin_rank.  They run on two spaces: the rational model, and the
+_Quotient (Lambda/den)^k that pairing.check_nonsingular spins in.
 """
 from __future__ import annotations
 
@@ -100,10 +105,10 @@ class PresentedModule:
         return self.element([ONE if j == i else ZERO for j in range(self.generators)])
 
     def is_zero_element(self, x: "ModuleElement") -> bool:
-        if x.coeffs and all(c.is_zero() for c in x.coeffs):
+        if all(c.is_zero() for c in x.coeffs):
             return True
         if self.model is not None:
-            return self.model.is_zero(x.coeffs)
+            return not any(_combine(self.model, self.model.units, x.coeffs))
         return in_span(list(x.coeffs), self.relations, self.snf) is not None
 
     def __eq__(self, other) -> bool:
@@ -197,8 +202,9 @@ class _RationalModel:
     they are a basis: the module is Q^n with t acting by C (Trotter 1973,
     Invent. Math. 20; Levine 1977, "Knot modules. I").  So an element
     sum_k v_k t^k is zero iff sum_k C^k v_k = 0, and the invariant factors
-    are those of C.  C is kept as the integer matrix A^T adj(A) over the
-    positive integer det A, reduced by their common content.
+    are those of C.  C is kept as the integer matrix num = A^T adj(A) over
+    the positive integer scale = det A, reduced by their common content,
+    which makes the model a space (see _combine).
     """
 
     def __init__(self, A: Sequence[Sequence[int]], d: int, adj: list[list[int]]):
@@ -208,31 +214,12 @@ class _RationalModel:
         if d < 0:
             g = -g
         self.num = [[e // g for e in row] for row in num]
-        self.den = d // g
+        self.scale = d // g
+        self.units = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def _apply(self, v: list[int]) -> list[int]:
-        """num * v, that is den * C * v."""
+    def times_t(self, v: list[int]) -> list[int]:
+        """num * v, that is scale * C * v."""
         return [sum(a * b for a, b in zip(row, v) if b) for row in self.num]
-
-    def is_zero(self, coeffs: Sequence[LaurentPoly]) -> bool:
-        """Whether the element with these coefficients is zero.
-
-        With v_k the t^k coefficients and m the least exponent, it is zero
-        iff sum_k C^(k - m) v_k = 0, t^-m being a unit.  That sum times
-        den^(top - m), by Horner over integer vectors.
-        """
-        nonzero = [c for c in coeffs if not c.is_zero()]
-        if not nonzero:
-            return True
-        low = min(c.valuation() for c in nonzero)
-        top = max(c.degree() for c in nonzero)
-        scale = lcm(*(x.denominator for c in nonzero for _, x in c.items()))
-        acc = [0] * self.n
-        for k in range(top, low - 1, -1):
-            acc = self._apply(acc)
-            acc = [a + int(c.coefficient(k) * scale) for a, c in zip(acc, coeffs)]
-            scale *= self.den
-        return not any(acc)
 
     def invariant_factors(self) -> tuple[LaurentPoly, ...]:
         """The invariant factors of C, from its Krylov chains.
@@ -266,17 +253,17 @@ class _RationalModel:
         """Presentation of the module by Krylov chains of C, over Q[t].
 
         Spin e_0, e_1, ... in turn: each vector C^i e_s is reduced against
-        one fraction-free echelon basis of the vectors spun so far, while
-        tracking its combination of them.  An e_s in the span starts no
-        chain; otherwise its chain x_j = e_s runs until C^(d_j) x_j depends
-        on the basis, and that dependency is relation j,
+        one echelon basis of the vectors spun so far, with its combination
+        of them riding as n + 1 trailing entries.  An e_s in the span
+        starts no chain; otherwise its chain x_j = e_s runs until
+        C^(d_j) x_j depends on the basis, and that dependency is relation j,
         p_j(t) x_j + sum_(l<j) q_lj(t) x_l = 0 with p_j monic of degree d_j.
         The chains' vectors are a basis of Q^n and these relations have
         determinant of degree n = dim M, so they present M: column j of the
         returned matrix holds q_0j .. q_(j-1)j, p_j and zeros below.
         """
         n = self.n
-        basis: dict[int, tuple[list[int], list[int]]] = {}  # by pivot: vector, combination
+        basis: dict[int, list[int]] = {}
         spun: list[tuple[int, int, Fraction]] = []  # chain, power, scale of each basis vector
         columns: list[list[LaurentPoly]] = []
         for s in range(n):
@@ -286,31 +273,19 @@ class _RationalModel:
             w = [int(i == s) for i in range(n)]
             scale, power = Fraction(1), 0
             while True:
-                v, combo = w, [0] * (n + 1)
-                combo[len(spun)] = 1
-                p = _leading(v, 0)
-                while p in basis:
-                    b, bc = basis[p]
-                    f, g = b[p], v[p]
-                    v = [f * x - g * y for x, y in zip(v, b)]
-                    combo = [f * x - g * y for x, y in zip(combo, bc)]
-                    c = gcd(*v, *combo)
-                    if c > 1:
-                        v = [x // c for x in v]
-                        combo = [x // c for x in combo]
-                    p = _leading(v, p + 1)
+                v, p = _reduce(basis, w + [int(i == len(spun)) for i in range(n + 1)], n)
                 if p is None:
                     break
-                basis[p] = (v, combo)
+                basis[p] = v
                 spun.append((len(columns), power, scale))
-                w = self._apply(w)
+                w = self.times_t(w)
                 c = gcd(*w)
                 w = [x // c for x in w]
-                scale, power = scale * self.den / c, power + 1
+                scale, power = scale * self.scale / c, power + 1
             if power:
                 # sum over the spun vectors and w of combo * scale * t^power x_chain is 0
                 terms: list[dict[int, Fraction]] = [{} for _ in range(len(columns) + 1)]
-                for (j, i, sc), c in zip(spun + [(len(columns), power, scale)], combo):
+                for (j, i, sc), c in zip(spun + [(len(columns), power, scale)], v[n:]):
                     if c:
                         terms[j][i] = c * sc
                 lead = terms[-1][power]
@@ -319,8 +294,113 @@ class _RationalModel:
         return [[columns[j][l] if l < len(columns[j]) else ZERO for j in range(k)] for l in range(k)]
 
 
-def _leading(v: list[int], start: int) -> int | None:
-    return next((i for i in range(start, len(v)) if v[i]), None)
+class _Quotient:
+    """(Lambda/den)^k in integer coordinates, a space (see _combine).
+
+    den is monic ordinary with nonzero constant term, D = deg den.  An
+    entry is stored as its coefficients of t^0 .. t^(D-1) mod den and a
+    vector as the concatenation of its entries' coordinates; only the
+    Q-span of a vector matters, so every vector is kept as some nonzero
+    integer multiple of its exact coordinates.
+    """
+
+    def __init__(self, den: LaurentPoly):
+        self.D = den.degree()
+        dense = den.dense()
+        scale = self.scale = lcm(*(c.denominator for c in dense))
+        # den times scale; its leading coefficient is scale
+        self.coeffs = [c.numerator * (scale // c.denominator) for c in dense]
+        self.den = den
+
+    def coordinates(self, vectors: Sequence[Sequence[LaurentPoly]]) -> list[list[int]]:
+        """The vectors reduced mod den, all scaled by one common integer."""
+        flat = []
+        for v in vectors:
+            reduced = [_reduce_mod(e, self.den) for e in v]
+            flat.append([r.coefficient(j) for r in reduced for j in range(self.D)])
+        common = lcm(*(c.denominator for row in flat for c in row))
+        return [[c.numerator * (common // c.denominator) for c in row] for row in flat]
+
+    def times_t(self, v: list[int]) -> list[int]:
+        """scale * (t * v mod den)."""
+        D, coeffs, scale = self.D, self.coeffs, self.scale
+        out = []
+        for k in range(0, len(v), D):
+            top = v[k + D - 1]
+            out.append(-top * coeffs[0])
+            out.extend(scale * v[k + j - 1] - top * coeffs[j] for j in range(1, D))
+        return out
+
+
+def _combine(space, rows: list[list[int]], r: Sequence[LaurentPoly]) -> list[int]:
+    """sum_j r_j * rows[j] in space, by Horner in t over the exponents of r.
+
+    A space holds a Q[t]-module in integer coordinates, where a vector
+    stands for its Q-span: times_t(v) is scale * t * v for a positive
+    integer scale.  rows share one scale.  The result is that sum times t^-v, v the least
+    exponent in r, and times a positive integer that clears the
+    denominators of r; neither factor changes whether it is zero or the
+    submodule it spins.
+    """
+    out = [0] * len(rows[0])
+    nonzero = [e for e in r if not e.is_zero()]
+    if not nonzero:
+        return out
+    v = min(e.valuation() for e in nonzero)
+    # times_t multiplies by scale, so the terms added after k steps carry
+    # scale^k to keep one multiple throughout
+    mult = lcm(*(c.denominator for e in nonzero for _, c in e.items()))
+    for m in range(max(e.degree() for e in nonzero), v - 1, -1):
+        out = space.times_t(out)
+        for e, row in zip(r, rows):
+            c = e.coefficient(m)
+            if c:
+                f = c.numerator * (mult // c.denominator)
+                out = [a + f * b for a, b in zip(out, row)]
+        mult *= space.scale
+    return out
+
+
+def _reduce(basis: dict[int, list[int]], v: list[int], width: int) -> tuple[list[int], int | None]:
+    """v reduced against a fraction-free echelon basis, and its pivot.
+
+    basis maps a pivot p < width to a primitive vector whose first nonzero
+    entry is at p.  The entries of v from width on are never pivoted on:
+    they ride along and record the combination subtracted.  The pivot is
+    None when the first width entries of the result vanish.
+    """
+    p = -1
+    while True:
+        p = next((i for i in range(p + 1, width) if v[i]), None)
+        if p not in basis:
+            return v, p
+        b = basis[p]
+        v = _primitive([b[p] * x - v[p] * y for x, y in zip(v, b)])
+
+
+def _spin_rank(vectors: Sequence[list[int]], space) -> int:
+    """Q-dimension of the submodule of space the vectors generate.
+
+    Krylov spinning: each vector is reduced against one echelon basis;
+    only an independent one joins it and queues its image under t.  So
+    every basis vector's image is in the final span, which is therefore
+    t-stable, and it holds each input: handled are the k inputs plus one
+    vector per rank, not the k*D of a direct elimination.
+    """
+    basis: dict[int, list[int]] = {}
+    queue = [_primitive(v) for v in vectors]
+    while queue:
+        v = queue.pop()
+        v, p = _reduce(basis, v, len(v))
+        if p is not None:
+            basis[p] = v
+            queue.append(_primitive(space.times_t(v)))
+    return len(basis)
+
+
+def _primitive(v: list[int]) -> list[int]:
+    g = gcd(*v)
+    return v if g <= 1 else [a // g for a in v]
 
 
 def direct_sum(M1: PresentedModule, M2: PresentedModule) -> PresentedModule:
@@ -354,8 +434,7 @@ class RationalBasis:
 
     Uses the cyclic decomposition from the Smith normal form: for each
     invariant factor d the powers t^0 .. t^(deg d - 1) of its cyclic
-    generator.  Also carries the matrix of multiplication by t in this
-    basis (block companion form), which is invertible since t is a unit.
+    generator.
     """
 
     def __init__(self, module: PresentedModule):
@@ -379,21 +458,6 @@ class RationalBasis:
                 self.blocks.append((i, d))
         self.factors = tuple(d for _, d in self.blocks)
         self.dimension = sum(d.degree() for d in self.factors)
-        self.t_matrix = self._companion_blocks()
-
-    def _companion_blocks(self) -> list[list[Fraction]]:
-        dim = self.dimension
-        T = [[Fraction(0)] * dim for _ in range(dim)]
-        off = 0
-        for _, d in self.blocks:
-            s = d.degree()
-            c = d.dense()
-            for j in range(s - 1):
-                T[off + j + 1][off + j] = Fraction(1)
-            for j in range(s):
-                T[off + j][off + s - 1] = -c[j]
-            off += s
-        return T
 
     def from_coords(self, coords: Sequence[Fraction]) -> ModuleElement:
         if len(coords) != self.dimension:

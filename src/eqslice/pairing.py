@@ -16,14 +16,14 @@ another, forming each N * conj(y) once, and pair is its 1 x 1 case.
 Nonsingularity is decided by two ranks over Q rather than by Smith forms:
 it holds iff den kills the module and multiplication by N^T on
 (Lambda/den)^n has rank dim_Q M more than on the image of the relations.
-The ranks come from Krylov spinning on integer coordinates, so no
-coefficient swell of unimodular transforms is paid.
+The ranks come from the integer Krylov layer of modules (_Quotient,
+_combine, _spin_rank), so no coefficient swell of unimodular transforms
+is paid.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
 from typing import Sequence
 
 from .laurent import (
@@ -46,7 +46,7 @@ from .matrices import (
     mat_vec,
     seifert_pencil,
 )
-from .modules import ModuleElement, PresentedModule, _leading, from_seifert
+from .modules import ModuleElement, PresentedModule, _Quotient, _combine, _spin_rank, from_seifert
 
 
 @dataclass(frozen=True)
@@ -162,102 +162,9 @@ def check_nonsingular(B: GramPairing) -> bool:
     # column r to sum_j r_j * (row j of N)
     phi = space.coordinates(N.to_lists())
     R = module.relations
-    phi_rho = [space.combine(phi, R.col(c)) for c in range(R.cols)]
+    phi_rho = [_combine(space, phi, R.col(c)) for c in range(R.cols)]
     d = sum(dk.degree() for dk in module.invariant_factors)
     return _spin_rank(phi, space) - _spin_rank(phi_rho, space) == d
-
-
-class _Quotient:
-    """(Lambda/den)^k in integer coordinates.
-
-    den is monic ordinary with nonzero constant term, D = deg den.  An
-    entry is stored as its coefficients of t^0 .. t^(D-1) mod den and a
-    vector as the concatenation of its entries' coordinates; only the
-    Q-span of a vector matters, so every vector is kept as some nonzero
-    integer multiple of its exact coordinates.
-    """
-
-    def __init__(self, den: LaurentPoly):
-        self.D = den.degree()
-        dense = den.dense()
-        scale = lcm(*(c.denominator for c in dense))
-        # den times scale; its leading coefficient is scale
-        self.coeffs = [c.numerator * (scale // c.denominator) for c in dense]
-        self.den = den
-
-    def coordinates(self, vectors: Sequence[Sequence[LaurentPoly]]) -> list[list[int]]:
-        """The vectors reduced mod den, all scaled by one common integer."""
-        flat = []
-        for v in vectors:
-            reduced = [_reduce_mod(e, self.den) for e in v]
-            flat.append([r.coefficient(j) for r in reduced for j in range(self.D)])
-        common = lcm(*(c.denominator for row in flat for c in row))
-        return [[c.numerator * (common // c.denominator) for c in row] for row in flat]
-
-    def times_t(self, v: list[int]) -> list[int]:
-        """scale * (t * v mod den), scale the leading coefficient of coeffs."""
-        D, coeffs = self.D, self.coeffs
-        scale = coeffs[-1]
-        out = []
-        for k in range(0, len(v), D):
-            top = v[k + D - 1]
-            out.append(-top * coeffs[0])
-            out.extend(scale * v[k + j - 1] - top * coeffs[j] for j in range(1, D))
-        return out
-
-    def combine(self, rows: list[list[int]], r: Sequence[LaurentPoly]) -> list[int]:
-        """sum_j r_j * rows[j] mod den, by Horner in t over the exponents of r.
-
-        rows share one scale.  The result is that sum times t^-v, v the
-        least exponent in r, and times a positive integer that clears the
-        denominators of r; neither factor changes the submodule it spins.
-        """
-        out = [0] * len(rows[0])
-        nonzero = [e for e in r if not e.is_zero()]
-        if not nonzero:
-            return out
-        v = min(e.valuation() for e in nonzero)
-        # times_t multiplies by scale, so the terms added after k steps carry
-        # scale^k to keep one multiple throughout
-        mult = lcm(*(c.denominator for e in nonzero for _, c in e.items()))
-        for m in range(max(e.degree() for e in nonzero), v - 1, -1):
-            out = self.times_t(out)
-            for e, row in zip(r, rows):
-                c = e.coefficient(m)
-                if c:
-                    f = c.numerator * (mult // c.denominator)
-                    out = [a + f * b for a, b in zip(out, row)]
-            mult *= self.coeffs[-1]
-        return out
-
-
-def _spin_rank(vectors: Sequence[list[int]], space: _Quotient) -> int:
-    """Q-dimension of the submodule of space the vectors generate.
-
-    Krylov spinning: each vector is reduced against a fraction-free echelon
-    basis; only an independent one joins it and queues its image under t.
-    So every basis vector's image is in the final span, which is therefore
-    t-stable, and it holds each input: handled are the k inputs plus one
-    vector per rank, not the k*D of a direct elimination.
-    """
-    basis: dict[int, list[int]] = {}  # by the position of the first nonzero
-    queue = [_primitive(v) for v in vectors]
-    while queue:
-        v = queue.pop()
-        p = _leading(v, 0)
-        while p in basis:
-            b = basis[p]
-            v = _primitive([b[p] * x - v[p] * y for x, y in zip(v, b)])
-            p = _leading(v, p + 1)
-        if p is not None:
-            basis[p] = v
-            queue.append(_primitive(space.times_t(v)))
-    return len(basis)
-
-
-def _primitive(v: list[int]) -> list[int]:
-    g = gcd(*v)
-    return v if g <= 1 else [a // g for a in v]
 
 
 def direct_sum_pairing(B1: GramPairing, B2: GramPairing, module: PresentedModule) -> GramPairing:

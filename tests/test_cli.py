@@ -207,6 +207,7 @@ class TestVerify:
 # Each builtin with parameters gets a missing, a non-integer, an unknown and
 # an out-of-range one; genus_one_slice also a bad rational c, swap_double a
 # bad inner; nine46 a parameter it does not take and malformed references.
+# Numbers outside the coefficient grammar (exponents, decimals) are refused.
 BAD_PARAMETERS = [
     "genus_one_slice:l=1",
     "genus_one_slice:m=1/2,l=1",
@@ -236,6 +237,9 @@ BAD_PARAMETERS = [
     "nine46:name=1",
     "nine46:a",
     "nine46:a=1,",
+    "twist_ka:a=1e5000",
+    "genus_one_slice:m=1,l=1,c=1e-3",
+    "pretzel:a=3.0",
 ]
 
 
@@ -252,6 +256,24 @@ class TestUsage:
         code, _, err = run(capsys, "alexander", "nonesuch")
         assert code == 2
         assert "error" in err
+
+    def test_missing_spec_file(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.knot")
+        code, out, err = run(capsys, "obstruct", missing)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        rest = err.replace(missing, "")
+        assert rest != err and "file" in rest and "builtin" in rest
+
+    def test_directory_is_not_a_spec_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "obstruct", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and str(tmp_path) in err
+
+    def test_unwritable_output_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "sum", "nine46", "-o", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ["--json", "--quiet"])
     def test_flags_follow_the_subcommand(self, capsys, flag):

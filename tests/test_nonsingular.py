@@ -15,11 +15,9 @@ import pytest
 from eqslice.catalog import assemble, builtin
 from eqslice.laurent import ONE, ZERO, LaurentPoly, RationalFn, TorsionClass, divexact, laurent_lcm
 from eqslice.matrices import LambdaMatrix, in_span, kernel
-from eqslice.modules import PresentedModule, direct_sum
+from eqslice.modules import PresentedModule, _Quotient, _spin_rank, direct_sum
 from eqslice.pairing import (
     GramPairing,
-    _Quotient,
-    _spin_rank,
     check_nonsingular,
     direct_sum_pairing,
     gram_from_seifert,
