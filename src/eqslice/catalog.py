@@ -10,6 +10,7 @@ obstruction verdicts do not depend on it.
 """
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence, Union
@@ -17,6 +18,7 @@ from typing import Callable, Sequence, Union
 from .laurent import (
     ONE,
     ZERO,
+    DigitLimitError,
     LaurentPoly,
     PolyParseError,
     format_poly,
@@ -25,7 +27,7 @@ from .laurent import (
 )
 from .matrices import LambdaMatrix, det, seifert_pencil
 from .modules import PresentedModule, check_seifert, from_seifert
-from .pairing import GramPairing, gram_from_seifert
+from .pairing import gram_from_seifert
 from .involution import SemilinearMap, swap_involution
 from .witt import EquivariantTriple, ValidationReport, validate
 
@@ -88,41 +90,24 @@ def _genus_one_data(m: int, l: int, c: Fraction):
     return seifert, matrix
 
 
-def twist_seifert(a: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    return ((a, 0), (1, -a))
-
-
 def twist_order(a: int) -> LaurentPoly:
-    """Order polynomial of the twist family, computed from its Seifert matrix.
+    """Order polynomial of the twist family: the integral determinant of
+    t*A - A^T for the Seifert matrix A of its `twist_ka` spec.
 
     Equals a^2 t^2 - (2 a^2 + 1) t + a^2, with |p(1)| = 1 and
     |p(-1)| = 4 a^2 + 1 strictly between consecutive squares.
     """
-    p = det(seifert_pencil(twist_seifert(a)))
+    p = det(seifert_pencil(builtin("twist_ka", a=a).seifert))
     if p.leading_coefficient() < 0:
         p = -p
     return p
-
-
-def twist_cyclic_triple(a: int) -> EquivariantTriple:
-    """Cyclic presentation of the twist family: one generator, fixed by the
-    involution up to conjugation; normative for the amphichiral routine."""
-    A, _ = _twist_ka(a)
-    two_gen = gram_from_seifert(A)
-    module = PresentedModule(1, LambdaMatrix([[twist_order(a)]]))
-    gram = ((two_gen.gram[1][1],),)
-    return EquivariantTriple(
-        module=module,
-        pairing=GramPairing(module=module, gram=gram),
-        involution=SemilinearMap(module=module, matrix=LambdaMatrix([[ONE]])),
-    )
 
 
 def _twist_ka(a: int):
     if a < 1:
         raise CatalogError("a must be a positive integer")
     # cyclic generator b2 with b1 = -a(t-1) b2, so tau(b1) = (a - a t^-1) b2
-    return twist_seifert(a), LambdaMatrix([[ZERO, ZERO], [LaurentPoly({0: a, -1: -a}), ONE]])
+    return ((a, 0), (1, -a)), LambdaMatrix([[ZERO, ZERO], [LaurentPoly({0: a, -1: -a}), ONE]])
 
 
 def _pretzel(a: int, c: Fraction):
@@ -236,6 +221,8 @@ def _param(name: str, kind: type, value):
     if isinstance(value, str):
         try:
             value = parse_rational(value)
+        except DigitLimitError as e:
+            raise CatalogError(f"parameter {name}: {e}") from None
         except (ValueError, ZeroDivisionError):
             pass
     if not isinstance(value, (int, Fraction)) or (kind is int and value.denominator != 1):
@@ -296,12 +283,17 @@ def _involution(spec: KnotSpec, module: PresentedModule) -> SemilinearMap:
 
 def sum_specs(specs: Sequence[KnotSpec], name: str | None = None) -> KnotSpec:
     """Equivariant connected sum at the spec level: block Seifert matrix and
-    block involution matrix."""
+    block involution matrix.  Only a named swap needs the summand's module."""
     if not specs:
         raise CatalogError("cannot sum zero specs")
-    total = _involution(specs[0], from_seifert(specs[0].seifert)).matrix
-    for s in specs[1:]:
-        total = LambdaMatrix.block_diag(total, _involution(s, from_seifert(s.seifert)).matrix)
+    total = LambdaMatrix.zeros(0, 0)
+    for s in specs:
+        matrix = s.involution
+        if isinstance(matrix, str):
+            matrix = _involution(s, from_seifert(s.seifert)).matrix
+        if matrix.rows != len(s.seifert) or matrix.cols != len(s.seifert):
+            raise CatalogError("involution matrix shape must match the Seifert matrix")
+        total = LambdaMatrix.block_diag(total, matrix)
     return KnotSpec(
         name=name or "+".join(s.name for s in specs),
         seifert=_block_sum([s.seifert for s in specs]),
@@ -391,7 +383,7 @@ def parse_spec(text: str) -> KnotSpec:
             try:
                 seifert_rows.append(tuple(int(x.strip()) for x in row.split(",")))
             except ValueError:
-                raise SpecParseError(f"bad integer row {row!r}", lineno) from None
+                raise SpecParseError(f"bad integer row {reprlib.repr(row)}", lineno) from None
     seifert = tuple(seifert_rows)
     try:
         check_seifert(seifert)
@@ -413,7 +405,7 @@ def parse_spec(text: str) -> KnotSpec:
                     entries.append(parse_poly(cell.strip()))
                 except PolyParseError as e:
                     raise SpecParseError(
-                        f"bad polynomial {cell.strip()!r}: {e}", lineno
+                        f"bad polynomial {reprlib.repr(cell.strip())}: {e}", lineno
                     ) from None
             rows.append(entries)
         involution = LambdaMatrix(rows)

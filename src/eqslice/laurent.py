@@ -9,6 +9,7 @@ nonzero rational; canonical forms below fix that ambiguity.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +25,10 @@ class PolyParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class DigitLimitError(ValueError):
+    """A numeral longer than the interpreter's int string conversion limit."""
 
 
 class LaurentPoly:
@@ -283,10 +288,16 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 def parse_rational(text: str) -> Fraction:
     """A rational number written as an optional sign, ASCII digits and an
     optional /digits, the grammar of a coefficient in parse_poly.  Raises
-    ValueError on anything else (exponents, decimals, underscores) and
+    ValueError on anything else (exponents, decimals, underscores),
+    DigitLimitError on a numerator or denominator with more digits than
+    sys.get_int_max_str_digits() allows (0 is no limit) and
     ZeroDivisionError on a zero denominator."""
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"bad rational {text!r}")
+    # the limit exists from Python 3.10.7 on; before that int() has none
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and any(len(part.lstrip("+-")) > limit for part in text.split("/")):
+        raise DigitLimitError(f"a numerator or denominator has more than {limit} digits")
     return Fraction(text)
 
 
@@ -317,9 +328,13 @@ def parse_poly(text: str) -> LaurentPoly:
         if num:
             try:
                 coeff = parse_rational(num)
+            except DigitLimitError as e:
+                raise PolyParseError(str(e), start) from None
             except (ValueError, ZeroDivisionError):
                 raise PolyParseError(f"bad rational {num!r}", start) from None
             if i < n and text[i] == "*":
+                if text[i + 1 : i + 2] != "t":
+                    raise PolyParseError("expected 't' after '*'", i)
                 i += 1
         exp = None
         if i < n and text[i] == "t":

@@ -31,7 +31,6 @@ from .laurent import (
     gcd_free_basis,
     symmetric_quadratic_tests,
 )
-from .matrices import LambdaMatrix as _Matrix
 from .modules import ModuleElement, RationalBasis
 from .pairing import pair, pair_grid
 from .witt import AxiomCheck, EquivariantTriple, validate
@@ -502,16 +501,23 @@ def amphichiral_obstruction(a: int, n: int) -> AmphichiralReport:
     generator up to conjugation, and the generator's self-pairing is a
     nonzero torsion class), then conclude.  Any failed hypothesis reports
     INCONCLUSIVE rather than guessing.
+
+    The hypotheses are checked on the triple `catalog.build` makes for the
+    `twist_ka` spec, with g = b2.  This is sound: an irreducible order p makes
+    M = Lambda/p a simple module, and a nonzero self-pairing makes g nonzero,
+    so g generates M; tau(g) = g is equality in M.  So "tau fixes a cyclic
+    generator with nonzero self-pairing" is checked on the knot's own module.
     """
     if a < 1 or n < 1:
         raise ValueError("parameters must be positive")
-    from .catalog import twist_cyclic_triple, twist_order
+    from .catalog import build, builtin, twist_order
 
     p = twist_order(a)
     rep = symmetric_quadratic_tests(p)
     witness = rep.witness
     if n % 2:
         ok = not rep.fox_milnor_possible
+        branch = "odd: sum concordant to one copy, which is not slice"
         checks = (
             AxiomCheck(
                 "fox_milnor_fails",
@@ -519,42 +525,30 @@ def amphichiral_obstruction(a: int, n: int) -> AmphichiralReport:
                 f"|p(-1)| = {witness} is {'not ' if ok else ''}a perfect square",
             ),
         )
-        return AmphichiralReport(
-            verdict=NOT_EQUIVARIANTLY_SLICE if ok else INCONCLUSIVE,
-            a=a,
-            n=n,
-            branch="odd: sum concordant to one copy, which is not slice",
-            checks=checks,
-            witness=witness,
+    else:
+        triple = build(builtin("twist_ka", a=a))
+        structural = validate(triple)
+        gen = triple.module.generator(1)
+        branch = "even: any invariant metabolizer contains an element with nonzero self-pairing"
+        checks = (
+            AxiomCheck(
+                "order_irreducible",
+                rep.irreducible,
+                f"discriminant non-square; |p(-1)| = {witness}",
+            ),
+            AxiomCheck("generator_fixed_up_to_conjugation", triple.involution.apply(gen) == gen),
+            AxiomCheck("self_pairing_nonzero", not pair(triple.pairing, gen, gen).is_zero()),
+            AxiomCheck(
+                "triple_valid",
+                structural.ok,
+                "" if structural.ok else ", ".join(structural.failing()),
+            ),
         )
-
-    triple = twist_cyclic_triple(a)
-    structural = validate(triple)
-    gen = triple.module.generator(0)
-    self_pairing = pair(triple.pairing, gen, gen)
-    checks = (
-        AxiomCheck(
-            "order_irreducible",
-            rep.irreducible,
-            f"discriminant non-square; |p(-1)| = {witness}",
-        ),
-        AxiomCheck(
-            "generator_fixed_up_to_conjugation",
-            triple.involution.matrix == _Matrix([[ONE]]),
-        ),
-        AxiomCheck("self_pairing_nonzero", not self_pairing.is_zero()),
-        AxiomCheck(
-            "triple_valid",
-            structural.ok,
-            "" if structural.ok else ", ".join(structural.failing()),
-        ),
-    )
-    ok = all(c.passed for c in checks)
     return AmphichiralReport(
-        verdict=NOT_EQUIVARIANTLY_SLICE if ok else INCONCLUSIVE,
+        verdict=NOT_EQUIVARIANTLY_SLICE if all(c.passed for c in checks) else INCONCLUSIVE,
         a=a,
         n=n,
-        branch="even: any invariant metabolizer contains an element with nonzero self-pairing",
+        branch=branch,
         checks=checks,
         witness=witness,
     )

@@ -41,10 +41,6 @@ class EquivariantTriple:
     pairing: GramPairing
     involution: SemilinearMap
 
-    @property
-    def order(self) -> LaurentPoly:
-        return self.module.order
-
 
 @dataclass(frozen=True)
 class SubmoduleWitness:

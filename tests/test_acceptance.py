@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqslice.catalog import assemble, builtin, sum_specs, twist_cyclic_triple
+from eqslice.catalog import assemble, build, builtin, sum_specs
 from eqslice.involution import is_involutive, is_well_defined, verify_anti_isometry
 from eqslice.laurent import (
     ONE,
@@ -245,7 +245,7 @@ def test_criterion_07_structural_axioms():
         assert is_well_defined(triple.involution) and is_involutive(triple.involution)
         assert verify_anti_isometry(triple.involution, triple.pairing)
     for a in (1, 2, 3):
-        assert validate(twist_cyclic_triple(a)).ok
+        assert validate(build(builtin("twist_ka", a=a))).ok
     report(7, "structural-axioms")
 
 

@@ -9,6 +9,7 @@ from eqslice.catalog import (
     KnotSpec,
     SpecParseError,
     assemble,
+    build,
     builtin,
     format_spec,
     list_builtins,
@@ -16,7 +17,6 @@ from eqslice.catalog import (
     parse_spec,
     save,
     sum_specs,
-    twist_cyclic_triple,
     twist_order,
 )
 from eqslice.laurent import normalize_alexander, parse_poly, unit_equal
@@ -141,14 +141,14 @@ class TestTwistFamily:
 
     def test_cyclic_triple_validates(self):
         for a in (1, 2, 3):
-            triple = twist_cyclic_triple(a)
+            triple = build(builtin("twist_ka", a=a))
             assert validate(triple).ok
 
     def test_cyclic_self_pairing_nonzero(self):
         from eqslice.pairing import pair
 
-        triple = twist_cyclic_triple(2)
-        g = triple.module.generator(0)
+        triple = build(builtin("twist_ka", a=2))
+        g = triple.module.generator(1)
         assert not pair(triple.pairing, g, g).is_zero()
 
 
@@ -162,6 +162,32 @@ class TestAssemble:
         assert summed.module.invariant_factors == direct.module.invariant_factors
         assert summed.pairing.gram == direct.pairing.gram
         assert summed.involution.matrix == direct.involution.matrix
+
+    def test_sum_of_matrix_involutions_builds_no_module(self, monkeypatch):
+        import eqslice.catalog as catalog
+
+        calls = []
+
+        def counting(A):
+            calls.append(A)
+            return from_seifert(A)
+
+        monkeypatch.setattr(catalog, "from_seifert", counting)
+        spec = builtin("nine46")
+        total = sum_specs([spec] * 4)
+        assert calls == []
+        expected = spec.involution
+        for _ in range(3):
+            expected = LambdaMatrix.block_diag(expected, spec.involution)
+        assert total.involution == expected
+        sum_specs([builtin("swap_double"), spec])
+        assert len(calls) == 1
+
+    def test_sum_refuses_an_involution_of_the_wrong_size(self):
+        nine46 = builtin("nine46")
+        bad = KnotSpec(name="bad", seifert=nine46.seifert, involution=LambdaMatrix.identity(3))
+        with pytest.raises(ValueError):
+            sum_specs([nine46, bad])
 
     def test_corrupted_involution_fails_with_named_axiom(self):
         spec = builtin("nine46")

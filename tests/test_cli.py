@@ -203,6 +203,29 @@ class TestVerify:
         assert code == 2
         assert "line" in err
 
+    def test_dangling_star_exit_2(self, capsys, tmp_path):
+        # read as 2 before, this cell gave a map that fails the axioms (exit 1)
+        bad = tmp_path / "bad.knot"
+        bad.write_text("schema=1\nname=bad\nseifert=0,2;1,0\ninvolution=0,2*;1,0\n")
+        code, out, err = run(capsys, "alexander", str(bad))
+        assert (code, out) == (2, "")
+        assert "line 4" in err and "expected 't' after '*'" in err
+
+    def test_oversize_coefficient_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.knot"
+        big = "1" + "0" * 4300
+        bad.write_text(f"schema=1\nname=bad\nseifert=0,2;1,0\ninvolution=0,{big};1,0\n")
+        code, out, err = run(capsys, "alexander", str(bad))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 200 and "4300" in err
+
+    def test_oversize_seifert_entry_not_echoed(self, capsys, tmp_path):
+        bad = tmp_path / "bad.knot"
+        bad.write_text(f"schema=1\nname=bad\nseifert=0,{'1' + '0' * 4300};1,0\ninvolution=swap\n")
+        code, out, err = run(capsys, "alexander", str(bad))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 200 and "line 3" in err
+
 
 # Each builtin with parameters gets a missing, a non-integer, an unknown and
 # an out-of-range one; genus_one_slice also a bad rational c, swap_double a
@@ -251,6 +274,12 @@ class TestUsage:
         code, out, err = run(capsys, "alexander", ref)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_oversize_parameter_exit_2(self, capsys):
+        code, out, err = run(capsys, "alexander", "twist_ka:a=1" + "0" * 4300)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200 and "4300" in err
 
     def test_unknown_builtin(self, capsys):
         code, _, err = run(capsys, "alexander", "nonesuch")

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from eqslice.laurent import (
     ONE,
     ZERO,
+    DigitLimitError,
     LaurentPoly,
     PolyParseError,
     RationalFn,
@@ -22,6 +24,7 @@ from eqslice.laurent import (
     laurent_gcd,
     normalize_alexander,
     parse_poly,
+    parse_rational,
     symmetric_quadratic_tests,
     unit_equal,
 )
@@ -385,6 +388,25 @@ class TestGrammar:
             parse_poly("")
         with pytest.raises(PolyParseError):
             parse_poly("t 5")
+
+    def test_dangling_star_rejected_with_position(self):
+        # a '*' joins a coefficient to t; `2*` and `2*+t` used to read as 2 and t + 2
+        for text in ("2*", "2*+t"):
+            with pytest.raises(PolyParseError, match="expected 't' after '\\*'") as e:
+                parse_poly(text)
+            assert e.value.position == 1, text
+
+    def test_numerals_over_the_digit_limit_refused(self):
+        limit = sys.get_int_max_str_digits()
+        big = "1" + "0" * limit
+        assert parse_rational(big[:-1]) == 10 ** (limit - 1)
+        for text in (big, "-" + big, "1/" + big, big + "/3"):
+            with pytest.raises(DigitLimitError) as e:
+                parse_rational(text)
+            assert str(limit) in str(e.value) and big not in str(e.value)
+        with pytest.raises(PolyParseError) as e:
+            parse_poly("t + " + big + "*t^2")
+        assert e.value.position == 4 and str(limit) in str(e.value) and len(str(e.value)) < 200
 
     def test_non_ascii_digits_rejected_with_position(self):
         # "²" and "٣" pass str.isdigit, and "٣" even converts with int()

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqslice.catalog import KnotSpec, assemble, builtin, sum_specs, twist_cyclic_triple
+from eqslice.catalog import KnotSpec, assemble, builtin, sum_specs
 from eqslice.laurent import ONE, ZERO, parse_poly, unit_equal
 from eqslice.obstruction import (
     CERTIFIED_K0,
@@ -441,6 +441,36 @@ class TestAmphichiral:
             for n in (1, 2, 3, 4):
                 report = amphichiral_obstruction(a, n)
                 assert report.verdict == NOT_EQUIVARIANTLY_SLICE, (a, n)
+
+    def test_even_grid_passes_every_check(self):
+        for a in range(1, 13):
+            for n in (2, 4):
+                report = amphichiral_obstruction(a, n)
+                assert report.verdict == NOT_EQUIVARIANTLY_SLICE, (a, n)
+                assert [c.name for c in report.checks] == [
+                    "order_irreducible",
+                    "generator_fixed_up_to_conjugation",
+                    "self_pairing_nonzero",
+                    "triple_valid",
+                ]
+                assert all(c.passed for c in report.checks), (a, n)
+                assert report.witness == 4 * a * a + 1
+
+    def test_checks_read_the_catalog_involution(self, monkeypatch):
+        # -tau is an involution too, but it moves the cyclic generator b2
+        from eqslice import catalog
+
+        entry = catalog._BUILTINS["twist_ka"]
+
+        def negated(a):
+            seifert, matrix = entry.make(a)
+            return seifert, -matrix
+
+        monkeypatch.setitem(catalog._BUILTINS, "twist_ka", replace(entry, make=negated))
+        assert validate(catalog.build(catalog.builtin("twist_ka", a=3))).ok
+        report = amphichiral_obstruction(3, 2)
+        assert report.verdict == INCONCLUSIVE
+        assert [c.name for c in report.checks if not c.passed] == ["generator_fixed_up_to_conjugation"]
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
