@@ -381,7 +381,7 @@ def parse_spec(text: str) -> KnotSpec:
     if value.strip():
         for row in value.split(";"):
             try:
-                seifert_rows.append(tuple(int(x.strip()) for x in row.split(",")))
+                seifert_rows.append(tuple(_param("seifert", int, x.strip()) for x in row.split(",")))
             except ValueError:
                 raise SpecParseError(f"bad integer row {reprlib.repr(row)}", lineno) from None
     seifert = tuple(seifert_rows)

@@ -285,6 +285,12 @@ _DIGITS = "0123456789"
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def _digit_limit() -> int:
+    """sys.get_int_max_str_digits(), 0 for no limit.  The limit exists
+    from Python 3.10.7 on; before that int() has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def parse_rational(text: str) -> Fraction:
     """A rational number written as an optional sign, ASCII digits and an
     optional /digits, the grammar of a coefficient in parse_poly.  Raises
@@ -294,8 +300,7 @@ def parse_rational(text: str) -> Fraction:
     ZeroDivisionError on a zero denominator."""
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"bad rational {text!r}")
-    # the limit exists from Python 3.10.7 on; before that int() has none
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if limit and any(len(part.lstrip("+-")) > limit for part in text.split("/")):
         raise DigitLimitError(f"a numerator or denominator has more than {limit} digits")
     return Fraction(text)
@@ -349,6 +354,9 @@ def parse_poly(text: str) -> LaurentPoly:
                     i += 1
                 if i == j or text[j:i] in ("-",):
                     raise PolyParseError("expected integer exponent after '^'", j)
+                limit = _digit_limit()
+                if limit and len(text[j:i].lstrip("-")) > limit:
+                    raise PolyParseError(f"an exponent has more than {limit} digits", j)
                 exp = int(text[j:i])
         if coeff is None and exp is None:
             raise PolyParseError("expected a term", start)

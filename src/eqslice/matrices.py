@@ -5,7 +5,9 @@ Determinants use one fraction-free (Bareiss) elimination, which divides
 exactly by the previous pivot: directly over the ring for `det`, and over
 the integers for `inverse_qt`, which samples the determinant and adjugate
 of the denominator-cleared matrix at integer points and interpolates them.
-Both take polynomially many ring operations.
+Both take polynomially many ring operations.  The pairing inverts
+A - t*A^T with `inverse_qt` only when det A = 0; otherwise the inverse
+comes from the module's exponent (see modules._RationalModel).
 
 The Laurent ring is a PID (a localization of the rational polynomial ring),
 so Smith normal form exists; pivoting works on ordinary-polynomial degrees

@@ -7,10 +7,11 @@ through invariant factors rather than through the presentation itself.
 
 A module of a Seifert matrix A with det A != 0 carries its rational model:
 Q^n with t acting by C = A^T A^-1 (see _RationalModel), which gives the
-invariant factors and decides whether an element is zero.  Every other
-presentation reads both off the Smith normal form of its relations, taken
-at construction.  A module with a model takes the Smith form, with its
-unimodular transforms, on first use, which is a RationalBasis.
+invariant factors, decides whether an element is zero and inverts
+A - t*A^T for the pairing.  Every other presentation reads the first two
+off the Smith normal form of its relations, taken at construction.  A
+module with a model takes the Smith form, with its unimodular transforms,
+on first use, which is a RationalBasis.
 
 The integer Krylov arithmetic on Q[t]-modules is here, once: the Horner
 sum _combine, the fraction-free echelon step _reduce and the spin
@@ -72,7 +73,7 @@ class PresentedModule:
             self.invariant_factors: tuple[LaurentPoly, ...] = self.snf.invariant_factors
             self.free_rank = generators - self.snf.rank
         else:
-            self.invariant_factors = model.invariant_factors()
+            self.invariant_factors = model.invariant_factors
             self.free_rank = 0
         if self.free_rank:
             self.order = ZERO
@@ -204,11 +205,13 @@ class _RationalModel:
     sum_k v_k t^k is zero iff sum_k C^k v_k = 0, and the invariant factors
     are those of C.  C is kept as the integer matrix num = A^T adj(A) over
     the positive integer scale = det A, reduced by their common content,
-    which makes the model a space (see _combine).
+    which makes the model a space (see _combine).  det A and adj(A) are
+    kept for inverse_pencil.
     """
 
     def __init__(self, A: Sequence[Sequence[int]], d: int, adj: list[list[int]]):
         n = self.n = len(A)
+        self.det, self.adj = d, adj
         num = [[sum(A[k][i] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         g = gcd(d, *(e for row in num for e in row))
         if d < 0:
@@ -221,6 +224,7 @@ class _RationalModel:
         """num * v, that is scale * C * v."""
         return [sum(a * b for a, b in zip(row, v) if b) for row in self.num]
 
+    @cached_property
     def invariant_factors(self) -> tuple[LaurentPoly, ...]:
         """The invariant factors of C, from its Krylov chains.
 
@@ -248,6 +252,48 @@ class _RationalModel:
                     if g != a:
                         diag[i], diag[j] = g, divexact(a * b, g)
         return tuple(p for p in diag if not p.is_unit())
+
+    def inverse_pencil(self) -> tuple[list[int], list[list[list[int]]]]:
+        """(den, F) with (A - t*A^T)^-1 = F / den, from the module's exponent.
+
+        The exponent mu = sum_k a_k x^k, of degree d, is the last invariant
+        factor: the minimal polynomial of C.  As A - t*A^T = (I - t*C)*A and
+        mu(C) = 0, the quotient (mu(x) - mu(y)) / (x - y) at x = 1/t, y = C
+        gives (I - t*C) * sum_(j<d) c_j(t)*C^j = rev mu(t) * I, with
+        c_j(t) = sum_(k>j) a_k t^(d-k+j) and rev mu(t) = t^d mu(1/t).  So
+        (A - t*A^T)^-1 = A^-1 * sum_(j<d) c_j(t)*C^j / rev mu(t).  With
+        A^-1 = adj/det, C = num/scale and the a_k made integers, that is
+        F = sum_j scale^(d-1-j) * c_j(t) * adj*num^j over
+        den = det * scale^(d-1) * rev mu: d - 1 integer matrix products and
+        no determinant of degree n.  den and each entry of F are integer
+        coefficient lists, lowest first, of lengths d + 1 and d.
+        """
+        if not self.n:
+            return [1], []
+        a = self.invariant_factors[-1].dense()
+        clear = lcm(*(c.denominator for c in a))
+        a = [c.numerator * (clear // c.denominator) for c in a]
+        d = len(a) - 1
+        # W[j] = adj * num^j, row by row: a row of W[j] is a combination of
+        # the rows of num, so zero entries cost nothing
+        W = [self.adj]
+        for _ in range(d - 1):
+            rows = []
+            for row in W[-1]:
+                out = [0] * self.n
+                for x, nrow in zip(row, self.num):
+                    if x:
+                        out = [o + x * y for o, y in zip(out, nrow)]
+                rows.append(out)
+            W.append(rows)
+        # the t^m coefficient of F is sum_(j<=m) a_(d-m+j) * scale^(d-1-j) * W[j]
+        powers = [self.scale ** (d - 1 - j) for j in range(d)]
+        weights = [[(j, a[d - m + j] * powers[j]) for j in range(m + 1)] for m in range(d)]
+        F = [
+            [[sum(w * W[j][r][s] for j, w in terms) for terms in weights] for s in range(self.n)]
+            for r in range(self.n)
+        ]
+        return [self.det * powers[0] * c for c in reversed(a)], F
 
     def _chains(self) -> list[list[LaurentPoly]]:
         """Presentation of the module by Krylov chains of C, over Q[t].

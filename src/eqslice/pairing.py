@@ -6,6 +6,14 @@ with values in the torsion quotient.  The gram grid caches the classes of
 (t - 1) * (A - t A^T)^{-1} over the generators; sesquilinearity makes that
 grid determine the pairing everywhere.
 
+With det A != 0 the inverse comes from the module's exponent mu, of
+degree d: A - t A^T = (I - t C) A with C = A^T A^-1, and mu(C) = 0 gives
+(A - t A^T)^{-1} = A^-1 * sum_(j<d) c_j(t) C^j / rev mu(t), with
+c_j(t) = sum_(k>j) a_k t^(d-k+j) and rev mu(t) = t^d mu(1/t).  The rational
+model of the module computes it in integers, with d - 1 matrix products
+(see modules._RationalModel.inverse_pencil).  inverse_qt, which
+interpolates a determinant and adjugate of degree n, serves only det A = 0.
+
 Values are summed over one common denominator: each pairing caches den, the
 lcm of its gram denominators, and the polynomial matrix N = den * gram.  A
 value is then the Laurent polynomial x^T N conj(y), reduced mod den and
@@ -81,9 +89,28 @@ def _scaled_numerator(g: TorsionClass, den: LaurentPoly) -> LaurentPoly:
 
 
 def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None = None) -> GramPairing:
-    """Gram grid of the pairing for an integer Seifert matrix."""
+    """Gram grid of the pairing for an integer Seifert matrix.
+
+    module, when given, is from_seifert(A).  With det A != 0 its rational
+    model gives (A - t*A^T)^-1 = A^-1 * sum_(j<d) c_j(t)*C^j / rev mu(t)
+    from the exponent mu of degree d (see _RationalModel.inverse_pencil).
+    inverse_qt, which interpolates a degree-n determinant and adjugate,
+    serves only det A = 0.
+    """
     if module is None:
         module = from_seifert(A)
+    if module.model is not None:
+        den, F = module.model.inverse_pencil()
+        den = LaurentPoly(enumerate(den))
+        # (t - 1) * f on coefficient lists
+        gram = tuple(
+            tuple(
+                TorsionClass(RationalFn(LaurentPoly(enumerate(b - a for a, b in zip(f + [0], [0] + f))), den))
+                for f in row
+            )
+            for row in F
+        )
+        return GramPairing(module=module, gram=gram)
     try:
         inv = inverse_qt(-seifert_pencil(A).transpose())
     except SingularMatrixError:

@@ -226,6 +226,35 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and len(err) < 200 and "line 3" in err
 
+    @pytest.mark.parametrize("entry", ["0_0", "\u0660", "1/2", "1/0", "1e0"])
+    def test_seifert_entry_outside_the_integer_grammar_exit_2(self, capsys, tmp_path, entry):
+        # int() reads "0_0" and the Arabic-Indic zero as 0, which made nine46
+        bad = tmp_path / "bad.knot"
+        bad.write_text(f"schema=1\nname=bad\nseifert=0,2;1,{entry}\ninvolution=swap\n", encoding="utf-8")
+        code, out, err = run(capsys, "alexander", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 3: bad integer row") and err.count("\n") == 1
+
+    def test_seifert_entries_read_as_integer_parameters(self, capsys, tmp_path):
+        # the grammar of m=4/2 in a builtin reference: an integral fraction is its integer
+        outs = []
+        for row in ("0,2;1,0", "0,4/2;+1,-0/3"):
+            spec = tmp_path / "k.knot"
+            spec.write_text(f"schema=1\nname=k\nseifert={row}\ninvolution=0,1;1,0\n")
+            code, out, err = run(capsys, "alexander", str(spec))
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_oversize_exponent_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.knot"
+        big = "1" + "0" * 5000
+        bad.write_text(f"schema=1\nname=bad\nseifert=0,2;1,0\ninvolution=0,t^{big};1,0\n")
+        code, out, err = run(capsys, "alexander", str(bad))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "line 4" in err and "exponent" in err and "4300" in err
+
 
 # Each builtin with parameters gets a missing, a non-integer, an unknown and
 # an out-of-range one; genus_one_slice also a bad rational c, swap_double a

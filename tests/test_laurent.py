@@ -408,6 +408,17 @@ class TestGrammar:
             parse_poly("t + " + big + "*t^2")
         assert e.value.position == 4 and str(limit) in str(e.value) and len(str(e.value)) < 200
 
+    def test_exponent_over_the_digit_limit_refused(self):
+        limit = sys.get_int_max_str_digits()
+        big = "1" + "0" * limit
+        assert parse_poly("t^" + big[:-1]) == LaurentPoly({10 ** (limit - 1): 1})
+        for text, position in (("t^" + big, 2), ("1 + 2*t^-" + big, 8)):
+            with pytest.raises(PolyParseError) as e:
+                parse_poly(text)
+            message = str(e.value)
+            assert e.value.position == position and "exponent" in message
+            assert str(limit) in message and len(message) < 200
+
     def test_non_ascii_digits_rejected_with_position(self):
         # "²" and "٣" pass str.isdigit, and "٣" even converts with int()
         for text, position in (("t^²", 2), ("²*t", 0), ("2*t + ٣", 6), ("1/٣", 0)):

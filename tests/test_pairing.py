@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from eqslice.catalog import assemble, builtin
+from eqslice import pairing
+from eqslice.catalog import assemble, builtin, sum_specs
 from eqslice.laurent import (
     ONE,
     ZERO,
@@ -12,6 +13,7 @@ from eqslice.laurent import (
     TorsionClass,
     parse_poly,
 )
+from eqslice.matrices import inverse_qt, seifert_pencil
 from eqslice.modules import direct_sum, from_seifert
 from eqslice.pairing import (
     GramPairing,
@@ -308,3 +310,73 @@ def test_pair_grid_empty_and_wrong_length():
             pair(B, x, y)
     with pytest.raises(ValueError, match="does not match the pairing's module"):
         pair_grid(B, [], [xs[0], wide])
+
+
+def gram_via_inverse_qt(A):
+    """(t - 1) times the interpolated inverse of A - t*A^T: the reference
+    for the exponent route, and the route det A = 0 takes."""
+    inv = inverse_qt(-seifert_pencil(A).transpose())
+    return tuple(tuple(TorsionClass(RationalFn(P("t - 1") * f.num, f.den)) for f in row) for row in inv)
+
+
+def exponent_route_cases():
+    """(label, nonsingular Seifert matrix, whether deg mu < n)."""
+    for name, params in CATALOG_GRID:
+        A = [list(r) for r in builtin(name, **params).seifert]
+        yield f"{name}{params}", A, None
+        yield f"{name}{params} negated", [[-x for x in col] for col in zip(*A)], None
+    for name, params in (("nine46", {}), ("genus_one_slice", {"m": 3, "l": 5})):
+        for copies in (8, 16, 32):
+            spec = sum_specs([builtin(name, **params)] * copies)
+            yield f"{copies} x {name}{params}", [list(r) for r in spec.seifert], True
+    rng = random.Random(36)
+    for genus in (1, 2, 3):
+        A = dense_seifert(genus, rng)
+        yield f"swap double of dense genus {genus}", block_diagonal(A, [list(r) for r in zip(*A)]), True
+    for genus in range(2, 9):
+        yield f"dense genus {genus}", dense_seifert(genus, rng), False
+
+
+EXPONENT_ROUTE = list(exponent_route_cases())
+# a dense genus-2 draw with det A = 0: dense_seifert(2, random.Random(57))
+SINGULAR_DENSE = [[-3, 0, 1, 1], [-1, -3, -2, 1], [1, -2, -1, 1], [1, 1, 0, -1]]
+
+
+@pytest.fixture
+def inverse_qt_calls(monkeypatch):
+    calls = []
+
+    def counted(M):
+        calls.append(M.rows)
+        return inverse_qt(M)
+
+    monkeypatch.setattr(pairing, "inverse_qt", counted)
+    return calls
+
+
+@pytest.mark.parametrize("label, A, short", EXPONENT_ROUTE, ids=[c[0] for c in EXPONENT_ROUTE])
+def test_exponent_route_matches_inverse_qt(label, A, short, inverse_qt_calls):
+    M = from_seifert(A)
+    assert M.model is not None
+    if short is not None:
+        # swap doubles and sums have deg mu < n; a dense draw has one chain
+        assert (M.invariant_factors[-1].degree() < len(A)) is short
+    B = gram_from_seifert(A, M)
+    assert inverse_qt_calls == []
+    expected = gram_via_inverse_qt(A)
+    assert B.gram == expected
+    assert [[str(g) for g in row] for row in B.gram] == [[str(g) for g in row] for row in expected]
+
+
+def test_singular_seifert_matrix_goes_through_inverse_qt(inverse_qt_calls):
+    M = from_seifert(SINGULAR_DENSE)
+    assert M.model is None and M.invariant_factors
+    B = gram_from_seifert(SINGULAR_DENSE, M)
+    assert inverse_qt_calls == [4]
+    assert B.gram == gram_via_inverse_qt(SINGULAR_DENSE)
+    assert check_hermitian(B) and vanishes_on_relations(B) and check_nonsingular(B)
+
+
+def test_unknot_takes_no_inverse(inverse_qt_calls):
+    assert gram_from_seifert([]).gram == ()
+    assert inverse_qt_calls == []
