@@ -281,7 +281,7 @@ def _involution(spec: KnotSpec, module: PresentedModule) -> SemilinearMap:
     return SemilinearMap(module=module, matrix=spec.involution)
 
 
-def sum_specs(specs: Sequence[KnotSpec], name: str | None = None) -> KnotSpec:
+def sum_specs(specs: Sequence[KnotSpec]) -> KnotSpec:
     """Equivariant connected sum at the spec level: block Seifert matrix and
     block involution matrix.  Only a named swap needs the summand's module."""
     if not specs:
@@ -295,7 +295,7 @@ def sum_specs(specs: Sequence[KnotSpec], name: str | None = None) -> KnotSpec:
             raise CatalogError("involution matrix shape must match the Seifert matrix")
         total = LambdaMatrix.block_diag(total, matrix)
     return KnotSpec(
-        name=name or "+".join(s.name for s in specs),
+        name="+".join(s.name for s in specs),
         seifert=_block_sum([s.seifert for s in specs]),
         involution=total,
         notes="equivariant connected sum of " + ", ".join(s.name for s in specs),
@@ -334,13 +334,16 @@ def parse_params(text: str) -> dict:
             if "=" not in piece:
                 raise CatalogError(f"bad parameter {piece!r}")
             k, _, v = piece.partition("=")
+            k = k.strip()
+            if k in params:
+                raise CatalogError(f"duplicate parameter {k!r}")
             try:
                 value = parse_rational(v.strip())
                 if value.denominator == 1:
                     value = int(value)
             except (ValueError, ZeroDivisionError):
                 value = v.strip()
-            params[k.strip()] = value
+            params[k] = value
     return params
 
 

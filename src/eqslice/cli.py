@@ -16,7 +16,6 @@ from .catalog import (
     CatalogError,
     CatalogValidationError,
     KnotSpec,
-    SpecParseError,
     assemble,
     build,
     builtin,
@@ -28,7 +27,7 @@ from .catalog import (
     save,
     sum_specs,
 )
-from .laurent import PolyParseError, format_poly, normalize_alexander, parse_poly
+from .laurent import format_poly, normalize_alexander, parse_poly
 from .obstruction import (
     amphichiral_obstruction,
     certify_k0,
@@ -308,13 +307,8 @@ def main(argv=None) -> int:
     except CatalogValidationError as e:
         print(e, file=sys.stderr)
         return EXIT_VALIDATION
-    except (SpecParseError, PolyParseError, CatalogError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+    except (OSError, ValueError) as e:
+        # SpecParseError, PolyParseError and CatalogError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as e:

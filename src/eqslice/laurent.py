@@ -58,14 +58,6 @@ class LaurentPoly:
         self._c = data
         self._hash = None
 
-    @classmethod
-    def const(cls, c: Coeffable) -> "LaurentPoly":
-        return cls({0: c})
-
-    @classmethod
-    def from_dense(cls, coeffs: Iterable[Coeffable], valuation: int = 0) -> "LaurentPoly":
-        return cls({valuation + i: c for i, c in enumerate(coeffs)})
-
     def items(self):
         return self._c.items()
 
@@ -97,9 +89,6 @@ class LaurentPoly:
 
     def leading_coefficient(self) -> Fraction:
         return self._c[self.degree()]
-
-    def trailing_coefficient(self) -> Fraction:
-        return self._c[self.valuation()]
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -250,7 +239,7 @@ def as_poly(x) -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x
     if isinstance(x, (int, Fraction)):
-        return LaurentPoly.const(x)
+        return LaurentPoly({0: x})
     if isinstance(x, str):
         return parse_poly(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to LaurentPoly")
@@ -393,7 +382,7 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
             q[i - nb] = f
             for j in range(nb + 1):
                 r[i - nb + j] -= f * db[j]
-    return LaurentPoly.from_dense(q), LaurentPoly.from_dense(r)
+    return LaurentPoly(enumerate(q)), LaurentPoly(enumerate(r))
 
 
 def poly_mod(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -542,7 +531,7 @@ def _t_inverse_mod(den: LaurentPoly) -> LaurentPoly:
     c = den.dense()
     if not c or not c[0]:
         raise ValueError("t is not invertible modulo the denominator")
-    return LaurentPoly.from_dense([-v / c[0] for v in c[1:]])
+    return LaurentPoly(enumerate(-v / c[0] for v in c[1:]))
 
 
 def _reduce_mod(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -644,11 +633,6 @@ class RationalFn:
 
     def __mul__(self, other: "RationalFn") -> "RationalFn":
         return RationalFn(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFn") -> "RationalFn":
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
 
     def conjugate(self) -> "RationalFn":
         return RationalFn(self.num.conjugate(), self.den.conjugate())
@@ -787,13 +771,13 @@ def coprime_split(x: TorsionClass, factors: list[LaurentPoly]) -> list[TorsionCl
     return parts
 
 
-def gcd_free_basis(polys: list[LaurentPoly], split_quadratics: bool = False) -> list[LaurentPoly]:
+def gcd_free_basis(polys: list[LaurentPoly]) -> list[LaurentPoly]:
     """Pairwise-coprime polynomials generating the inputs multiplicatively.
 
     Each input is, up to a unit, a product of powers of the outputs; computed
-    by repeated gcd refinement.  With split_quadratics, basis elements of
-    degree two whose discriminant is a rational square are split into their
-    linear factors (no general factorization is attempted).
+    by repeated gcd refinement.  Basis elements of degree two with rational
+    roots are always split into their linear factors (no general
+    factorization is attempted).
     """
     queue = []
     for p in polys:
@@ -815,14 +799,8 @@ def gcd_free_basis(polys: list[LaurentPoly], split_quadratics: bool = False) -> 
                 break
         else:
             basis.append(p)
-    if split_quadratics:
-        split: list[LaurentPoly] = []
-        for b in basis:
-            split.extend(_quadratic_linear_factors(b))
-        basis = sorted(set(split), key=_poly_sort_key)
-    else:
-        basis = sorted(basis, key=_poly_sort_key)
-    return basis
+    split = {f for b in basis for f in _quadratic_linear_factors(b)}
+    return sorted(split, key=_poly_sort_key)
 
 
 def _quadratic_linear_factors(p: LaurentPoly) -> list[LaurentPoly]:

@@ -221,15 +221,15 @@ def _size(e: LaurentPoly) -> tuple[int, int]:
     return e.span(), len(e.items())
 
 
-def det(M: LambdaMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> LaurentPoly:
+def det(M: LambdaMatrix) -> LaurentPoly:
     """Exact determinant by fraction-free elimination over the ring."""
     if not M.is_square():
         raise ValueError("determinant of a non-square matrix")
     worst = sum(
         max((e.span() for e in M.row(i) if not e.is_zero()), default=0) for i in range(M.rows)
     )
-    if worst > degree_cap:
-        raise DegreeCapError(f"determinant degree could reach {worst}, cap {degree_cap}")
+    if worst > DEFAULT_DEGREE_CAP:
+        raise DegreeCapError(f"determinant degree could reach {worst}, cap {DEFAULT_DEGREE_CAP}")
     return _eliminate(M.to_lists(), ZERO, ONE, divexact, _size)[0]
 
 
@@ -346,7 +346,7 @@ class SnfResult:
     rank: int
 
 
-def snf(M: LambdaMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> SnfResult:
+def snf(M: LambdaMatrix) -> SnfResult:
     """Smith normal form over the Laurent ring.
 
     Pivots are chosen with minimal ordinary degree, ties broken by lowest
@@ -362,9 +362,9 @@ def snf(M: LambdaMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> SnfResult:
     def check_cap():
         for row in D:
             for e in row:
-                if not e.is_zero() and e.span() > degree_cap:
+                if not e.is_zero() and e.span() > DEFAULT_DEGREE_CAP:
                     raise DegreeCapError(
-                        f"intermediate degree {e.span()} exceeds cap {degree_cap}"
+                        f"intermediate degree {e.span()} exceeds cap {DEFAULT_DEGREE_CAP}"
                     )
 
     def swap_rows(a, b):
@@ -468,9 +468,9 @@ def snf(M: LambdaMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> SnfResult:
     )
 
 
-def kernel(M: LambdaMatrix, _snf: SnfResult | None = None) -> LambdaMatrix:
+def kernel(M: LambdaMatrix) -> LambdaMatrix:
     """Matrix whose columns generate the kernel of M over the Laurent ring."""
-    s = _snf if _snf is not None else snf(M)
+    s = snf(M)
     cols = [s.V.col(j) for j in range(s.rank, M.cols)]
     if not cols:
         return LambdaMatrix.zeros(M.cols, 0)

@@ -99,9 +99,6 @@ class PresentedModule:
             raise ValueError("coefficient vector length mismatch")
         return ModuleElement(self, coeffs)
 
-    def zero_element(self) -> "ModuleElement":
-        return self.element([ZERO] * self.generators)
-
     def generator(self, i: int) -> "ModuleElement":
         return self.element([ONE if j == i else ZERO for j in range(self.generators)])
 

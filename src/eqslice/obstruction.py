@@ -42,6 +42,9 @@ NOT_EQUIVARIANTLY_ALGEBRAICALLY_SLICE = "NOT_EQUIVARIANTLY_ALGEBRAICALLY_SLICE"
 NOT_EQUIVARIANTLY_SLICE = "NOT_EQUIVARIANTLY_SLICE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
+# Seeded random vectors the falsifier tries after the unit and e_k +- e_l ones.
+FALSIFIER_SAMPLES = 300
+
 FormMatrix = tuple[tuple[Fraction, ...], ...]
 
 
@@ -68,10 +71,6 @@ class QuadraticCertificate:
     counterexample: ModuleElement | None = None
     evidence: dict = field(default_factory=dict)
     seed: int = 0
-
-    @property
-    def module(self):
-        return self.basis.module
 
     def all_forms(self) -> list[FormMatrix]:
         return [Q for part in self.parts for Q in part.nonzero_forms()]
@@ -172,7 +171,7 @@ def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
                     f"pairing against the involution is not symmetric at ({k}, {l}): the triple is not valid"
                 )
 
-    base = gcd_free_basis(list(T.module.invariant_factors), split_quadratics=True)
+    base = gcd_free_basis(list(T.module.invariant_factors))
     factor_powers: list[LaurentPoly] = []
     for f in base:
         e = 0
@@ -273,7 +272,7 @@ def evaluate_certificate(cert: QuadraticCertificate, v: Sequence[Fraction]) -> T
     return total
 
 
-def certify_k0(T: EquivariantTriple, seed: int = 0, samples: int = 300) -> QuadraticCertificate:
+def certify_k0(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
     """Certify that only the zero element pairs to zero against its image.
 
     Tries (1) a support partition with each form definite on its support,
@@ -330,7 +329,7 @@ def certify_k0(T: EquivariantTriple, seed: int = 0, samples: int = 300) -> Quadr
                 )
 
     # (3) falsifier
-    for v in _falsifier_candidates(dim, samples, seed):
+    for v in _falsifier_candidates(dim, FALSIFIER_SAMPLES, seed):
         if not any(v):
             continue
         if all(_eval_form(Q, v) == 0 for Q in forms):
@@ -342,7 +341,7 @@ def certify_k0(T: EquivariantTriple, seed: int = 0, samples: int = 300) -> Quadr
                     counterexample=x,
                     evidence={"coordinates": [str(c) for c in v]},
                 )
-    return replace(base, verdict=UNDECIDED, evidence={"falsifier_samples": samples})
+    return replace(base, verdict=UNDECIDED, evidence={"falsifier_samples": FALSIFIER_SAMPLES})
 
 
 def _falsifier_candidates(dim: int, samples: int, seed: int):
@@ -398,7 +397,7 @@ def genus_lower_bound(
     P = 0.  Otherwise a user-supplied upper bound is accepted, and the
     vacuous k = grk is used as the safe default.
     """
-    if cert.module is not T.module and cert.module != T.module:
+    if cert.basis.module is not T.module and cert.basis.module != T.module:
         raise ValueError("certificate was not derived from this triple")
     grk = T.module.grk
     if cert.verdict == CERTIFIED_K0:

@@ -36,6 +36,11 @@ def vanishes_per_term(B):
     return True
 
 
+def quotient(a, b):
+    """a / b in the fraction field, for b nonzero."""
+    return RationalFn(a.num * b.den, a.den * b.num)
+
+
 def pair_via_solve(A, x, y):
     """Fresh linear solve of (A - t A^T) z = conj(y), then (t - 1) * x^T z.
 
@@ -55,7 +60,7 @@ def pair_via_solve(A, x, y):
         for i in range(k + 1, n):
             if rows[i][k].is_zero():
                 continue
-            f = rows[i][k] / rows[k][k]
+            f = quotient(rows[i][k], rows[k][k])
             rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
             rhs[i] = rhs[i] - f * rhs[k]
     z = [RationalFn(ZERO)] * n
@@ -63,7 +68,7 @@ def pair_via_solve(A, x, y):
         acc = rhs[i]
         for j in range(i + 1, n):
             acc = acc - rows[i][j] * z[j]
-        z[i] = acc / rows[i][i]
+        z[i] = quotient(acc, rows[i][i])
     tm1 = RationalFn(LaurentPoly({1: 1, 0: -1}))
     total = RationalFn(ZERO)
     for xi, zi in zip(x, z):

@@ -224,7 +224,7 @@ def test_criterion_06_snf_suite():
                 assert b.is_zero()
             else:
                 assert divides(a, b)
-        K = kernel(M, s)
+        K = kernel(M)
         for j in range(K.cols):
             assert all(e.is_zero() for e in mat_vec(M, K.col(j)))
         coeffs = [LaurentPoly({rng.randint(-1, 1): rng.randint(-2, 2)}) for _ in range(c)]

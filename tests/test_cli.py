@@ -5,7 +5,8 @@ import pytest
 from eqslice.catalog import CatalogError
 from eqslice.cli import EXIT_INTERNAL, main, resolve_spec
 from eqslice.laurent import ONE, RationalFn, TorsionClass, parse_poly
-from eqslice.matrices import DegreeCapError
+from eqslice.matrices import DegreeCapError, inverse_qt
+from test_pairing import SINGULAR_DENSE
 
 
 def run(capsys, *argv):
@@ -203,6 +204,14 @@ class TestVerify:
         assert code == 2
         assert "line" in err
 
+    def test_repeated_parameter_exit_2(self, capsys, tmp_path):
+        # the later value must not silently replace the earlier one
+        bad = tmp_path / "bad.knot"
+        bad.write_text("schema=1\nname=bad\nparams=a=1,a=2\nseifert=0,2;1,0\ninvolution=0,1;1,0\n")
+        code, out, err = run(capsys, "verify", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: duplicate parameter 'a'\n"
+
     def test_dangling_star_exit_2(self, capsys, tmp_path):
         # read as 2 before, this cell gave a map that fails the axioms (exit 1)
         bad = tmp_path / "bad.knot"
@@ -259,7 +268,8 @@ class TestVerify:
 # Each builtin with parameters gets a missing, a non-integer, an unknown and
 # an out-of-range one; genus_one_slice also a bad rational c, swap_double a
 # bad inner; nine46 a parameter it does not take and malformed references.
-# Numbers outside the coefficient grammar (exponents, decimals) are refused.
+# Numbers outside the coefficient grammar (exponents, decimals) and repeated
+# parameters are refused.
 BAD_PARAMETERS = [
     "genus_one_slice:l=1",
     "genus_one_slice:m=1/2,l=1",
@@ -292,6 +302,7 @@ BAD_PARAMETERS = [
     "twist_ka:a=1e5000",
     "genus_one_slice:m=1,l=1,c=1e-3",
     "pretzel:a=3.0",
+    "genus_one_slice:m=1,m=3,l=5",
 ]
 
 
@@ -340,3 +351,71 @@ class TestUsage:
 
     def test_missing_command(self, capsys):
         assert run(capsys, )[0] == 2
+
+
+class TestSingularSeifertMatrix:
+    """The swap double A + A^T of a Seifert matrix with det A = 0.
+
+    Its module has no rational model, so the gram comes from the
+    interpolated inverse and membership from the Smith form; no benchmark
+    workload reaches this path.
+    """
+
+    COUNTEREXAMPLE_CERTIFICATE = {
+        "counterexample": ["0", "0", "0", "0", "0", "32/3", "0", "0"],
+        "dimension": 4,
+        "evidence": {"coordinates": ["1", "0", "0", "0"]},
+        "parts": [{"denominator": "t^4 - 31/8*t^3 + 1473/256*t^2 - 31/8*t + 1", "forms": 4}],
+        "seed": 0,
+        "verdict": "COUNTEREXAMPLE",
+    }
+
+    @pytest.fixture
+    def spec(self, tmp_path, monkeypatch):
+        n = len(SINGULAR_DENSE)
+        rows = [list(row) + [0] * n for row in SINGULAR_DENSE]
+        rows += [[0] * n + [SINGULAR_DENSE[j][i] for j in range(n)] for i in range(n)]
+        path = tmp_path / "singular_swap.knot"
+        seifert = ";".join(",".join(str(x) for x in row) for row in rows)
+        path.write_text(f"schema=1\nname=singular_swap\nseifert={seifert}\ninvolution=swap\n")
+        calls = []
+
+        def counted(M):
+            calls.append(M.rows)
+            return inverse_qt(M)
+
+        monkeypatch.setattr("eqslice.pairing.inverse_qt", counted)
+        yield str(path)
+        assert calls and set(calls) == {2 * n}
+
+    def test_verify(self, capsys, spec):
+        code, out, err = run(capsys, "verify", spec)
+        assert (code, err) == (0, "")
+        axioms = (
+            "torsion hermitian pairing_well_defined nonsingular involution_well_defined"
+            " involutive anti_isometry one_minus_t_invertible"
+        )
+        assert out == "".join(f"{name}: pass\n" for name in axioms.split()) + "ok\n"
+
+    def test_obstruct_json(self, capsys, spec):
+        code, out, err = run(capsys, "obstruct", spec, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "certificate": self.COUNTEREXAMPLE_CERTIFICATE,
+            "reason": "no k = 0 certificate was found",
+            "seed": 0,
+            "spec": spec,
+            "verdict": "INCONCLUSIVE",
+        }
+
+    def test_genus_bound_json(self, capsys, spec):
+        code, out, err = run(capsys, "genus-bound", spec, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "bound_integer": 0,
+            "bound_rational": "0",
+            "certificate": self.COUNTEREXAMPLE_CERTIFICATE,
+            "grk": 2,
+            "k_upper": 2,
+            "seed": 0,
+        }

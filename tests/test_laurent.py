@@ -129,7 +129,7 @@ class TestGcd:
         # 2^61 - 1.  Here the images share a factor, or a leading coefficient
         # or denominator vanishes modulo it, so Euclid over Q must decide.
         p = (1 << 61) - 1
-        t, c = P("t"), LaurentPoly.const
+        t, c = P("t"), lambda k: LaurentPoly({0: k})
         cases = [
             (t + c(1), t + c(1 + p), ONE),
             (c(p) * t + c(1), t + c(2), ONE),
@@ -165,7 +165,7 @@ class TestRationalFn:
     def test_canonical_denominator(self):
         f = RationalFn(P("t"), P("2*t^3 - 2*t^2"))
         assert f.den.leading_coefficient() == 1
-        assert f.den.trailing_coefficient() != 0
+        assert f.den.coefficient(0) != 0
         assert f.den.valuation() == 0
 
     def test_field_ops(self):
@@ -173,7 +173,7 @@ class TestRationalFn:
         b = RationalFn(ONE, P("2*t - 1"))
         s = a + b
         assert s - b == a
-        assert (a * b) / b == a
+        assert (a * b) * RationalFn(b.den, b.num) == a
 
 
 class TestTorsionClass:
@@ -204,7 +204,7 @@ class TestTorsionClass:
 
     def test_large_negative_exponent_reduces_fast(self):
         r = _reduce_mod(P("t^-100000"), P("t - 2"))
-        assert r == LaurentPoly.const(Fraction(1, 2**100000))
+        assert r == LaurentPoly({0: Fraction(1, 2**100000)})
 
     def test_negative_power_matches_repeated_inverse(self):
         den = P("t^2 - 3*t + 1")
@@ -284,10 +284,10 @@ class TestGcdFreeBasis:
         assert gcd_free_basis([p, p * p]) == [p]
 
     def test_quadratic_split(self):
-        basis = gcd_free_basis([P("2*t^2 - 5*t + 2")], split_quadratics=True)
+        basis = gcd_free_basis([P("2*t^2 - 5*t + 2")])
         assert set(basis) == {P("t - 1/2"), P("t - 2")}
         # irreducible quadratics stay whole
-        basis = gcd_free_basis([P("t^2 - t + 1")], split_quadratics=True)
+        basis = gcd_free_basis([P("t^2 - t + 1")])
         assert basis == [P("t^2 - t + 1")]
 
     def test_each_input_generated(self):

@@ -182,7 +182,7 @@ class TestSnf:
     def test_degree_cap(self):
         M = LambdaMatrix([[P("t^600") + ONE]])
         with pytest.raises(DegreeCapError):
-            snf(M, degree_cap=100)
+            snf(M)
 
 
 class TestKernel:

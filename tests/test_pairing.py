@@ -92,7 +92,7 @@ class TestPair:
         B = gram_from_seifert(NINE46)
         M = B.module
         x = M.element([ONE, P("t")])
-        assert pair(B, x, M.zero_element()).is_zero()
+        assert pair(B, x, M.element([ZERO, ZERO])).is_zero()
 
     def test_genus_one_y_elements(self):
         m, l = 1, 1
