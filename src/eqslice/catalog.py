@@ -25,7 +25,7 @@ from .laurent import (
     parse_poly,
     parse_rational,
 )
-from .matrices import LambdaMatrix, det, seifert_pencil
+from .matrices import DEFAULT_DEGREE_CAP, LambdaMatrix, det, seifert_pencil
 from .modules import PresentedModule, check_seifert, from_seifert
 from .pairing import gram_from_seifert
 from .involution import SemilinearMap, swap_involution
@@ -347,6 +347,17 @@ def parse_params(text: str) -> dict:
     return params
 
 
+def parse_entry(text: str) -> LaurentPoly:
+    """parse_poly for an entry of an involution matrix or an element vector,
+    refusing any exponent beyond DEFAULT_DEGREE_CAP in absolute value: no
+    computation with such an entry stays under the cap, and its powers would
+    exhaust memory before any guard is reached."""
+    p = parse_poly(text)
+    if any(abs(k) > DEFAULT_DEGREE_CAP for k, _ in p.items()):
+        raise CatalogError(f"an exponent exceeds the degree cap {DEFAULT_DEGREE_CAP} in absolute value")
+    return p
+
+
 def parse_spec(text: str) -> KnotSpec:
     fields: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -405,8 +416,8 @@ def parse_spec(text: str) -> KnotSpec:
             entries = []
             for cell in row.split(","):
                 try:
-                    entries.append(parse_poly(cell.strip()))
-                except PolyParseError as e:
+                    entries.append(parse_entry(cell.strip()))
+                except (PolyParseError, CatalogError) as e:
                     raise SpecParseError(
                         f"bad polynomial {reprlib.repr(cell.strip())}: {e}", lineno
                     ) from None

@@ -23,11 +23,12 @@ from .catalog import (
     format_spec,
     list_builtins,
     load,
+    parse_entry,
     parse_params,
     save,
     sum_specs,
 )
-from .laurent import format_poly, normalize_alexander, parse_poly
+from .laurent import format_poly, normalize_alexander
 from .obstruction import (
     amphichiral_obstruction,
     certify_k0,
@@ -63,7 +64,7 @@ def resolve_spec(ref: str) -> KnotSpec:
 
 
 def parse_vector(text: str, n: int):
-    entries = [parse_poly(piece.strip()) for piece in text.split(",")]
+    entries = [parse_entry(piece.strip()) for piece in text.split(",")]
     if len(entries) != n:
         raise CatalogError(f"expected {n} entries, got {len(entries)}")
     return entries
@@ -215,7 +216,10 @@ def cmd_catalog(args, out: Output) -> int:
         return EXIT_OK
     if not args.name:
         raise CatalogError("catalog show requires a builtin name")
-    text = format_spec(builtin_example(args.name))
+    # a builtin reference as resolve_spec reads it; a bare name shows the example
+    name, sep, params = args.name.partition(":")
+    spec = builtin(name.strip(), **parse_params(params)) if sep else builtin_example(name.strip())
+    text = format_spec(spec)
     out.emit({"spec": text}, [text.rstrip("\n")])
     return EXIT_OK
 
@@ -285,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", parents=[common], help="list or show builtins")
     p.add_argument("action", choices=["list", "show"])
-    p.add_argument("name", nargs="?")
+    p.add_argument("name", nargs="?", help="a builtin name, or name:k=v,... for other parameters")
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("verify", parents=[common], help="run the structural axiom checks")

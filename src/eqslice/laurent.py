@@ -1,10 +1,12 @@
-"""Exact arithmetic in the rational Laurent polynomial ring, its fraction
-field, and the torsion quotient where linking-form values live.
+"""Exact arithmetic in the rational Laurent polynomial ring and in the
+torsion quotient Q(t)/Lambda where linking-form values live.
 
 Everything here is immutable and uses arbitrary-precision rationals, so
-equality questions (membership in the ring, vanishing of a torsion class)
-are decided exactly.  Units of the ring are the monomials c*t^k with c a
-nonzero rational; canonical forms below fix that ambiguity.
+equality questions (divisibility, vanishing of a torsion class) are decided
+exactly.  Units of the ring are the monomials c*t^k with c a nonzero
+rational; canonical forms below fix that ambiguity.  The fraction field
+itself is never formed: a value num/den is kept as a TorsionClass, whose
+constructor decides its one canonical form.
 """
 from __future__ import annotations
 
@@ -558,145 +560,75 @@ def _reduce_mod(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Fraction field elements in canonical form.
+# The torsion quotient.
 
-class RationalFn:
-    """Element of the fraction field, kept in canonical form.
+class TorsionClass:
+    """The class of num/den in (fraction field)/(Laurent ring).
 
-    The denominator is a monic ordinary polynomial with nonzero constant term
-    and shares no non-unit factor with the numerator; the t-power unit slack
-    lives in the numerator.  This makes equality and ring membership
-    syntactic.
+    The constructor is the one place the canonical form is decided: den is
+    made monic and ordinary (nonzero constant term), num is reduced mod den
+    to an ordinary polynomial of degree below deg den, and
+    gcd(num mod den, den) = gcd(num, den) is cancelled.  The zero class is
+    0/1.  Equality is therefore syntactic, and a class is zero iff num is.
 
     Sums use Henrici's addition (Knuth, TAOCP vol. 2, 4.5.1): with
     g = gcd(d1, d2), the sum is (n1*(d2/g) + n2*(d1/g)) / (d1*(d2/g)), and
     only gcd(numerator, g) is left to cancel.  Equal denominators need one
     gcd against that denominator; coprime ones (g = 1) need none, since
     every factor of d1 divides the n2*d1 term but not the n1*d2 term, and
-    symmetrically for d2.
+    symmetrically for d2.  Both terms have degree below d1*(d2/g), so the
+    sum needs no reduction.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=ONE):
-        num = as_poly(num)
-        den = as_poly(den)
+    def __init__(self, num=ZERO, den=ONE):
+        num, den = as_poly(num), as_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num = ZERO
-            self.den = ONE
+        self.num, self.den = ZERO, ONE
+        if num.is_zero() or den.is_unit():
             return
-        vd = den.valuation()
-        lc = den.leading_coefficient()
-        den0 = den.shift(-vd).scale(1 / lc)
-        num0 = num.shift(-vd).scale(1 / lc)
-        g = laurent_gcd(num0, den0)
+        # num/den = (num * t^-v / lc) / (den * t^-v / lc), over a monic ordinary den
+        v, lc = den.valuation(), den.leading_coefficient()
+        den = den.shift(-v).scale(1 / lc)
+        num = _reduce_mod(num.shift(-v), den).scale(1 / lc)
+        if num.is_zero():
+            return
+        g = laurent_gcd(num, den)
         if not g.is_one():
-            num0 = divexact(num0, g)
-            den0 = divexact(den0, g)
-        self.num = num0
-        self.den = den0
+            num, den = divexact(num, g), divexact(den, g)
+        self.num, self.den = num, den
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        """Membership in the Laurent ring inside the fraction field."""
-        return self.den.is_one()
-
-    def __add__(self, other: "RationalFn") -> "RationalFn":
-        # Henrici's addition, see the class docstring
-        g = laurent_gcd(self.den, other.den)
-        a, b = divexact(self.den, g), divexact(other.den, g)
-        num = self.num * b + other.num * a
-        if num.is_zero():
-            return RationalFn(ZERO)
-        den = self.den * b
-        if not g.is_one():
-            h = laurent_gcd(num, g)
-            if not h.is_one():
-                num, den = divexact(num, h), divexact(den, h)
-        out = RationalFn.__new__(RationalFn)
-        out.num = num
-        out.den = den
-        return out
-
-    def __sub__(self, other: "RationalFn") -> "RationalFn":
-        return self + (-other)
-
-    def __neg__(self) -> "RationalFn":
-        out = RationalFn.__new__(RationalFn)
-        out.num = -self.num
-        out.den = self.den
-        return out
-
-    def __mul__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    def conjugate(self) -> "RationalFn":
-        return RationalFn(self.num.conjugate(), self.den.conjugate())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __str__(self) -> str:
-        if self.den.is_one():
-            return format_poly(self.num)
-        return f"({format_poly(self.num)})/({format_poly(self.den)})"
-
-    def __repr__(self) -> str:
-        return f"RationalFn({str(self)!r})"
-
-
-# ---------------------------------------------------------------------------
-# The torsion quotient.
-
-class TorsionClass:
-    """Class in (fraction field)/(Laurent ring), in canonical reduced form.
-
-    The stored representative has an ordinary numerator of degree strictly
-    less than the denominator's degree; the class is zero iff the
-    representative is zero, so equality is syntactic.
-    """
-
-    __slots__ = ("rep",)
-
-    def __init__(self, rep=None):
-        if rep is None:
-            rep = RationalFn(ZERO)
-        if not isinstance(rep, RationalFn):
-            rep = RationalFn(as_poly(rep))
-        if rep.is_polynomial():
-            self.rep = RationalFn(ZERO)
-            return
-        r = _reduce_mod(rep.num, rep.den)
-        out = RationalFn.__new__(RationalFn)
-        out.num = r
-        out.den = rep.den
-        self.rep = out
-
-    def is_zero(self) -> bool:
-        return self.rep.num.is_zero()
 
     def __add__(self, other: "TorsionClass") -> "TorsionClass":
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        return TorsionClass(self.rep + other.rep)
+        # Henrici's addition, see the class docstring
+        g = laurent_gcd(self.den, other.den)
+        a, b = divexact(self.den, g), divexact(other.den, g)
+        num = self.num * b + other.num * a
+        if num.is_zero():
+            return TORSION_ZERO
+        den = self.den * b
+        if not g.is_one():
+            h = laurent_gcd(num, g)
+            if not h.is_one():
+                num, den = divexact(num, h), divexact(den, h)
+        out = TorsionClass.__new__(TorsionClass)
+        out.num, out.den = num, den
+        return out
 
     def __sub__(self, other: "TorsionClass") -> "TorsionClass":
         return self + (-other)
 
     def __neg__(self) -> "TorsionClass":
         out = TorsionClass.__new__(TorsionClass)
-        out.rep = -self.rep
+        out.num, out.den = -self.num, self.den
         return out
 
     def scale(self, p) -> "TorsionClass":
@@ -706,24 +638,26 @@ class TorsionClass:
             return TORSION_ZERO
         if p.is_one():
             return self
-        return TorsionClass(RationalFn(self.rep.num * p, self.rep.den))
+        return TorsionClass(self.num * p, self.den)
 
     def __rmul__(self, p) -> "TorsionClass":
         return self.scale(p)
 
     def conjugate(self) -> "TorsionClass":
-        return TorsionClass(self.rep.conjugate())
+        return TorsionClass(self.num.conjugate(), self.den.conjugate())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorsionClass):
             return NotImplemented
-        return self.rep == other.rep
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.rep)
+        return hash((self.num, self.den))
 
     def __str__(self) -> str:
-        return "0" if self.is_zero() else str(self.rep)
+        if self.is_zero():
+            return "0"
+        return f"({format_poly(self.num)})/({format_poly(self.den)})"
 
     def __repr__(self) -> str:
         return f"TorsionClass({str(self)!r})"
@@ -747,26 +681,26 @@ def coprime_split(x: TorsionClass, factors: list[LaurentPoly]) -> list[TorsionCl
                 raise ValueError(f"factors {fs[i]} and {fs[j]} are not coprime")
     if x.is_zero():
         return [TORSION_ZERO] * len(fs)
-    den = x.rep.den
+    den = x.den
     product = ONE
     for f in fs:
         product = product * f
     if not divides(den, product):
         raise ValueError("product of the factors does not annihilate the class")
     parts: list[TorsionClass] = []
-    rem_num = x.rep.num
+    rem_num = x.num
     gs = [laurent_gcd(den, f) for f in fs]
     for i in range(len(fs)):
         gi = gs[i]
         if i == len(fs) - 1:
-            parts.append(TorsionClass(RationalFn(rem_num, gi)))
+            parts.append(TorsionClass(rem_num, gi))
             break
         rest = ONE
         for gj in gs[i + 1:]:
             rest = rest * gj
         _, s, u = extended_gcd(gi, rest)
         # 1/(gi*rest) = u/gi + s/rest
-        parts.append(TorsionClass(RationalFn(rem_num * u, gi)))
+        parts.append(TorsionClass(rem_num * u, gi))
         rem_num = rem_num * s
     return parts
 

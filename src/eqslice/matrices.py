@@ -24,7 +24,6 @@ from .laurent import (
     ONE,
     ZERO,
     LaurentPoly,
-    RationalFn,
     as_poly,
     divexact,
     divides,
@@ -279,20 +278,23 @@ def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
     return poly
 
 
-def inverse_qt(M: LambdaMatrix) -> tuple[tuple[RationalFn, ...], ...]:
-    """Inverse as a grid over the fraction field, interpolated from integers.
+def inverse_qt(M: LambdaMatrix) -> tuple[list[int], list[list[list[int]]]]:
+    """(den, F) with M^-1 = F / den, interpolated from integers.
 
     Row i is scaled by s_i = L_i * t^(-v_i), with v_i its lowest exponent and
     L_i the lcm of its coefficient denominators.  This makes P = S*M an
     integer polynomial matrix whose determinant and adjugate have degree at
     most D, the sum of its row degrees.  Both are interpolated from
     fraction-free integer eliminations of P(x) at D + 1 integers x with
-    det P(x) != 0, and M^-1 = adj(P) * S / det(P).
+    det P(x) != 0, and M^-1 = adj(P) * S / det(P).  With V = max(0, v_i),
+    that is F = adj(P) * t^V * S over den = t^V * det(P): den and each entry
+    of F are integer coefficient lists, lowest first, as in
+    modules._RationalModel.inverse_pencil.
     """
     if not M.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = M.rows
-    scales: list[LaurentPoly] = []
+    scales: list[tuple[int, int]] = []
     P: list[list[list[int]]] = []
     for row in M._e:
         nonzero = [e for e in row if not e.is_zero()]
@@ -300,7 +302,7 @@ def inverse_qt(M: LambdaMatrix) -> tuple[tuple[RationalFn, ...], ...]:
             raise SingularMatrixError("matrix is singular")
         v = min(e.valuation() for e in nonzero)
         L = lcm(*(c.denominator for e in nonzero for _, c in e.items()))
-        scales.append(LaurentPoly({-v: L}))
+        scales.append((L, v))
         P.append([[int(c * L) for c in e.shift(-v).dense()] for e in row])
     D = sum(max(len(e) for e in row) - 1 for row in P)
     if D > DEFAULT_DEGREE_CAP:
@@ -322,16 +324,15 @@ def inverse_qt(M: LambdaMatrix) -> tuple[tuple[RationalFn, ...], ...]:
                 break
     else:
         raise SingularMatrixError("matrix is singular")
-    den = LaurentPoly(enumerate(_interpolate(xs, dets)))
-    out = []
+    V = max([0] + [v for _, v in scales])
+    F = []
     for i in range(n):
         row = []
-        for j in range(n):
+        for j, (L, v) in enumerate(scales):
             values = [adj[i][j] for adj in adjs]
-            num = LaurentPoly(enumerate(_interpolate(xs, values))) if any(values) else ZERO
-            row.append(RationalFn(num * scales[j], den))
-        out.append(tuple(row))
-    return tuple(out)
+            row.append([0] * (V - v) + [L * c for c in _interpolate(xs, values)] if any(values) else [])
+        F.append(row)
+    return [0] * V + _interpolate(xs, dets), F
 
 
 @dataclass(frozen=True)

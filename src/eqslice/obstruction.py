@@ -23,7 +23,6 @@ from .laurent import (
     TORSION_ZERO,
     ZERO,
     LaurentPoly,
-    RationalFn,
     TorsionClass,
     coprime_split,
     divexact,
@@ -196,7 +195,7 @@ def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
                 if piece.is_zero():
                     continue
                 F = factor_powers[idx]
-                num = piece.rep.num * divexact(F, piece.rep.den)
+                num = piece.num * divexact(F, piece.den)
                 for m, coeff in num.items():
                     part_forms[idx][m][k][l] += coeff
                     if l != k:
@@ -243,7 +242,7 @@ def _check_forms(cert: QuadraticCertificate, grid: list[list[TorsionClass]]) -> 
                 num = LaurentPoly({m: Q[k][l] for m, Q in enumerate(part.forms)})
                 if not num.is_zero():
                     rebuilt = rebuilt + num * cofactor
-            want = grid[k][l].rep
+            want = grid[k][l]
             if rebuilt * want.den != want.num * P:
                 raise RuntimeError(f"quadratic certificate disagrees with the pairing at ({k}, {l})")
 
@@ -268,7 +267,7 @@ def evaluate_certificate(cert: QuadraticCertificate, v: Sequence[Fraction]) -> T
     for part in cert.parts:
         num = LaurentPoly({m: _eval_form(Q, v) for m, Q in enumerate(part.forms)})
         if not num.is_zero():
-            total = total + TorsionClass(RationalFn(num, part.denominator))
+            total = total + TorsionClass(num, part.denominator)
     return total
 
 

@@ -13,11 +13,14 @@ c_j(t) = sum_(k>j) a_k t^(d-k+j) and rev mu(t) = t^d mu(1/t).  The rational
 model of the module computes it in integers, with d - 1 matrix products
 (see modules._RationalModel.inverse_pencil).  inverse_qt, which
 interpolates a determinant and adjugate of degree n, serves only det A = 0.
+Both routes give the inverse as F / den on integer coefficient lists, and
+one loop makes each gram entry the TorsionClass of (t - 1) * f over den.
 
 Values are summed over one common denominator: each pairing caches den, the
 lcm of its gram denominators, and the polynomial matrix N = den * gram.  A
-value is then the Laurent polynomial x^T N conj(y), reduced mod den and
-made canonical once, and well-definedness is den dividing N * conj(r).
+value is then the class of the Laurent polynomial x^T N conj(y) over den,
+made canonical once by the TorsionClass constructor, and well-definedness
+is den dividing N * conj(r).
 pair_grid is the only evaluator: it pairs a list of elements against
 another, forming each N * conj(y) once, and pair is its 1 x 1 case.
 
@@ -39,9 +42,7 @@ from .laurent import (
     TORSION_ZERO,
     ZERO,
     LaurentPoly,
-    RationalFn,
     TorsionClass,
-    _reduce_mod,
     divexact,
     divides,
     laurent_lcm,
@@ -74,8 +75,8 @@ class GramPairing:
         den = ONE
         for row in self.gram:
             for g in row:
-                if not g.is_zero() and not divides(g.rep.den, den):
-                    den = laurent_lcm(den, g.rep.den)
+                if not g.is_zero() and not divides(g.den, den):
+                    den = laurent_lcm(den, g.den)
         N = LambdaMatrix([[_scaled_numerator(g, den) for g in row] for row in self.gram])
         return den, N
 
@@ -85,7 +86,7 @@ def _scaled_numerator(g: TorsionClass, den: LaurentPoly) -> LaurentPoly:
     # the cache holds no second copy of a knot's gram
     if g.is_zero():
         return ZERO
-    return g.rep.num if g.rep.den == den else g.rep.num * divexact(den, g.rep.den)
+    return g.num if g.den == den else g.num * divexact(den, g.den)
 
 
 def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None = None) -> GramPairing:
@@ -95,31 +96,25 @@ def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None
     model gives (A - t*A^T)^-1 = A^-1 * sum_(j<d) c_j(t)*C^j / rev mu(t)
     from the exponent mu of degree d (see _RationalModel.inverse_pencil).
     inverse_qt, which interpolates a degree-n determinant and adjugate,
-    serves only det A = 0.
+    serves only det A = 0.  Both give the inverse as F / den, on integer
+    coefficient lists, and each gram entry is the class of (t - 1) * f / den.
     """
     if module is None:
         module = from_seifert(A)
     if module.model is not None:
         den, F = module.model.inverse_pencil()
-        den = LaurentPoly(enumerate(den))
-        # (t - 1) * f on coefficient lists
-        gram = tuple(
-            tuple(
-                TorsionClass(RationalFn(LaurentPoly(enumerate(b - a for a, b in zip(f + [0], [0] + f))), den))
-                for f in row
-            )
-            for row in F
-        )
-        return GramPairing(module=module, gram=gram)
-    try:
-        inv = inverse_qt(-seifert_pencil(A).transpose())
-    except SingularMatrixError:
-        raise SingularMatrixError(
-            "A - t*A^T is singular; the input is not a Seifert matrix of a knot"
-        ) from None
-    tm1 = LaurentPoly({1: 1, 0: -1})
+    else:
+        try:
+            den, F = inverse_qt(-seifert_pencil(A).transpose())
+        except SingularMatrixError:
+            raise SingularMatrixError(
+                "A - t*A^T is singular; the input is not a Seifert matrix of a knot"
+            ) from None
+    den = LaurentPoly(enumerate(den))
+    # (t - 1) * f on coefficient lists
     gram = tuple(
-        tuple(TorsionClass(RationalFn(tm1 * f.num, f.den)) for f in row) for row in inv
+        tuple(TorsionClass(LaurentPoly(enumerate(b - a for a, b in zip(f + [0], [0] + f))), den) for f in row)
+        for row in F
     )
     return GramPairing(module=module, gram=gram)
 
@@ -127,18 +122,15 @@ def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None
 def pair_grid(B: GramPairing, xs: Sequence[ModuleElement], ys: Sequence[ModuleElement]) -> list[list[TorsionClass]]:
     """[[pair(x, y) for y in ys] for x in xs], forming each N * conj(y) once.
 
-    The one place the pairing is evaluated: each value is the Laurent
-    polynomial x^T N conj(y) over the cached (den, N), reduced mod den.
+    The one place the pairing is evaluated: each value is the class of the
+    Laurent polynomial x^T N conj(y) over den, from the cached (den, N).
     """
     n = B.module.generators
     if any(len(v.coeffs) != n for v in (*xs, *ys)):
         raise ValueError("element does not match the pairing's module")
     den, N = B.common
     columns = [mat_vec(N, [c.conjugate() for c in y.coeffs]) for y in ys]
-    return [
-        [TorsionClass(RationalFn(_reduce_mod(_dot(x.coeffs, col), den), den)) for col in columns]
-        for x in xs
-    ]
+    return [[TorsionClass(_dot(x.coeffs, col), den) for col in columns] for x in xs]
 
 
 def pair(B: GramPairing, x: ModuleElement, y: ModuleElement) -> TorsionClass:

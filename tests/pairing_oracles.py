@@ -1,13 +1,96 @@
 """Independent and per-term evaluations of the pairing, kept as test oracles.
 
 The library sums pairing values over the gram's common denominator; these
-follow the definitions term by term instead.  Also kept: the symmetrised
-tau-grid and the block-by-block swap check that the library replaced.
+follow the definitions term by term instead.  Also kept: a naive fraction
+field, the symmetrised tau-grid and the block-by-block swap check that the
+library replaced.
 """
 from fractions import Fraction
 
-from eqslice.laurent import ONE, TORSION_ZERO, ZERO, LaurentPoly, RationalFn, TorsionClass
+from eqslice.laurent import (
+    ONE,
+    TORSION_ZERO,
+    ZERO,
+    LaurentPoly,
+    TorsionClass,
+    as_poly,
+    divexact,
+    laurent_gcd,
+    poly_divmod,
+    poly_mod,
+)
 from eqslice.matrices import LambdaMatrix, SingularMatrixError, in_span, seifert_pencil, snf
+
+
+class Frac:
+    """num/den in the fraction field Q(t), in lowest terms.
+
+    A reference for the library's TorsionClass, so deliberately plain: sums
+    cross-multiply, n1/d1 + n2/d2 = (n1*d2 + n2*d1)/(d1*d2), and every
+    result cancels one full gcd.  The denominator is then made monic and
+    ordinary, with the t-power slack in the numerator.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=ONE):
+        num, den = as_poly(num), as_poly(den)
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        if num.is_zero():
+            num, den = ZERO, ONE
+        else:
+            g = laurent_gcd(num, den)
+            num, den = divexact(num, g), divexact(den, g)
+            v, lc = den.valuation(), den.leading_coefficient()
+            num, den = num.shift(-v).scale(1 / lc), den.shift(-v).scale(1 / lc)
+        self.num, self.den = num, den
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def is_polynomial(self):
+        return self.den.is_one()
+
+    def __add__(self, other):
+        return Frac(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __neg__(self):
+        return Frac(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return Frac(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        return Frac(self.num * other.den, self.den * other.num)
+
+    def __eq__(self, other):
+        return self.num == other.num and self.den == other.den
+
+    def torsion(self):
+        """(num mod den, den): the class in Q(t)/Lambda.  A numerator
+        t^v * n with v < 0 is n times the inverse of t^-v mod den."""
+        if self.is_polynomial():
+            return ZERO, ONE
+        v = min(self.num.valuation(), 0)
+        r = poly_mod(self.num.shift(-v), self.den)
+        if v:
+            r = poly_mod(r * _inverse_mod(LaurentPoly({-v: 1}), self.den), self.den)
+        return r, self.den
+
+
+def _inverse_mod(a, m):
+    """b with a*b = 1 mod m, by the extended Euclidean algorithm over Q[t];
+    a and m are ordinary and coprime."""
+    r0, r1, s0, s1 = m, poly_mod(a, m), ZERO, ONE
+    while not r1.is_zero():
+        q, r = poly_divmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    # s0 * a = r0 mod m, and r0 is a nonzero constant
+    return poly_mod(s0.scale(1 / r0.coefficient(0)), m)
 
 
 def pair_per_term(B, x, y):
@@ -36,11 +119,6 @@ def vanishes_per_term(B):
     return True
 
 
-def quotient(a, b):
-    """a / b in the fraction field, for b nonzero."""
-    return RationalFn(a.num * b.den, a.den * b.num)
-
-
 def pair_via_solve(A, x, y):
     """Fresh linear solve of (A - t A^T) z = conj(y), then (t - 1) * x^T z.
 
@@ -49,8 +127,8 @@ def pair_via_solve(A, x, y):
     """
     n = len(A)
     B = -seifert_pencil(A).transpose()
-    rows = [[RationalFn(e) for e in B.row(i)] for i in range(n)]
-    rhs = [RationalFn(c.conjugate()) for c in y]
+    rows = [[Frac(e) for e in B.row(i)] for i in range(n)]
+    rhs = [Frac(c.conjugate()) for c in y]
     for k in range(n):
         piv = next((i for i in range(k, n) if not rows[i][k].is_zero()), None)
         if piv is None:
@@ -60,20 +138,20 @@ def pair_via_solve(A, x, y):
         for i in range(k + 1, n):
             if rows[i][k].is_zero():
                 continue
-            f = quotient(rows[i][k], rows[k][k])
+            f = rows[i][k] / rows[k][k]
             rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
             rhs[i] = rhs[i] - f * rhs[k]
-    z = [RationalFn(ZERO)] * n
+    z = [Frac(ZERO)] * n
     for i in range(n - 1, -1, -1):
         acc = rhs[i]
         for j in range(i + 1, n):
             acc = acc - rows[i][j] * z[j]
-        z[i] = quotient(acc, rows[i][i])
-    tm1 = RationalFn(LaurentPoly({1: 1, 0: -1}))
-    total = RationalFn(ZERO)
+        z[i] = acc / rows[i][i]
+    total = Frac(ZERO)
     for xi, zi in zip(x, z):
-        total = total + RationalFn(xi) * zi
-    return TorsionClass(tm1 * total)
+        total = total + Frac(xi) * zi
+    value = Frac(LaurentPoly({1: 1, 0: -1})) * total
+    return TorsionClass(*value.torsion())
 
 
 def symmetrised_grid(B, xs, ys):

@@ -4,7 +4,7 @@ import pytest
 
 from eqslice.catalog import CatalogError
 from eqslice.cli import EXIT_INTERNAL, main, resolve_spec
-from eqslice.laurent import ONE, RationalFn, TorsionClass, parse_poly
+from eqslice.laurent import ONE, TorsionClass, parse_poly
 from eqslice.matrices import DegreeCapError, inverse_qt
 from test_pairing import SINGULAR_DENSE
 
@@ -45,6 +45,19 @@ class TestPairAndTau:
         assert code == 0
         assert "pair =" in out
 
+    def test_exponent_at_the_degree_cap_is_read(self, capsys):
+        code, out, err = run(capsys, "pair", "nine46", "--x", "t^512,0", "--y", "0,t^-512")
+        assert (code, err) == (0, "")
+        assert out.startswith("pair = (")
+
+    @pytest.mark.parametrize("command", ["pair", "tau"])
+    @pytest.mark.parametrize("x", ["t^513,0", "0,1 + t^-513"])
+    def test_exponent_beyond_the_degree_cap_exit_2(self, capsys, command, x):
+        extra = ["--y", "0,1"] if command == "pair" else []
+        code, out, err = run(capsys, command, "nine46", "--x", x, *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: an exponent exceeds the degree cap 512 in absolute value\n"
+
     def test_tau_swap(self, capsys):
         code, out, _ = run(capsys, "tau", "nine46", "--x", "t,0")
         assert code == 0
@@ -79,7 +92,7 @@ class TestInternalErrors:
     def test_certificate_self_check(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "eqslice.obstruction.evaluate_certificate",
-            lambda cert, v: TorsionClass(RationalFn(ONE, parse_poly("t - 3"))),
+            lambda cert, v: TorsionClass(ONE, parse_poly("t - 3")),
         )
         code, out, err = run(capsys, "obstruct", "nine46", "--json")
         assert code == EXIT_INTERNAL
@@ -161,6 +174,39 @@ class TestCatalog:
         code, out, _ = run(capsys, "catalog", "show", "nine46")
         assert code == 0
         assert parse_spec(out) == builtin("nine46")
+
+    @pytest.mark.parametrize(
+        "ref, name, params",
+        [
+            ("genus_one_slice:m=3,l=5", "genus_one_slice", {"m": 3, "l": 5}),
+            ("pretzel: a=5 , c=2/3", "pretzel", {"a": 5, "c": "2/3"}),
+            ("swap_double:inner=figure_eight", "swap_double", {"inner": "figure_eight"}),
+            ("nine46:", "nine46", {}),
+        ],
+    )
+    def test_show_reads_builtin_references(self, capsys, ref, name, params):
+        from eqslice.catalog import builtin, format_spec
+
+        text = format_spec(builtin(name, **params))
+        assert run(capsys, "catalog", "show", ref) == (0, text, "")
+        code, out, err = run(capsys, "catalog", "show", ref, "--json")
+        assert (code, json.loads(out), err) == (0, {"spec": text}, "")
+
+    @pytest.mark.parametrize(
+        "ref, message",
+        [
+            ("genus_one_slice:m=x,l=5", "parameter m must be an integer"),
+            ("genus_one_slice:", "missing required parameter 'm'"),
+            ("nine46:a=1", "unexpected parameters"),
+            ("twist_ka:a", "bad parameter"),
+            ("nope", "unknown builtin 'nope'"),
+            ("nope:a=1", "unknown builtin 'nope'"),
+        ],
+    )
+    def test_show_refuses_bad_references(self, capsys, ref, message):
+        code, out, err = run(capsys, "catalog", "show", ref)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 class TestVerify:
@@ -254,6 +300,27 @@ class TestVerify:
             assert (code, err) == (0, "")
             outs.append(out)
         assert outs[0] == outs[1]
+
+    def test_exponent_at_the_degree_cap_is_read(self, capsys, tmp_path):
+        # the involution fails the axioms (exit 1), but the entry is read
+        spec = tmp_path / "k.knot"
+        spec.write_text("schema=1\nname=k\nseifert=0,2;1,0\ninvolution=0,t^-512;t^512,0\n")
+        code, out, err = run(capsys, "verify", str(spec))
+        assert (code, err) == (1, "")
+        assert out.endswith("FAILED: involutive, anti_isometry\n")
+
+    @pytest.mark.parametrize("exponent", ["513", "-513"])
+    def test_exponent_beyond_the_degree_cap_exit_2(self, capsys, tmp_path, exponent):
+        # an exponent just past the cap, so that without the bound the run
+        # ends at once with another code instead of exhausting memory
+        bad = tmp_path / "bad.knot"
+        bad.write_text(f"schema=1\nname=bad\nseifert=0,2;1,0\ninvolution=0,t^{exponent};1,0\n")
+        code, out, err = run(capsys, "verify", str(bad))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: line 4: bad polynomial 't^{exponent}': "
+            "an exponent exceeds the degree cap 512 in absolute value\n"
+        )
 
     def test_oversize_exponent_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.knot"

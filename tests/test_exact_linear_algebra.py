@@ -9,7 +9,7 @@ from math import lcm
 import pytest
 
 from eqslice.catalog import builtin, sum_specs
-from eqslice.laurent import ONE, ZERO, LaurentPoly, RationalFn, parse_poly
+from eqslice.laurent import ONE, ZERO, LaurentPoly, parse_poly
 from eqslice.matrices import (
     DEFAULT_DEGREE_CAP,
     DegreeCapError,
@@ -77,14 +77,17 @@ def pencil_inverse(A):
     return inverse_qt(-seifert_pencil(A).transpose())
 
 
-def assert_inverse(M, inv):
-    n = M.rows
-    for i in range(n):
-        for j in range(n):
-            acc = RationalFn(ZERO)
-            for k in range(n):
-                acc = acc + RationalFn(M.entry(i, k)) * inv[k][j]
-            assert acc == RationalFn(ONE if i == j else ZERO)
+def as_polys(inverse):
+    """(den, F) of inverse_qt as a LaurentPoly and a LambdaMatrix."""
+    den, F = inverse
+    return LaurentPoly(enumerate(den)), LambdaMatrix([[LaurentPoly(enumerate(f)) for f in row] for row in F])
+
+
+def assert_inverse(M, inverse):
+    """M * F == den * I exactly over the ring, with den nonzero."""
+    den, F = as_polys(inverse)
+    assert not den.is_zero()
+    assert M * F == LambdaMatrix([[den if i == j else ZERO for j in range(M.rows)] for i in range(M.rows)])
 
 
 # The pencil A - t*B with A, B below has det 2t^3 - 2t, which vanishes at
@@ -125,7 +128,7 @@ class TestAgainstSubsetExpansion:
 
 class TestInverse:
     def test_empty_matrix(self):
-        assert inverse_qt(LambdaMatrix([])) == ()
+        assert inverse_qt(LambdaMatrix([])) == ([1], [])
 
     @pytest.mark.parametrize(
         "rows",
@@ -186,14 +189,15 @@ class TestAgainstSympy:
     def sp(self):
         return pytest.importorskip("sympy")
 
-    def assert_inverse_matches(self, sp, M, inv):
+    def assert_inverse_matches(self, sp, M, inverse):
         # S^-1 = N / d, so M^-1 = unit * N / d.
         S, unit = sympy_matrix(sp, M)
         N, d = S.inv_den()
         d = from_sympy(d)
+        den, F = as_polys(inverse)
         for i in range(M.rows):
             for j in range(M.cols):
-                assert inv[i][j].num * d == from_sympy(N[i, j].element, unit) * inv[i][j].den
+                assert F.entry(i, j) * d == from_sympy(N[i, j].element, unit) * den
 
     def assert_det_matches(self, sp, M):
         S, unit = sympy_matrix(sp, M)

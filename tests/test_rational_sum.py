@@ -1,5 +1,6 @@
-"""Property test: RationalFn sums by Henrici's addition equal the naive
-canonical form (n1*d2 +- n2*d1)/(d1*d2), which cancels one full gcd."""
+"""Property test: TorsionClass sums by Henrici's addition equal the class
+of the naive cross-multiplied fraction (n1*d2 +- n2*d1)/(d1*d2), made
+canonical by the constructor, which cancels one full gcd."""
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from eqslice.laurent import ONE, LaurentPoly, RationalFn, parse_poly
+from eqslice.laurent import ONE, LaurentPoly, TorsionClass, parse_poly
 
 # pairwise coprime irreducibles over Q (t - 1/2 is an associate of 2t - 1)
 FACTORS = [parse_poly(s) for s in ("t - 2", "2*t - 1", "t + 1", "t^2 - 3*t + 1", "3*t^2 + t + 2", "t")]
@@ -33,7 +34,7 @@ units = st.tuples(st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3)]), 
 
 @st.composite
 def pairs(draw):
-    """Two fractions whose denominators are equal, coprime or share factors."""
+    """Two classes whose denominators are equal, coprime or share factors."""
     shared = draw(factor_lists)
     mode = draw(st.sampled_from(["equal", "coprime", "shared"]))
     own1, own2 = draw(factor_lists), draw(factor_lists)
@@ -44,16 +45,16 @@ def pairs(draw):
         own2 = [i for i in own2 if i not in own1]
     d1 = product(shared + own1, draw(units))
     d2 = product(shared + own2, draw(units))
-    x = RationalFn(draw(polys), d1)
-    y = RationalFn(draw(polys), d2)
+    x = TorsionClass(draw(polys), d1)
+    y = TorsionClass(draw(polys), d2)
     if mode == "equal" and draw(st.booleans()):
-        # x + y is the polynomial p: the whole denominator cancels
-        y = RationalFn(draw(polys) * x.den - x.num, x.den)
+        # x + y is the class of the polynomial p: the whole denominator cancels
+        y = TorsionClass(draw(polys) * x.den - x.num, x.den)
     return x, y
 
 
 def naive(x, y, sign):
-    return RationalFn(x.num * y.den + y.num.scale(sign) * x.den, x.den * y.den)
+    return TorsionClass(x.num * y.den + y.num.scale(sign) * x.den, x.den * y.den)
 
 
 @settings(max_examples=300, deadline=None)
@@ -71,6 +72,6 @@ def test_sums_that_cancel(xy):
     x, _ = xy
     assert (x + (-x)).is_zero() and (x - x).is_zero()
     assert (x + (-x)).den == ONE
-    # x + (p - x) is the polynomial p, whatever the denominators share
-    p = RationalFn(FACTORS[0])
-    assert x + (p - x) == p
+    # x + (q - x) is q, whatever the denominators share
+    q = TorsionClass(FACTORS[1], FACTORS[0] * FACTORS[2])
+    assert x + (q - x) == q

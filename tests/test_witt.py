@@ -84,9 +84,9 @@ class TestValidate:
     def test_t_minus_one_divisible_order_fails(self):
         M = PresentedModule(1, LambdaMatrix([[P("t - 1")]]))
         from eqslice.pairing import GramPairing
-        from eqslice.laurent import TorsionClass, RationalFn
+        from eqslice.laurent import TorsionClass
 
-        g = TorsionClass(RationalFn(ONE, P("t - 1")))
+        g = TorsionClass(ONE, P("t - 1"))
         T = EquivariantTriple(
             module=M,
             pairing=GramPairing(module=M, gram=((g,),)),
