@@ -39,10 +39,11 @@ class CatalogError(ValueError):
 
 
 class SpecParseError(ValueError):
-    """Malformed spec file; carries the offending line number."""
+    """Malformed spec file; carries the offending line number, or None for
+    a fault of the whole file, such as a missing key."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -376,7 +377,7 @@ def parse_spec(text: str) -> KnotSpec:
 
     for required in ("schema", "name", "seifert", "involution"):
         if required not in fields:
-            raise SpecParseError(f"missing required key {required!r}", 0)
+            raise SpecParseError(f"missing required key {required!r}", None)
     schema, lineno = fields["schema"]
     if schema.strip() != str(SCHEMA_VERSION):
         raise SpecParseError(f"unsupported schema {schema!r}", lineno)

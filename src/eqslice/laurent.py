@@ -6,7 +6,8 @@ equality questions (divisibility, vanishing of a torsion class) are decided
 exactly.  Units of the ring are the monomials c*t^k with c a nonzero
 rational; canonical forms below fix that ambiguity.  The fraction field
 itself is never formed: a value num/den is kept as a TorsionClass, whose
-constructor decides its one canonical form.
+constructor decides its one canonical form; classes_over is its batch form
+for many numerators over one integer denominator.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Coeffable = Union[int, Fraction, str]
 
@@ -419,17 +420,23 @@ def _dense_mod_prime(p: LaurentPoly) -> list[int] | None:
 
 def _coprime_mod_prime(a: LaurentPoly, b: LaurentPoly) -> bool:
     """True only if the ordinary polynomials a and b are coprime over Q.
+    False means undecided (see _coprime_images)."""
+    x, y = _dense_mod_prime(a), _dense_mod_prime(b)
+    return x is not None and y is not None and _coprime_images(x, y)
+
+
+def _coprime_images(x: list[int], y: list[int]) -> bool:
+    """True only if polynomials a and b over Q, whose images modulo _PRIME
+    are x and y (lowest first, nonzero leading coefficients), are coprime.
 
     If the leading coefficient of a survives reduction, the rational gcd
     reduces to a factor of the same degree of the gcd of the images, so
     images with a constant gcd certify that a and b are coprime.  False
-    means undecided.
+    means undecided.  x and y are left as they are.
     """
-    x, y = _dense_mod_prime(a), _dense_mod_prime(b)
-    if x is None or y is None:
-        return False
     if len(x) < len(y):
         x, y = y, x
+    x, y = x[:], y[:]
     while len(y) > 1:
         inv = pow(y[-1], -1, _PRIME)
         ny = len(y) - 1
@@ -664,6 +671,59 @@ class TorsionClass:
 
 
 TORSION_ZERO = TorsionClass()
+
+
+def classes_over(nums: Sequence[Sequence[int]], den: Sequence[int]) -> list[TorsionClass]:
+    """[TorsionClass(LaurentPoly(enumerate(f)), LaurentPoly(enumerate(den)))
+    for f in nums]: the constructor's batch form for integer coefficient
+    lists, lowest first, over one integer denominator.
+
+    The monic denominator is built once and shared by the classes.  With
+    D = deg den and L its leading coefficient, each f is reduced by an
+    integer pseudo-remainder r = L^k * f - q * den of degree below D, so
+    the class's numerator is r / L^(k+1); it is canonical once r and den
+    are coprime, which their images modulo _PRIME certify.  Whatever this
+    cannot decide goes to the constructor: every f when den has a t-power
+    or L vanishes modulo _PRIME, and an f whose image is not coprime to
+    den's (a factor shared over Q, or an unlucky prime).
+    """
+    exact = LaurentPoly(enumerate(den))
+    if exact.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    if exact.is_unit():
+        return [TORSION_ZERO] * len(nums)
+    D = exact.degree()
+    L = den[D]
+    if not den[0] or not L % _PRIME:
+        return [TorsionClass(LaurentPoly(enumerate(f)), exact) for f in nums]
+    monic = exact.scale(Fraction(1, L))
+    image = [c % _PRIME for c in den[: D + 1]]
+    out = []
+    for f in nums:
+        r, k = list(f), 0
+        while len(r) > D:
+            c = r.pop()
+            if c:
+                # L * r - c * t^s * den cancels the popped top term L * c
+                r = [L * x for x in r]
+                s = len(r) - D
+                for j in range(D):
+                    r[s + j] -= c * den[j]
+                k += 1
+        if not any(r):
+            out.append(TORSION_ZERO)
+            continue
+        x = [c % _PRIME for c in r]
+        while x and not x[-1]:
+            x.pop()
+        if not x or not _coprime_images(image, x):
+            out.append(TorsionClass(LaurentPoly(enumerate(f)), exact))
+            continue
+        scale = L ** (k + 1)
+        cls = TorsionClass.__new__(TorsionClass)
+        cls.num, cls.den = LaurentPoly((j, Fraction(c, scale)) for j, c in enumerate(r)), monic
+        out.append(cls)
+    return out
 
 
 def coprime_split(x: TorsionClass, factors: list[LaurentPoly]) -> list[TorsionClass]:

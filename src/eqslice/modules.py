@@ -356,10 +356,17 @@ class _Quotient:
         self.den = den
 
     def coordinates(self, vectors: Sequence[Sequence[LaurentPoly]]) -> list[list[int]]:
-        """The vectors reduced mod den, all scaled by one common integer."""
+        """The vectors reduced mod den, all scaled by one common integer.
+
+        An entry that is already an ordinary polynomial of degree below D,
+        as every entry of GramPairing.common's N is, is read as it stands.
+        """
         flat = []
         for v in vectors:
-            reduced = [_reduce_mod(e, self.den) for e in v]
+            reduced = [
+                e if e.is_zero() or (e.valuation() >= 0 and e.degree() < self.D) else _reduce_mod(e, self.den)
+                for e in v
+            ]
             flat.append([r.coefficient(j) for r in reduced for j in range(self.D)])
         common = lcm(*(c.denominator for row in flat for c in row))
         return [[c.numerator * (common // c.denominator) for c in row] for row in flat]

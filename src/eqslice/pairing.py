@@ -14,10 +14,14 @@ model of the module computes it in integers, with d - 1 matrix products
 (see modules._RationalModel.inverse_pencil).  inverse_qt, which
 interpolates a determinant and adjugate of degree n, serves only det A = 0.
 Both routes give the inverse as F / den on integer coefficient lists, and
-one loop makes each gram entry the TorsionClass of (t - 1) * f over den.
+one laurent.classes_over call makes every gram entry the TorsionClass of
+(t - 1) * f over den: the monic den is built once and shared, and each
+class is certified in integers, without a gcd over Q unless the certificate
+fails.
 
 Values are summed over one common denominator: each pairing caches den, the
-lcm of its gram denominators, and the polynomial matrix N = den * gram.  A
+lcm of its gram denominators (an entry over the shared den costs one
+identity test), and the polynomial matrix N = den * gram.  A
 value is then the class of the Laurent polynomial x^T N conj(y) over den,
 made canonical once by the TorsionClass constructor, and well-definedness
 is den dividing N * conj(r).
@@ -43,6 +47,7 @@ from .laurent import (
     ZERO,
     LaurentPoly,
     TorsionClass,
+    classes_over,
     divexact,
     divides,
     laurent_lcm,
@@ -75,7 +80,13 @@ class GramPairing:
         den = ONE
         for row in self.gram:
             for g in row:
-                if not g.is_zero() and not divides(g.den, den):
+                # classes_over gives a gram's classes one shared den, which
+                # the first entry makes den, so an identity test answers most
+                if g.is_zero() or g.den is den or g.den == den:
+                    continue
+                if den.is_one():
+                    den = g.den
+                elif not divides(g.den, den):
                     den = laurent_lcm(den, g.den)
         N = LambdaMatrix([[_scaled_numerator(g, den) for g in row] for row in self.gram])
         return den, N
@@ -86,7 +97,7 @@ def _scaled_numerator(g: TorsionClass, den: LaurentPoly) -> LaurentPoly:
     # the cache holds no second copy of a knot's gram
     if g.is_zero():
         return ZERO
-    return g.num if g.den == den else g.num * divexact(den, g.den)
+    return g.num if g.den is den or g.den == den else g.num * divexact(den, g.den)
 
 
 def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None = None) -> GramPairing:
@@ -97,7 +108,9 @@ def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None
     from the exponent mu of degree d (see _RationalModel.inverse_pencil).
     inverse_qt, which interpolates a degree-n determinant and adjugate,
     serves only det A = 0.  Both give the inverse as F / den, on integer
-    coefficient lists, and each gram entry is the class of (t - 1) * f / den.
+    coefficient lists, and classes_over makes every gram entry the class of
+    (t - 1) * f / den at once; as deg (t - 1) * f <= deg den on the
+    exponent route, each takes one pseudo-remainder step.
     """
     if module is None:
         module = from_seifert(A)
@@ -110,12 +123,10 @@ def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None
             raise SingularMatrixError(
                 "A - t*A^T is singular; the input is not a Seifert matrix of a knot"
             ) from None
-    den = LaurentPoly(enumerate(den))
+    n = len(F)
     # (t - 1) * f on coefficient lists
-    gram = tuple(
-        tuple(TorsionClass(LaurentPoly(enumerate(b - a for a, b in zip(f + [0], [0] + f))), den) for f in row)
-        for row in F
-    )
+    classes = classes_over([[b - a for a, b in zip(f + [0], [0] + f)] for row in F for f in row], den)
+    gram = tuple(tuple(classes[i * n : (i + 1) * n]) for i in range(n))
     return GramPairing(module=module, gram=gram)
 
 

@@ -250,6 +250,16 @@ class TestVerify:
         assert code == 2
         assert "line" in err
 
+    @pytest.mark.parametrize("key", ["schema", "name", "seifert", "involution"])
+    def test_missing_key_exit_2_without_a_line(self, capsys, tmp_path, key):
+        # a missing key is a fault of the whole file, so no line is named
+        lines = ["schema=1", "name=k", "seifert=0,2;1,0", "involution=0,1;1,0"]
+        bad = tmp_path / "bad.knot"
+        bad.write_text("".join(f"{line}\n" for line in lines if not line.startswith(f"{key}=")))
+        code, out, err = run(capsys, "verify", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: missing required key {key!r}\n"
+
     def test_repeated_parameter_exit_2(self, capsys, tmp_path):
         # the later value must not silently replace the earlier one
         bad = tmp_path / "bad.knot"

@@ -119,3 +119,24 @@ def test_combine_over_the_quotient(seed):
     total = [sum((shift * r[j] * vectors[j][i] for j in range(k)), ZERO) for i in range(2)]
     expected = [_reduce_mod(e, den).coefficient(d) for e in total for d in range(space.D)]
     assert positive_multiple(_combine(space, space.coordinates(vectors), r), expected)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_coordinates_read_reduced_and_unreduced_entries_alike(seed):
+    # entries already ordinary of degree below D are read as they stand;
+    # adding a multiple of den, or a unit shift, sends them through the
+    # reduction, and the coordinates must not change
+    rng = random.Random(seed)
+    den = parse_poly("t^2 - 5/2*t + 1") * parse_poly("t + 3")
+    space = _Quotient(den)
+    reduced = [[random_poly(rng, 0, space.D - 1) for _ in range(3)] for _ in range(4)]
+    reduced[0][0] = ZERO
+    unreduced = [
+        [e + den * random_poly(rng, -2, 2) for e in reduced[0]],
+        [e + den for e in reduced[1]],
+        [_reduce_mod(e, den) for e in reduced[2]],
+        [LaurentPoly({-1: 1}) * _reduce_mod(e * LaurentPoly({1: 1}), den) for e in reduced[3]],
+    ]
+    assert all(e.is_zero() or 0 <= e.valuation() <= e.degree() < space.D for row in reduced for e in row)
+    assert any(e.valuation() < 0 or e.degree() >= space.D for row in unreduced for e in row if not e.is_zero())
+    assert space.coordinates(unreduced) == space.coordinates(reduced)
