@@ -25,7 +25,7 @@ from .laurent import (
     parse_poly,
     parse_rational,
 )
-from .matrices import DEFAULT_DEGREE_CAP, LambdaMatrix, det, seifert_pencil
+from .matrices import DEFAULT_DEGREE_CAP, LambdaMatrix, block_diag, det, seifert_pencil
 from .modules import PresentedModule, check_seifert, from_seifert
 from .pairing import gram_from_seifert
 from .involution import SemilinearMap, swap_involution
@@ -125,17 +125,7 @@ def _generalized_twist(b: int, c: Fraction):
 
 def _swap_double(inner: str):
     A = builtin(inner).seifert
-    return _block_sum([A, tuple(zip(*A))]), "swap"
-
-
-def _block_sum(blocks: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, ...], ...]:
-    """Block-diagonal integer matrix with the given square blocks."""
-    size = sum(len(b) for b in blocks)
-    rows: list[tuple[int, ...]] = []
-    for b in blocks:
-        left, right = len(rows), size - len(rows) - len(b)
-        rows += [(0,) * left + tuple(r) + (0,) * right for r in b]
-    return tuple(rows)
+    return block_diag([A, tuple(zip(*A))], 0), "swap"
 
 
 @dataclass(frozen=True)
@@ -287,18 +277,18 @@ def sum_specs(specs: Sequence[KnotSpec]) -> KnotSpec:
     block involution matrix.  Only a named swap needs the summand's module."""
     if not specs:
         raise CatalogError("cannot sum zero specs")
-    total = LambdaMatrix.zeros(0, 0)
+    matrices = []
     for s in specs:
         matrix = s.involution
         if isinstance(matrix, str):
             matrix = _involution(s, from_seifert(s.seifert)).matrix
         if matrix.rows != len(s.seifert) or matrix.cols != len(s.seifert):
             raise CatalogError("involution matrix shape must match the Seifert matrix")
-        total = LambdaMatrix.block_diag(total, matrix)
+        matrices.append(matrix.to_lists())
     return KnotSpec(
         name="+".join(s.name for s in specs),
-        seifert=_block_sum([s.seifert for s in specs]),
-        involution=total,
+        seifert=block_diag([s.seifert for s in specs], 0),
+        involution=LambdaMatrix(block_diag(matrices, ZERO)),
         notes="equivariant connected sum of " + ", ".join(s.name for s in specs),
     )
 

@@ -70,17 +70,13 @@ def parse_vector(text: str, n: int):
     return entries
 
 
-class Output:
-    def __init__(self, as_json: bool, quiet: bool):
-        self.as_json = as_json
-        self.quiet = quiet
-
-    def emit(self, payload: dict, lines: list[str]):
-        if self.as_json:
-            print(json.dumps(payload, sort_keys=True))
-        elif not self.quiet:
-            for line in lines:
-                print(line)
+def emit(args, payload: dict, lines: list[str]):
+    """Print payload as JSON under --json, else the lines unless --quiet."""
+    if args.json:
+        print(json.dumps(payload, sort_keys=True))
+    elif not args.quiet:
+        for line in lines:
+            print(line)
 
 
 def _check_line(c) -> str:
@@ -91,7 +87,7 @@ def _gram_strings(triple):
     return [[str(g) for g in row] for row in triple.pairing.gram]
 
 
-def cmd_alexander(args, out: Output) -> int:
+def cmd_alexander(args) -> int:
     triple = assemble(resolve_spec(args.spec))
     alex = normalize_alexander(triple.module.order)
     payload = {
@@ -99,7 +95,8 @@ def cmd_alexander(args, out: Output) -> int:
         "invariant_factors": [format_poly(f) for f in triple.module.invariant_factors],
         "grk": triple.module.grk,
     }
-    out.emit(
+    emit(
+        args,
         payload,
         [
             f"alexander = {payload['alexander']}",
@@ -110,37 +107,34 @@ def cmd_alexander(args, out: Output) -> int:
     return EXIT_OK
 
 
-def cmd_blanchfield(args, out: Output) -> int:
+def cmd_blanchfield(args) -> int:
     triple = assemble(resolve_spec(args.spec))
     gram = _gram_strings(triple)
-    out.emit(
-        {"gram": gram},
-        [" | ".join(row) for row in gram] or ["(empty gram)"],
-    )
+    emit(args, {"gram": gram}, [" | ".join(row) for row in gram] or ["(empty gram)"])
     return EXIT_OK
 
 
-def cmd_pair(args, out: Output) -> int:
+def cmd_pair(args) -> int:
     triple = assemble(resolve_spec(args.spec))
     n = triple.module.generators
     x = triple.module.element(parse_vector(args.x, n))
     y = triple.module.element(parse_vector(args.y, n))
     value = pair(triple.pairing, x, y)
-    out.emit({"pair": str(value)}, [f"pair = {value}"])
+    emit(args, {"pair": str(value)}, [f"pair = {value}"])
     return EXIT_OK
 
 
-def cmd_tau(args, out: Output) -> int:
+def cmd_tau(args) -> int:
     triple = assemble(resolve_spec(args.spec))
     n = triple.module.generators
     x = triple.module.element(parse_vector(args.x, n))
     image = triple.involution.apply(x)
     coeffs = [format_poly(c) for c in image.coeffs]
-    out.emit({"tau": coeffs}, [f"tau(x) = ({', '.join(coeffs)})"])
+    emit(args, {"tau": coeffs}, [f"tau(x) = ({', '.join(coeffs)})"])
     return EXIT_OK
 
 
-def cmd_obstruct(args, out: Output) -> int:
+def cmd_obstruct(args) -> int:
     payloads = []
     lines = []
     for ref in args.specs:
@@ -156,23 +150,21 @@ def cmd_obstruct(args, out: Output) -> int:
                 f"    part over {part.denominator}: {len(part.nonzero_forms())} form(s)"
             )
         lines.append(f"  reason: {report.reason}")
-    out.emit(
-        payloads[0] if len(payloads) == 1 else {"results": payloads},
-        lines,
-    )
-    if out.quiet and not out.as_json:
+    emit(args, payloads[0] if len(payloads) == 1 else {"results": payloads}, lines)
+    if args.quiet and not args.json:
         for payload in payloads:
             print(payload["verdict"])
     return EXIT_OK
 
 
-def cmd_genus_bound(args, out: Output) -> int:
+def cmd_genus_bound(args) -> int:
     triple = assemble(resolve_spec(args.spec))
     cert = certify_k0(triple, seed=args.seed)
     bound = genus_lower_bound(triple, cert, k_upper=args.k_upper)
     payload = bound.to_dict()
     payload["certificate"] = cert.to_dict()
-    out.emit(
+    emit(
+        args,
         payload,
         [
             f"grk = {bound.grk}",
@@ -186,30 +178,28 @@ def cmd_genus_bound(args, out: Output) -> int:
     return EXIT_OK
 
 
-def cmd_sum(args, out: Output) -> int:
+def cmd_sum(args) -> int:
     specs = [resolve_spec(ref) for ref in args.specs]
     combined = sum_specs(specs)
     save(combined, args.output)
-    out.emit(
-        {"written": args.output, "name": combined.name},
-        [f"wrote {args.output}"],
-    )
+    emit(args, {"written": args.output, "name": combined.name}, [f"wrote {args.output}"])
     return EXIT_OK
 
 
-def cmd_amphichiral(args, out: Output) -> int:
+def cmd_amphichiral(args) -> int:
     report = amphichiral_obstruction(args.a, args.n)
     payload = report.to_dict()
     lines = [f"verdict = {report.verdict}", f"branch = {report.branch}"]
     lines += ["  " + _check_line(c) for c in report.checks]
-    out.emit(payload, lines)
+    emit(args, payload, lines)
     return EXIT_OK
 
 
-def cmd_catalog(args, out: Output) -> int:
+def cmd_catalog(args) -> int:
     if args.action == "list":
         entries = list_builtins()
-        out.emit(
+        emit(
+            args,
             {"builtins": [{"name": n, "params": s, "description": d} for n, s, d in entries]},
             [f"{n}({s}): {d}" if s else f"{n}: {d}" for n, s, d in entries],
         )
@@ -220,16 +210,16 @@ def cmd_catalog(args, out: Output) -> int:
     name, sep, params = args.name.partition(":")
     spec = builtin(name.strip(), **parse_params(params)) if sep else builtin_example(name.strip())
     text = format_spec(spec)
-    out.emit({"spec": text}, [text.rstrip("\n")])
+    emit(args, {"spec": text}, [text.rstrip("\n")])
     return EXIT_OK
 
 
-def cmd_verify(args, out: Output) -> int:
+def cmd_verify(args) -> int:
     report = validate(build(resolve_spec(args.spec)))
     payload = report.to_dict()
     lines = [_check_line(c) for c in report.checks]
     lines.append("ok" if report.ok else "FAILED: " + ", ".join(report.failing()))
-    out.emit(payload, lines)
+    emit(args, payload, lines)
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
@@ -305,9 +295,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    out = Output(as_json=args.json, quiet=args.quiet)
     try:
-        return args.func(args, out)
+        return args.func(args)
     except CatalogValidationError as e:
         print(e, file=sys.stderr)
         return EXIT_VALIDATION

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .laurent import ONE, ZERO
-from .matrices import LambdaMatrix, mat_vec
-from .modules import ModuleElement, PresentedModule, direct_sum
+from .matrices import LambdaMatrix, block_diag, mat_vec
+from .modules import ModuleElement, PresentedModule
 from .pairing import GramPairing, pair_grid
 
 
@@ -112,10 +112,7 @@ def swap_involution(M: PresentedModule) -> SemilinearMap:
     return swap
 
 
-def direct_sum_involution(T1: SemilinearMap, T2: SemilinearMap, module: PresentedModule | None = None) -> SemilinearMap:
-    if module is None:
-        module = direct_sum(T1.module, T2.module)
-    return SemilinearMap(
-        module=module,
-        matrix=LambdaMatrix.block_diag(T1.matrix, T2.matrix),
-    )
+def direct_sum_involution(T1: SemilinearMap, T2: SemilinearMap, module: PresentedModule) -> SemilinearMap:
+    """T1 + T2 on module, the direct sum of their modules."""
+    matrix = LambdaMatrix(block_diag([T1.matrix.to_lists(), T2.matrix.to_lists()], ZERO))
+    return SemilinearMap(module=module, matrix=matrix)

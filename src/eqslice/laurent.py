@@ -647,9 +647,6 @@ class TorsionClass:
             return self
         return TorsionClass(self.num * p, self.den)
 
-    def __rmul__(self, p) -> "TorsionClass":
-        return self.scale(p)
-
     def conjugate(self) -> "TorsionClass":
         return TorsionClass(self.num.conjugate(), self.den.conjugate())
 
@@ -678,7 +675,7 @@ def classes_over(nums: Sequence[Sequence[int]], den: Sequence[int]) -> list[Tors
     for f in nums]: the constructor's batch form for integer coefficient
     lists, lowest first, over one integer denominator.
 
-    The monic denominator is built once and shared by the classes.  With
+    The monic denominator is built once, for all the classes.  With
     D = deg den and L its leading coefficient, each f is reduced by an
     integer pseudo-remainder r = L^k * f - q * den of degree below D, so
     the class's numerator is r / L^(k+1); it is canonical once r and den

@@ -89,16 +89,6 @@ class LambdaMatrix:
     def __neg__(self) -> "LambdaMatrix":
         return LambdaMatrix([[-e for e in r] for r in self._e])
 
-    def __add__(self, other: "LambdaMatrix") -> "LambdaMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return LambdaMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)]
-        )
-
-    def __sub__(self, other: "LambdaMatrix") -> "LambdaMatrix":
-        return self + (-other)
-
     def __mul__(self, other: "LambdaMatrix") -> "LambdaMatrix":
         if not isinstance(other, LambdaMatrix):
             return NotImplemented
@@ -115,15 +105,6 @@ class LambdaMatrix:
             raise ValueError("row count mismatch")
         return LambdaMatrix([r1 + r2 for r1, r2 in zip(self._e, other._e)])
 
-    @staticmethod
-    def block_diag(a: "LambdaMatrix", b: "LambdaMatrix") -> "LambdaMatrix":
-        out = []
-        for r in a._e:
-            out.append(list(r) + [ZERO] * b.cols)
-        for r in b._e:
-            out.append([ZERO] * a.cols + list(r))
-        return LambdaMatrix(out)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LambdaMatrix):
             return NotImplemented
@@ -135,6 +116,21 @@ class LambdaMatrix:
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(e) for e in r) for r in self._e)
         return f"LambdaMatrix[{self.rows}x{self.cols}]({body})"
+
+
+def block_diag(blocks: Sequence[Sequence[Sequence]], zero) -> tuple[tuple, ...]:
+    """The block-diagonal matrix of the blocks, given as rows, padded with zero.
+
+    A block may be rectangular, or have rows of length 0; the result is a
+    tuple of row tuples, for integer matrices, grams and LambdaMatrix rows.
+    """
+    widths = [len(b[0]) if b else 0 for b in blocks]
+    size, left = sum(widths), 0
+    rows: list[tuple] = []
+    for b, width in zip(blocks, widths):
+        rows += [(zero,) * left + tuple(r) + (zero,) * (size - left - width) for r in b]
+        left += width
+    return tuple(rows)
 
 
 def _dot(u: Sequence[LaurentPoly], v: Sequence[LaurentPoly]) -> LaurentPoly:

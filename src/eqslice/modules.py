@@ -39,6 +39,7 @@ from .matrices import (
     LambdaMatrix,
     SnfResult,
     _eliminate,
+    block_diag,
     in_span,
     kernel,
     mat_vec,
@@ -135,23 +136,13 @@ class ModuleElement:
         self.module = module
         self.coeffs = coeffs
 
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        self._check(other)
-        return ModuleElement(self.module, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         self._check(other)
         return ModuleElement(self.module, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "ModuleElement":
-        return ModuleElement(self.module, tuple(-a for a in self.coeffs))
-
     def scale(self, p) -> "ModuleElement":
         p = as_poly(p)
         return ModuleElement(self.module, tuple(p * a for a in self.coeffs))
-
-    def __rmul__(self, p) -> "ModuleElement":
-        return self.scale(p)
 
     def is_zero(self) -> bool:
         return self.module.is_zero_element(self)
@@ -456,7 +447,7 @@ def _primitive(v: list[int]) -> list[int]:
 def direct_sum(M1: PresentedModule, M2: PresentedModule) -> PresentedModule:
     return PresentedModule(
         M1.generators + M2.generators,
-        LambdaMatrix.block_diag(M1.relations, M2.relations),
+        LambdaMatrix(block_diag([M1.relations.to_lists(), M2.relations.to_lists()], ZERO)),
     )
 
 
@@ -493,7 +484,6 @@ class RationalBasis:
         self.module = module
         s = module.snf
         n = module.generators
-        self._U = s.U
         # U R V = D and a torsion module has rank n, so the first n columns
         # of R V are those of U^-1 scaled by the nonzero diagonal entries.
         cols = [
@@ -520,17 +510,6 @@ class RationalBasis:
             off += s
         x = mat_vec(self._Uinv, y)
         return self.module.element(x)
-
-    def to_coords(self, x: ModuleElement) -> tuple[Fraction, ...]:
-        if len(x.coeffs) != self.module.generators:
-            raise ValueError("element does not live in the module")
-        y = mat_vec(self._U, list(x.coeffs))
-        out: list[Fraction] = []
-        for i, d in self.blocks:
-            r = _reduce_mod(y[i], d)
-            for j in range(d.degree()):
-                out.append(r.coefficient(j))
-        return tuple(out)
 
     def basis_element(self, k: int) -> ModuleElement:
         coords = [Fraction(0)] * self.dimension

@@ -15,13 +15,12 @@ model of the module computes it in integers, with d - 1 matrix products
 interpolates a determinant and adjugate of degree n, serves only det A = 0.
 Both routes give the inverse as F / den on integer coefficient lists, and
 one laurent.classes_over call makes every gram entry the TorsionClass of
-(t - 1) * f over den: the monic den is built once and shared, and each
-class is certified in integers, without a gcd over Q unless the certificate
-fails.
+(t - 1) * f over den: the monic den is built once, and each class is
+certified in integers, without a gcd over Q unless the certificate fails.
 
 Values are summed over one common denominator: each pairing caches den, the
-lcm of its gram denominators (an entry over the shared den costs one
-identity test), and the polynomial matrix N = den * gram.  A
+lcm of the distinct denominators of its gram (a gram from classes_over has
+one, so no lcm is taken), and the polynomial matrix N = den * gram.  A
 value is then the class of the Laurent polynomial x^T N conj(y) over den,
 made canonical once by the TorsionClass constructor, and well-definedness
 is den dividing N * conj(r).
@@ -38,7 +37,7 @@ is paid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 from .laurent import (
@@ -56,6 +55,7 @@ from .matrices import (
     LambdaMatrix,
     SingularMatrixError,
     _dot,
+    block_diag,
     inverse_qt,
     mat_vec,
     seifert_pencil,
@@ -77,17 +77,9 @@ class GramPairing:
         den is monic ordinary with nonzero constant term, and every entry
         of N is an ordinary polynomial of degree below deg den.
         """
-        den = ONE
-        for row in self.gram:
-            for g in row:
-                # classes_over gives a gram's classes one shared den, which
-                # the first entry makes den, so an identity test answers most
-                if g.is_zero() or g.den is den or g.den == den:
-                    continue
-                if den.is_one():
-                    den = g.den
-                elif not divides(g.den, den):
-                    den = laurent_lcm(den, g.den)
+        # the lcm of the distinct denominators: a gram from classes_over has one
+        dens = {g.den for row in self.gram for g in row if not g.is_zero()}
+        den = reduce(laurent_lcm, dens) if dens else ONE
         N = LambdaMatrix([[_scaled_numerator(g, den) for g in row] for row in self.gram])
         return den, N
 
@@ -97,7 +89,7 @@ def _scaled_numerator(g: TorsionClass, den: LaurentPoly) -> LaurentPoly:
     # the cache holds no second copy of a knot's gram
     if g.is_zero():
         return ZERO
-    return g.num if g.den is den or g.den == den else g.num * divexact(den, g.den)
+    return g.num if g.den == den else g.num * divexact(den, g.den)
 
 
 def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None = None) -> GramPairing:
@@ -198,14 +190,7 @@ def check_nonsingular(B: GramPairing) -> bool:
 
 
 def direct_sum_pairing(B1: GramPairing, B2: GramPairing, module: PresentedModule) -> GramPairing:
-    n1 = B1.module.generators
-    n2 = B2.module.generators
-    gram = []
-    for i in range(n1):
-        gram.append(tuple(B1.gram[i]) + tuple(TORSION_ZERO for _ in range(n2)))
-    for i in range(n2):
-        gram.append(tuple(TORSION_ZERO for _ in range(n1)) + tuple(B2.gram[i]))
-    return GramPairing(module=module, gram=tuple(gram))
+    return GramPairing(module=module, gram=block_diag([B1.gram, B2.gram], TORSION_ZERO))
 
 
 def negate_pairing(B: GramPairing) -> GramPairing:

@@ -43,11 +43,6 @@ class EquivariantTriple:
 
 
 @dataclass(frozen=True)
-class SubmoduleWitness:
-    generators: tuple[ModuleElement, ...]
-
-
-@dataclass(frozen=True)
 class AxiomCheck:
     name: str
     passed: bool
@@ -139,8 +134,8 @@ def negate(T: EquivariantTriple) -> EquivariantTriple:
     )
 
 
-def is_metabolizer(T: EquivariantTriple, P: SubmoduleWitness) -> ValidationReport:
-    """Check the three metabolizer conditions for a generated submodule.
+def is_metabolizer(T: EquivariantTriple, P: tuple[ModuleElement, ...]) -> ValidationReport:
+    """Check the three metabolizer conditions for the submodule P generates.
 
     (a) the pairing vanishes on generator pairs (sesquilinearity extends
     this to the whole submodule); (b) |P| * conj|P| equals |H| up to units;
@@ -149,14 +144,14 @@ def is_metabolizer(T: EquivariantTriple, P: SubmoduleWitness) -> ValidationRepor
     images generate.
     """
     n = T.module.generators
-    for g in P.generators:
+    for g in P:
         if len(g.coeffs) != n:
             raise ValueError("witness generator does not live in the module")
 
-    grid = pair_grid(T.pairing, P.generators, P.generators)
+    grid = pair_grid(T.pairing, P, P)
     check_a = AxiomCheck("pairwise_vanishing", all(v.is_zero() for row in grid for v in row))
 
-    sub = submodule_presentation(T.module, list(P.generators))
+    sub = submodule_presentation(T.module, list(P))
     if sub.is_torsion and T.module.is_torsion:
         product = sub.order * sub.order.conjugate()
         order_ok = unit_equal(product, T.module.order)
@@ -166,10 +161,8 @@ def is_metabolizer(T: EquivariantTriple, P: SubmoduleWitness) -> ValidationRepor
         detail = "submodule or module not torsion"
     check_b = AxiomCheck("order_identity", order_ok, detail)
 
-    images = [T.involution.apply(g) for g in P.generators]
-    tau_ok = _in_submodule(T.module, P.generators, images) and _in_submodule(
-        T.module, images, P.generators
-    )
+    images = [T.involution.apply(g) for g in P]
+    tau_ok = _in_submodule(T.module, P, images) and _in_submodule(T.module, images, P)
     check_c = AxiomCheck("tau_invariant", tau_ok)
 
     return ValidationReport((check_a, check_b, check_c))
@@ -185,12 +178,11 @@ def _in_submodule(M: PresentedModule, gens, xs) -> bool:
     return all(quotient.element(x.coeffs).is_zero() for x in xs)
 
 
-def diagonal_metabolizer(T: EquivariantTriple) -> SubmoduleWitness:
-    """The diagonal witness {(g_i, g_i)} inside T + (-T)."""
+def diagonal_metabolizer(T: EquivariantTriple) -> tuple[ModuleElement, ...]:
+    """The generators (g_i, g_i) of the diagonal inside T + (-T)."""
     double = triple_sum(T, negate(T))
     n = T.module.generators
-    gens = [
+    return tuple(
         double.module.element([ONE if j in (i, n + i) else 0 for j in range(2 * n)])
         for i in range(n)
-    ]
-    return SubmoduleWitness(generators=tuple(gens))
+    )

@@ -39,6 +39,7 @@ from eqslice.obstruction import (
 )
 from eqslice.pairing import check_hermitian, check_nonsingular, pair, vanishes_on_relations
 from eqslice.witt import diagonal_metabolizer, is_metabolizer, negate, triple_sum, validate
+from cases import CATALOG_GRID
 from pairing_oracles import pair_via_solve
 
 
@@ -48,25 +49,6 @@ def P(s):
 
 def report(n, slug):
     print(f"criterion {n:02d} {slug}: PASS")
-
-
-CATALOG_GRID = [
-    ("nine46", {}),
-    ("figure_eight", {}),
-    ("stevedore", {}),
-    ("trefoil", {}),
-    ("genus_one_slice", {"m": 1, "l": 1}),
-    ("genus_one_slice", {"m": -2, "l": 3, "c": 2}),
-    ("genus_one_slice", {"m": 3, "l": 5, "c": Fraction(1, 2)}),
-    ("twist_ka", {"a": 1}),
-    ("twist_ka", {"a": 2}),
-    ("pretzel", {"a": 3}),
-    ("pretzel", {"a": 5}),
-    ("generalized_twist", {"b": 2}),
-    ("generalized_twist", {"b": 4}),
-    ("swap_double", {"inner": "trefoil"}),
-    ("swap_double", {"inner": "nine46"}),
-]
 
 
 def test_criterion_01_nine46_golden():
@@ -252,7 +234,7 @@ def test_criterion_08_witt_group_law():
         witness = diagonal_metabolizer(triple)
         rep = is_metabolizer(double, witness)
         assert rep.ok, (name, params, rep.to_dict())
-        sub = submodule_presentation(double.module, list(witness.generators))
+        sub = submodule_presentation(double.module, list(witness))
         assert unit_equal(sub.order * sub.order.conjugate(), double.module.order)
     report(8, "witt-group-law")
 

@@ -19,13 +19,11 @@ from eqslice.laurent import LaurentPoly, TorsionClass, classes_over, parse_poly
 from eqslice.matrices import inverse_qt, seifert_pencil
 from eqslice.modules import from_seifert
 from eqslice.pairing import gram_from_seifert
-from test_exact_linear_algebra import dense_seifert
+from cases import SINGULAR_DENSE, dense_seifert
 
 PRIME = (1 << 61) - 1
 KINDS = ("generic", "tpower", "shared", "prime", "long", "zero", "unit", "unlucky")
 DRAWS = 400
-# a dense genus-2 draw with det A = 0, so its gram comes from inverse_qt
-SINGULAR_DENSE = dense_seifert(2, random.Random(57))
 
 
 def mul(a, b):

@@ -6,7 +6,7 @@ from eqslice.catalog import CatalogError
 from eqslice.cli import EXIT_INTERNAL, main, resolve_spec
 from eqslice.laurent import ONE, TorsionClass, parse_poly
 from eqslice.matrices import DegreeCapError, inverse_qt
-from test_pairing import SINGULAR_DENSE
+from cases import SINGULAR_DENSE, swap_double
 
 
 def run(capsys, *argv):
@@ -127,6 +127,15 @@ class TestObstruct:
         for got, expected in zip(batch, singles):
             assert got == expected
 
+    def test_trefoil_is_undecided(self, capsys):
+        # certify_k0's last route: no partition, combination or falsifier decides
+        code, out, err = run(capsys, "obstruct", "trefoil", "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["verdict"] == "INCONCLUSIVE"
+        assert payload["certificate"]["verdict"] == "UNDECIDED"
+        assert payload["certificate"]["evidence"] == {"falsifier_samples": 300}
+
 
 class TestGenusBound:
     def test_four_fold_nine46(self, capsys, tmp_path):
@@ -144,6 +153,12 @@ class TestGenusBound:
         code, out, _ = run(capsys, "genus-bound", "swap_double:inner=trefoil", "--k-upper", "1")
         assert code == 0
         assert "k_upper = 1" in out
+
+    def test_undecided_trefoil_bounds_nothing(self, capsys):
+        code, out, err = run(capsys, "genus-bound", "trefoil")
+        assert (code, err) == (0, "")
+        assert "bound_integer = 0" in out.splitlines()
+        assert "certificate = UNDECIDED" in out.splitlines()
 
     @pytest.mark.parametrize("ref", ["nine46", "trefoil"])
     def test_negative_k_upper_is_a_usage_error(self, capsys, ref):
@@ -208,6 +223,11 @@ class TestCatalog:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
+    def test_show_without_a_name_exit_2(self, capsys):
+        code, out, err = run(capsys, "catalog", "show")
+        assert (code, out) == (2, "")
+        assert err == "error: catalog show requires a builtin name\n"
+
 
 class TestVerify:
     def test_valid_spec(self, capsys):
@@ -223,6 +243,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(bad))
         assert code == 1
         assert "involution_well_defined" in out
+
+    def test_failing_axioms_exit_1_from_obstruct(self, capsys, tmp_path):
+        # the file parses, and assemble refuses the triple it builds
+        bad = tmp_path / "bad.knot"
+        bad.write_text("schema=1\nname=bad\nseifert=0,2;1,0\ninvolution=1,0;0,1\n")
+        code, out, err = run(capsys, "obstruct", str(bad))
+        assert (code, out) == (1, "")
+        assert err == "validation failed: involution_well_defined, involutive, anti_isometry\n"
 
     def test_non_conjugate_swap_exit_2(self, capsys, tmp_path):
         # figure eight beside a trefoil: two blocks, not conjugate presentations
@@ -450,8 +478,7 @@ class TestSingularSeifertMatrix:
     @pytest.fixture
     def spec(self, tmp_path, monkeypatch):
         n = len(SINGULAR_DENSE)
-        rows = [list(row) + [0] * n for row in SINGULAR_DENSE]
-        rows += [[0] * n + [SINGULAR_DENSE[j][i] for j in range(n)] for i in range(n)]
+        rows = swap_double(SINGULAR_DENSE)
         path = tmp_path / "singular_swap.knot"
         seifert = ";".join(",".join(str(x) for x in row) for row in rows)
         path.write_text(f"schema=1\nname=singular_swap\nseifert={seifert}\ninvolution=swap\n")

@@ -20,6 +20,7 @@ from eqslice.matrices import (
     seifert_pencil,
 )
 from eqslice.modules import PresentedModule, RationalBasis, from_seifert
+from cases import dense_seifert
 
 
 def subset_det(M):
@@ -43,18 +44,6 @@ def subset_det(M):
         return acc
 
     return expand((1 << n) - 1)
-
-
-def dense_seifert(genus, rng):
-    """Symmetric part with entries in [-3, 3] plus a symplectic block sum."""
-    n = 2 * genus
-    A = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            A[i][j] = A[j][i] = rng.randint(-3, 3)
-    for k in range(genus):
-        A[2 * k][2 * k + 1] += 1
-    return A
 
 
 def random_laurent(rng):
@@ -233,7 +222,7 @@ class TestAgainstSympy:
 class TestRationalBasisInverse:
     def assert_unimodular_inverse(self, module):
         B = RationalBasis(module)
-        assert B._U * B._Uinv == LambdaMatrix.identity(module.generators)
+        assert module.snf.U * B._Uinv == LambdaMatrix.identity(module.generators)
 
     @pytest.mark.parametrize("ref", [("nine46", {}), ("genus_one_slice", {"m": 3, "l": 5})])
     def test_nfold_sums(self, ref):

@@ -16,7 +16,7 @@ from eqslice.matrices import LambdaMatrix
 from eqslice.modules import PresentedModule, direct_sum, from_seifert
 from eqslice.pairing import direct_sum_pairing, gram_from_seifert, negate_pairing, pair
 from pairing_oracles import swap_by_block_smith_forms
-from test_obstruction import check_cases
+from cases import check_cases
 
 
 def P(s):
@@ -233,7 +233,7 @@ class TestSwapInvolution:
 class TestDirectSumInvolution:
     def test_two_nine46_swaps(self):
         T1, T2 = nine46_swap(), nine46_swap()
-        T = direct_sum_involution(T1, T2)
+        T = direct_sum_involution(T1, T2, direct_sum(T1.module, T2.module))
         assert T.module.generators == 4
         assert is_well_defined(T) and is_involutive(T)
         B = direct_sum_pairing(
@@ -246,5 +246,5 @@ class TestDirectSumInvolution:
     def test_sum_with_trivial(self):
         T1 = nine46_swap()
         trivial = SemilinearMap(module=PresentedModule(0), matrix=LambdaMatrix([]))
-        T = direct_sum_involution(T1, trivial)
+        T = direct_sum_involution(T1, trivial, direct_sum(T1.module, trivial.module))
         assert T.matrix == T1.matrix

@@ -13,7 +13,7 @@ import pytest
 from eqslice.laurent import ZERO, LaurentPoly, _reduce_mod, parse_poly
 from eqslice.modules import _combine, _Quotient, _reduce, from_seifert
 
-from test_exact_linear_algebra import dense_seifert
+from cases import dense_seifert
 
 
 def positive_multiple(x, y):

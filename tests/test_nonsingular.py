@@ -9,6 +9,7 @@ verdicts occur often, also on grams that are not well defined.
 """
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -23,8 +24,7 @@ from eqslice.pairing import (
     gram_from_seifert,
     negate_pairing,
 )
-from test_acceptance import CATALOG_GRID
-from test_exact_linear_algebra import dense_seifert
+from cases import CATALOG_GRID, dense_seifert
 
 
 def kernel_oracle(B):
@@ -176,22 +176,21 @@ FAMILIES = {
 }
 
 
-@pytest.fixture(scope="module")
-def verdicts():
-    return {
-        family: [(label, check_nonsingular(B), kernel_oracle(B)) for label, B in build()]
-        for family, build in FAMILIES.items()
-    }
+@lru_cache(maxsize=None)
+def verdicts(family):
+    """(label, verdict, oracle's verdict) for each case of the family, built
+    once and inside the tests that ask, so a fault fails them by name."""
+    return [(label, check_nonsingular(B), kernel_oracle(B)) for label, B in FAMILIES[family]()]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_agrees_with_kernel_oracle(verdicts, family):
-    disagree = [(label, new, old) for label, new, old in verdicts[family] if new != old]
+def test_agrees_with_kernel_oracle(family):
+    disagree = [(label, new, old) for label, new, old in verdicts(family) if new != old]
     assert not disagree
 
 
-def test_cases_reach_both_verdicts(verdicts):
-    old = [o for rows in verdicts.values() for _, _, o in rows]
+def test_cases_reach_both_verdicts():
+    old = [o for family in FAMILIES for _, _, o in verdicts(family)]
     assert old.count(False) >= 10
     assert old.count(True) >= 10
 

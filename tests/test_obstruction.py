@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqslice.catalog import KnotSpec, assemble, builtin, sum_specs
+from eqslice.catalog import assemble, builtin, sum_specs
 from eqslice.laurent import ONE, ZERO, parse_poly, unit_equal
 from eqslice.obstruction import (
     CERTIFIED_K0,
@@ -27,8 +27,7 @@ from eqslice.matrices import LambdaMatrix
 from eqslice.pairing import pair, pair_grid
 from eqslice.witt import EquivariantTriple, triple_sum, negate, validate
 from pairing_oracles import symmetrised_grid
-from test_acceptance import CATALOG_GRID
-from test_exact_linear_algebra import dense_seifert
+from cases import check_cases
 
 
 def nine46():
@@ -123,25 +122,6 @@ def tau_grid_oracle(T, basis):
     """The old symmetrised tau-grid over the rational basis, per term."""
     beta = [basis.basis_element(k) for k in range(basis.dimension)]
     return symmetrised_grid(T.pairing, beta, [T.involution.apply(b) for b in beta])
-
-
-def swap_double_of(A, name):
-    n = len(A)
-    double = tuple(tuple(A[r]) + (0,) * n for r in range(n)) + tuple(
-        (0,) * n + tuple(A[c][r] for c in range(n)) for r in range(n)
-    )
-    return assemble(KnotSpec(name=name, seifert=double, involution="swap"))
-
-
-def check_cases():
-    for name, params in CATALOG_GRID:
-        spec = builtin(name, **params)
-        yield f"{name}{params}", assemble(spec)
-        yield f"{name}{params} doubled", assemble(sum_specs([spec, spec]))
-    rng = random.Random(52)
-    for genus, count in ((1, 3), (2, 2)):
-        for i in range(count):
-            yield f"swap dense g{genus} #{i}", swap_double_of(dense_seifert(genus, rng), f"swap_g{genus}_{i}")
 
 
 def with_forms(cert, idx, edit):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache, partial
 
 import pytest
 
@@ -12,7 +13,7 @@ from eqslice.laurent import (
     TorsionClass,
     parse_poly,
 )
-from eqslice.matrices import inverse_qt, seifert_pencil
+from eqslice.matrices import block_diag, inverse_qt, seifert_pencil
 from eqslice.modules import direct_sum, from_seifert
 from eqslice.pairing import (
     GramPairing,
@@ -25,10 +26,8 @@ from eqslice.pairing import (
     pair_grid,
     vanishes_on_relations,
 )
+from cases import CATALOG_GRID, SINGULAR_DENSE, check_cases, dense_seifert, swap_double
 from pairing_oracles import pair_per_term, pair_via_solve, vanishes_per_term
-from test_acceptance import CATALOG_GRID
-from test_exact_linear_algebra import dense_seifert
-from test_obstruction import check_cases
 
 
 def P(s):
@@ -212,46 +211,65 @@ def doubled(B):
     return direct_sum_pairing(B, B, direct_sum(B.module, B.module))
 
 
-def block_diagonal(A, B):
-    n, m = len(A), len(B)
-    return [list(r) + [0] * m for r in A] + [[0] * n + list(r) for r in B]
+@lru_cache(maxsize=None)
+def catalog_pairing(i):
+    """CATALOG_GRID[i]'s pairing, and its Seifert matrix where that matrix
+    alone gives the pairing, else None."""
+    name, params = CATALOG_GRID[i]
+    spec = builtin(name, **params)
+    B = assemble(spec).pairing
+    A = [list(r) for r in spec.seifert]
+    return B, A if A and gram_from_seifert(A).gram == B.gram else None
 
 
-def differential_cases():
-    """(label, pairing, sign, Seifert matrix): the pairing is sign times the
-    one of the Seifert matrix, or the matrix is None."""
-    for name, params in CATALOG_GRID:
-        spec = builtin(name, **params)
-        B = assemble(spec).pairing
-        A = [list(r) for r in spec.seifert]
-        if not A or gram_from_seifert(A).gram != B.gram:
-            A = None
-        yield f"{name}{params}", B, 1, A
-        yield f"{name}{params} negated", negate_pairing(B), -1, A
-        yield f"{name}{params} doubled", doubled(B), 1, A and block_diagonal(A, A)
-    rng = random.Random(33)
-    for genus in (1, 2, 3):
-        A = dense_seifert(genus, rng)
-        swap = block_diagonal(A, [list(r) for r in zip(*A)])
-        yield f"swap double of dense genus {genus}", gram_from_seifert(swap), 1, swap
-    # entries over different denominators: zero, a unit (t^3, a zero class),
-    # coprime linear and quadratic factors, and a square
+# label suffix -> (pairing, Seifert matrix) -> case
+VARIANTS = {
+    "": lambda B, A: (B, 1, A),
+    " negated": lambda B, A: (negate_pairing(B), -1, A),
+    " doubled": lambda B, A: (doubled(B), 1, A and block_diag([A, A], 0)),
+}
+
+
+def hand_built(zero):
+    """A gram over different denominators: zero, a unit (t^3, a zero class),
+    coprime linear and quadratic factors, and a square; or the zero gram."""
     M = direct_sum(from_seifert(NINE46), from_seifert([[1, 1], [0, -1]]))
+    if zero:
+        return GramPairing(module=M, gram=tuple((TorsionClass(),) * 4 for _ in range(4))), 1, None
     entries = [
         [cls("1", "t - 2"), TorsionClass(), cls("5", "t^3"), cls("t + 1", "2*t^2 - 5*t + 2")],
         [cls("2*t", "t^2 - 3*t + 1"), cls("1", "t + 1"), TorsionClass(), cls("1 - t", "t - 2")],
         [TorsionClass(), cls("3", "2*t - 1"), cls("t", "t^2 - 4*t + 4"), cls("1/2", "t^2 - t + 1")],
         [cls("t^-1", "t^2 - t + 1"), TorsionClass(), cls("1", "t - 3"), cls("-4*t + 1", "t^2 - 3*t + 1")],
     ]
-    yield "hand-built", GramPairing(module=M, gram=tuple(tuple(r) for r in entries)), 1, None
-    yield "hand-built zero", GramPairing(module=M, gram=tuple((TorsionClass(),) * 4 for _ in range(4))), 1, None
+    return GramPairing(module=M, gram=tuple(tuple(r) for r in entries)), 1, None
 
 
-DIFFERENTIAL = list(differential_cases())
+def swap_case(A):
+    swap = swap_double(A)
+    return gram_from_seifert(swap), 1, swap
 
 
-@pytest.mark.parametrize("label, B, sign, A", DIFFERENTIAL, ids=[c[0] for c in DIFFERENTIAL])
-def test_common_denominator_matches_per_term_and_solve(label, B, sign, A):
+def differential_cases():
+    """(label, build): build() gives (pairing, sign, Seifert matrix), where
+    the pairing is sign times the one of the Seifert matrix, or the matrix
+    is None.  Only the labels are made here; each test builds its case."""
+    for i, (name, params) in enumerate(CATALOG_GRID):
+        for suffix, variant in VARIANTS.items():
+            yield f"{name}{params}{suffix}", lambda i=i, variant=variant: variant(*catalog_pairing(i))
+    rng = random.Random(33)
+    for genus in (1, 2, 3):
+        yield f"swap double of dense genus {genus}", partial(swap_case, dense_seifert(genus, rng))
+    yield "hand-built", partial(hand_built, False)
+    yield "hand-built zero", partial(hand_built, True)
+
+
+DIFFERENTIAL = dict(differential_cases())
+
+
+@pytest.mark.parametrize("label", DIFFERENTIAL)
+def test_common_denominator_matches_per_term_and_solve(label):
+    B, sign, A = DIFFERENTIAL[label]()
     assert vanishes_on_relations(B) == vanishes_per_term(B)
     n = B.module.generators
     rng = random.Random(label)
@@ -268,8 +286,9 @@ def test_common_denominator_matches_per_term_and_solve(label, B, sign, A):
 
 
 def test_differential_cases_reach_every_oracle():
-    assert sum(A is not None for _, _, _, A in DIFFERENTIAL) >= 30
-    verdicts = [vanishes_on_relations(B) for _, B, _, _ in DIFFERENTIAL]
+    cases = [build() for build in DIFFERENTIAL.values()]
+    assert sum(A is not None for _, _, A in cases) >= 30
+    verdicts = [vanishes_on_relations(B) for B, _, _ in cases]
     assert verdicts.count(True) >= 30 and verdicts.count(False) == 1
 
 
@@ -317,27 +336,28 @@ def gram_via_inverse_qt(A):
     return tuple(tuple(TorsionClass(P("t - 1") * LaurentPoly(enumerate(f)), den) for f in row) for row in F)
 
 
+def seifert_of(name, params, copies=1):
+    return [list(r) for r in sum_specs([builtin(name, **params)] * copies).seifert]
+
+
 def exponent_route_cases():
-    """(label, nonsingular Seifert matrix, whether deg mu < n)."""
+    """(label, build): build() gives a nonsingular Seifert matrix and whether
+    deg mu < n, or None where that is not asserted."""
     for name, params in CATALOG_GRID:
-        A = [list(r) for r in builtin(name, **params).seifert]
-        yield f"{name}{params}", A, None
-        yield f"{name}{params} negated", [[-x for x in col] for col in zip(*A)], None
+        A = partial(seifert_of, name, params)
+        yield f"{name}{params}", lambda A=A: (A(), None)
+        yield f"{name}{params} negated", lambda A=A: ([[-x for x in col] for col in zip(*A())], None)
     for name, params in (("nine46", {}), ("genus_one_slice", {"m": 3, "l": 5})):
         for copies in (8, 16, 32):
-            spec = sum_specs([builtin(name, **params)] * copies)
-            yield f"{copies} x {name}{params}", [list(r) for r in spec.seifert], True
+            yield f"{copies} x {name}{params}", lambda A=partial(seifert_of, name, params, copies): (A(), True)
     rng = random.Random(36)
     for genus in (1, 2, 3):
-        A = dense_seifert(genus, rng)
-        yield f"swap double of dense genus {genus}", block_diagonal(A, [list(r) for r in zip(*A)]), True
+        yield f"swap double of dense genus {genus}", lambda A=dense_seifert(genus, rng): (swap_double(A), True)
     for genus in range(2, 9):
-        yield f"dense genus {genus}", dense_seifert(genus, rng), False
+        yield f"dense genus {genus}", lambda A=dense_seifert(genus, rng): (A, False)
 
 
-EXPONENT_ROUTE = list(exponent_route_cases())
-# a dense genus-2 draw with det A = 0: dense_seifert(2, random.Random(57))
-SINGULAR_DENSE = [[-3, 0, 1, 1], [-1, -3, -2, 1], [1, -2, -1, 1], [1, 1, 0, -1]]
+EXPONENT_ROUTE = dict(exponent_route_cases())
 
 
 @pytest.fixture
@@ -352,8 +372,9 @@ def inverse_qt_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("label, A, short", EXPONENT_ROUTE, ids=[c[0] for c in EXPONENT_ROUTE])
-def test_exponent_route_matches_inverse_qt(label, A, short, inverse_qt_calls):
+@pytest.mark.parametrize("label", EXPONENT_ROUTE)
+def test_exponent_route_matches_inverse_qt(label, inverse_qt_calls):
+    A, short = EXPONENT_ROUTE[label]()
     M = from_seifert(A)
     assert M.model is not None
     if short is not None:

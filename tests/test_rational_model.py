@@ -18,12 +18,11 @@ from eqslice.catalog import assemble, build, builtin
 from eqslice.cli import main
 from eqslice.involution import SemilinearMap
 from eqslice.laurent import ONE, ZERO, LaurentPoly, parse_poly
-from eqslice.matrices import LambdaMatrix, in_span, mat_vec, snf
+from eqslice.matrices import LambdaMatrix, block_diag, in_span, mat_vec, snf
 from eqslice.modules import from_seifert
 from eqslice.pairing import check_nonsingular, gram_from_seifert
 
-from test_acceptance import CATALOG_GRID
-from test_exact_linear_algebra import dense_seifert
+from cases import CATALOG_GRID, dense_seifert, swap_double
 
 # C has one Jordan block of t^2 - 3t + 1 while e_0 spans a chain of degree
 # 2 only, so the chain presentation is [[p, q], [0, p]] with q != 0 and the
@@ -31,24 +30,15 @@ from test_exact_linear_algebra import dense_seifert
 JORDAN = [[-1, 0, -1, -1], [-1, 0, -1, 0], [-1, -1, -1, 1], [-1, 0, 0, 0]]
 
 
-def block_sum(blocks):
-    n = sum(len(B) for B in blocks)
-    out, offset = [], 0
-    for B in blocks:
-        out += [[0] * offset + list(row) + [0] * (n - offset - len(B)) for row in B]
-        offset += len(B)
-    return out
-
-
 def seifert_cases():
     for name, params in CATALOG_GRID:
         A = builtin(name, **params).seifert
         for k in (1, 2, 3, 8):
-            yield f"{name}{params} x{k}", block_sum([A] * k)
+            yield f"{name}{params} x{k}", block_diag([A] * k, 0)
     rng = random.Random(71)
     for i in range(5):
         A = dense_seifert(1 + i % 2, rng)
-        yield f"swap double g{1 + i % 2} #{i}", block_sum([A, list(zip(*A))])
+        yield f"swap double g{1 + i % 2} #{i}", swap_double(A)
     rng = random.Random(72)
     for genus in range(1, 6):
         for i in range(8 if genus < 4 else 2):

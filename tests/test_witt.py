@@ -10,7 +10,6 @@ from eqslice.modules import PresentedModule, from_seifert
 from eqslice.pairing import gram_from_seifert
 from eqslice.witt import (
     EquivariantTriple,
-    SubmoduleWitness,
     diagonal_metabolizer,
     is_metabolizer,
     negate,
@@ -168,21 +167,18 @@ class TestMetabolizer:
 
     def test_zero_submodule_fails_order(self):
         T = nine46_triple()
-        report = is_metabolizer(T, SubmoduleWitness(generators=()))
+        report = is_metabolizer(T, ())
         assert report.failing() == ["order_identity"]
 
     def test_whole_module_fails_vanishing(self):
         T = nine46_triple()
-        witness = SubmoduleWitness(
-            generators=(T.module.generator(0), T.module.generator(1))
-        )
-        report = is_metabolizer(T, witness)
+        report = is_metabolizer(T, (T.module.generator(0), T.module.generator(1)))
         assert "pairwise_vanishing" in report.failing()
 
     def test_summand_swapped_by_tau_is_not_invariant(self):
         T = nine46_triple()
         for i in range(2):
-            report = is_metabolizer(T, SubmoduleWitness(generators=(T.module.generator(i),)))
+            report = is_metabolizer(T, (T.module.generator(i),))
             assert report.failing() == ["tau_invariant"]
 
     @pytest.mark.parametrize("name, params", [("nine46", {}), ("swap_double", {"inner": "nine46"})])
@@ -214,7 +210,7 @@ class TestMetabolizer:
         witness = diagonal_metabolizer(T)
         from eqslice.modules import submodule_presentation
 
-        sub = submodule_presentation(double.module, list(witness.generators))
+        sub = submodule_presentation(double.module, list(witness))
         assert unit_equal(
             sub.order * sub.order.conjugate(), double.module.order
         )
