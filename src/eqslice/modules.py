@@ -13,10 +13,9 @@ off the Smith normal form of its relations, taken at construction.  A
 module with a model takes the Smith form, with its unimodular transforms,
 on first use, which is a RationalBasis.
 
-The integer Krylov arithmetic on Q[t]-modules is here, once: the Horner
-sum _combine, the fraction-free echelon step _reduce and the spin
-_spin_rank.  They run on two spaces: the rational model, and the
-_Quotient (Lambda/den)^k that pairing.check_nonsingular spins in.
+The rational model is the one Krylov space: its integer arithmetic is the
+Horner sum _combine, which maps an element to its vector, and the
+fraction-free echelon step _reduce, which spins its chains.
 """
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ from .laurent import (
     ONE,
     ZERO,
     LaurentPoly,
-    _reduce_mod,
     as_poly,
     divexact,
     laurent_gcd,
@@ -107,7 +105,7 @@ class PresentedModule:
         if all(c.is_zero() for c in x.coeffs):
             return True
         if self.model is not None:
-            return not any(_combine(self.model, self.model.units, x.coeffs))
+            return not any(_combine(self.model, x.coeffs))
         return in_span(list(x.coeffs), self.relations, self.snf) is not None
 
     def __eq__(self, other) -> bool:
@@ -193,8 +191,8 @@ class _RationalModel:
     sum_k v_k t^k is zero iff sum_k C^k v_k = 0, and the invariant factors
     are those of C.  C is kept as the integer matrix num = A^T adj(A) over
     the positive integer scale = det A, reduced by their common content,
-    which makes the model a space (see _combine).  det A and adj(A) are
-    kept for inverse_pencil.
+    so a vector stands for its Q-span (see _combine).  det A and adj(A)
+    are kept for inverse_pencil.
     """
 
     def __init__(self, A: Sequence[Sequence[int]], d: int, adj: list[list[int]]):
@@ -206,7 +204,6 @@ class _RationalModel:
             g = -g
         self.num = [[e // g for e in row] for row in num]
         self.scale = d // g
-        self.units = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def times_t(self, v: list[int]) -> list[int]:
         """num * v, that is scale * C * v."""
@@ -328,62 +325,14 @@ class _RationalModel:
         return [[columns[j][l] if l < len(columns[j]) else ZERO for j in range(k)] for l in range(k)]
 
 
-class _Quotient:
-    """(Lambda/den)^k in integer coordinates, a space (see _combine).
+def _combine(model: _RationalModel, r: Sequence[LaurentPoly]) -> list[int]:
+    """The vector sum_j r_j(C) e_j of the element r, by Horner in t.
 
-    den is monic ordinary with nonzero constant term, D = deg den.  An
-    entry is stored as its coefficients of t^0 .. t^(D-1) mod den and a
-    vector as the concatenation of its entries' coordinates; only the
-    Q-span of a vector matters, so every vector is kept as some nonzero
-    integer multiple of its exact coordinates.
+    The result is that vector times t^-v, v the least exponent in r, and
+    times a positive integer that clears the denominators of r and the
+    scale of num; neither factor changes whether it is zero.
     """
-
-    def __init__(self, den: LaurentPoly):
-        self.D = den.degree()
-        dense = den.dense()
-        scale = self.scale = lcm(*(c.denominator for c in dense))
-        # den times scale; its leading coefficient is scale
-        self.coeffs = [c.numerator * (scale // c.denominator) for c in dense]
-        self.den = den
-
-    def coordinates(self, vectors: Sequence[Sequence[LaurentPoly]]) -> list[list[int]]:
-        """The vectors reduced mod den, all scaled by one common integer.
-
-        An entry that is already an ordinary polynomial of degree below D,
-        as every entry of GramPairing.common's N is, is read as it stands.
-        """
-        flat = []
-        for v in vectors:
-            reduced = [
-                e if e.is_zero() or (e.valuation() >= 0 and e.degree() < self.D) else _reduce_mod(e, self.den)
-                for e in v
-            ]
-            flat.append([r.coefficient(j) for r in reduced for j in range(self.D)])
-        common = lcm(*(c.denominator for row in flat for c in row))
-        return [[c.numerator * (common // c.denominator) for c in row] for row in flat]
-
-    def times_t(self, v: list[int]) -> list[int]:
-        """scale * (t * v mod den)."""
-        D, coeffs, scale = self.D, self.coeffs, self.scale
-        out = []
-        for k in range(0, len(v), D):
-            top = v[k + D - 1]
-            out.append(-top * coeffs[0])
-            out.extend(scale * v[k + j - 1] - top * coeffs[j] for j in range(1, D))
-        return out
-
-
-def _combine(space, rows: list[list[int]], r: Sequence[LaurentPoly]) -> list[int]:
-    """sum_j r_j * rows[j] in space, by Horner in t over the exponents of r.
-
-    A space holds a Q[t]-module in integer coordinates, where a vector
-    stands for its Q-span: times_t(v) is scale * t * v for a positive
-    integer scale.  rows share one scale.  The result is that sum times t^-v, v the least
-    exponent in r, and times a positive integer that clears the
-    denominators of r; neither factor changes whether it is zero or the
-    submodule it spins.
-    """
-    out = [0] * len(rows[0])
+    out = [0] * model.n
     nonzero = [e for e in r if not e.is_zero()]
     if not nonzero:
         return out
@@ -392,13 +341,12 @@ def _combine(space, rows: list[list[int]], r: Sequence[LaurentPoly]) -> list[int
     # scale^k to keep one multiple throughout
     mult = lcm(*(c.denominator for e in nonzero for _, c in e.items()))
     for m in range(max(e.degree() for e in nonzero), v - 1, -1):
-        out = space.times_t(out)
-        for e, row in zip(r, rows):
+        out = model.times_t(out)
+        for j, e in enumerate(r):
             c = e.coefficient(m)
             if c:
-                f = c.numerator * (mult // c.denominator)
-                out = [a + f * b for a, b in zip(out, row)]
-        mult *= space.scale
+                out[j] += c.numerator * (mult // c.denominator)
+        mult *= model.scale
     return out
 
 
@@ -417,26 +365,6 @@ def _reduce(basis: dict[int, list[int]], v: list[int], width: int) -> tuple[list
             return v, p
         b = basis[p]
         v = _primitive([b[p] * x - v[p] * y for x, y in zip(v, b)])
-
-
-def _spin_rank(vectors: Sequence[list[int]], space) -> int:
-    """Q-dimension of the submodule of space the vectors generate.
-
-    Krylov spinning: each vector is reduced against one echelon basis;
-    only an independent one joins it and queues its image under t.  So
-    every basis vector's image is in the final span, which is therefore
-    t-stable, and it holds each input: handled are the k inputs plus one
-    vector per rank, not the k*D of a direct elimination.
-    """
-    basis: dict[int, list[int]] = {}
-    queue = [_primitive(v) for v in vectors]
-    while queue:
-        v = queue.pop()
-        v, p = _reduce(basis, v, len(v))
-        if p is not None:
-            basis[p] = v
-            queue.append(_primitive(space.times_t(v)))
-    return len(basis)
 
 
 def _primitive(v: list[int]) -> list[int]:

@@ -27,17 +27,23 @@ is den dividing N * conj(r).
 pair_grid is the only evaluator: it pairs a list of elements against
 another, forming each N * conj(y) once, and pair is its 1 x 1 case.
 
-Nonsingularity is decided by two ranks over Q rather than by Smith forms:
-it holds iff den kills the module and multiplication by N^T on
-(Lambda/den)^n has rank dim_Q M more than on the image of the relations.
-The ranks come from the integer Krylov layer of modules (_Quotient,
-_combine, _spin_rank), so no coefficient swell of unimodular transforms
-is paid.
+Nonsingularity is one determinant over Q.  Let eps send a class f/den,
+f of degree below D = deg den, den monic, to the t^(D-1) coefficient of f;
+that does not depend on the monic den chosen.  eps kills no nonzero
+submodule of Q(t)/Lambda: if f is not 0 mod den, the submodule f/den
+generates holds g/den for the monic g = gcd(f, den), of degree below D,
+and eps takes 1 on t^(D-1-deg g) g/den (Trotter 1973, Invent. Math. 20; Milnor 1969, Invent.
+Math. 8).  So for a Hermitian, well-defined pairing, x is in the kernel of
+the adjoint iff eps(pair(x, t^k y)) = 0 for every k and y, i.e. iff x is
+in the kernel of the Q-form eps(pair(-, -)), and the pairing is
+nonsingular iff that form's matrix over a Q-basis is invertible.  On any
+other gram the verdict means nothing.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from operator import truediv
 from typing import Sequence
 
 from .laurent import (
@@ -55,12 +61,13 @@ from .matrices import (
     LambdaMatrix,
     SingularMatrixError,
     _dot,
+    _eliminate,
     block_diag,
     inverse_qt,
     mat_vec,
     seifert_pencil,
 )
-from .modules import ModuleElement, PresentedModule, _Quotient, _combine, _spin_rank, from_seifert
+from .modules import ModuleElement, PresentedModule, RationalBasis, from_seifert
 
 
 @dataclass(frozen=True)
@@ -161,32 +168,24 @@ def vanishes_on_relations(B: GramPairing) -> bool:
 def check_nonsingular(B: GramPairing) -> bool:
     """True iff the adjoint x -> pair(x, -) has trivial kernel.
 
-    With (den, N) = B.common, the kernel is trivial iff
-    L = {x : N^T x = 0 mod den} lies in R*Lambda^n, R the relations.  As
-    den*Lambda^n lies in L, that needs den to kill the module, i.e. every
-    invariant factor d_k to divide den.  Then in V = (Lambda/den)^n,
-    L/den*Lambda^n is the kernel of phi = N^T and R*Lambda^n/den*Lambda^n
-    the image of rho = R, of codimension d = sum deg d_k = dim_Q M; and
-    ker phi lies in im rho iff rank phi - rank phi*rho = d, since phi*rho
-    has the rank of phi on im rho.  Both ranks are over Q, by spinning
-    (see _spin_rank); no Smith form.
+    B must be Hermitian and well defined (check_hermitian,
+    vanishes_on_relations).  The verdict is det E != 0 for
+    E_kl = eps(pair(b_k, b_l)) over a Q-basis b of the module (see the
+    module docstring).  With a rational model the generators are a Q-basis
+    and E is read off N = den * gram; any other module takes a
+    RationalBasis.
     """
     module = B.module
     if not module.is_torsion:
         return False
-    den, N = B.common
-    if not all(divides(dk, den) for dk in module.invariant_factors):
-        return False
-    if den.is_one():
-        return True  # den kills the module, which is therefore zero (or n = 0)
-    space = _Quotient(den)
-    # the columns of N^T are the rows of N, and phi*rho sends a relation
-    # column r to sum_j r_j * (row j of N)
-    phi = space.coordinates(N.to_lists())
-    R = module.relations
-    phi_rho = [_combine(space, phi, R.col(c)) for c in range(R.cols)]
-    d = sum(dk.degree() for dk in module.invariant_factors)
-    return _spin_rank(phi, space) - _spin_rank(phi_rho, space) == d
+    if module.model is not None:
+        den, N = B.common
+        E = [[e.coefficient(den.degree() - 1) for e in row] for row in N.to_lists()]
+    else:
+        basis = RationalBasis(module)
+        xs = [basis.basis_element(k) for k in range(basis.dimension)]
+        E = [[g.num.coefficient(g.den.degree() - 1) for g in row] for row in pair_grid(B, xs, xs)]
+    return _eliminate(E, 0, 1, truediv, abs)[0] != 0
 
 
 def direct_sum_pairing(B1: GramPairing, B2: GramPairing, module: PresentedModule) -> GramPairing:

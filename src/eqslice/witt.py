@@ -74,22 +74,29 @@ class ValidationReport:
 
 
 def validate(T: EquivariantTriple) -> ValidationReport:
-    """Run every structural axiom and report pass/fail per check."""
+    """Run every structural axiom and report pass/fail per check.
+
+    nonsingular is checked only on a torsion module with a Hermitian,
+    well-defined pairing, as check_nonsingular requires, and reports a skip
+    otherwise, as the involution checks are gated on involution_well_defined.
+    """
     checks: list[AxiomCheck] = []
 
     torsion = T.module.is_torsion
     checks.append(
         AxiomCheck("torsion", torsion, "" if torsion else f"free rank {T.module.free_rank}")
     )
-    checks.append(AxiomCheck("hermitian", check_hermitian(T.pairing)))
-    checks.append(AxiomCheck("pairing_well_defined", vanishes_on_relations(T.pairing)))
-    checks.append(
-        AxiomCheck(
-            "nonsingular",
-            check_nonsingular(T.pairing) if torsion else False,
-            "" if torsion else "skipped: module not torsion",
-        )
-    )
+    hermitian = check_hermitian(T.pairing)
+    checks.append(AxiomCheck("hermitian", hermitian))
+    well_defined = vanishes_on_relations(T.pairing)
+    checks.append(AxiomCheck("pairing_well_defined", well_defined))
+    if not torsion:
+        skipped = "skipped: module not torsion"
+    elif not (hermitian and well_defined):
+        skipped = "skipped: pairing not hermitian and well defined"
+    else:
+        skipped = ""
+    checks.append(AxiomCheck("nonsingular", not skipped and check_nonsingular(T.pairing), skipped))
     wd = T.involution.well_defined
     checks.append(AxiomCheck("involution_well_defined", wd))
     checks.append(AxiomCheck("involutive", is_involutive(T.involution) if wd else False))

@@ -1,17 +1,17 @@
 """The integer Krylov layer of modules, against Fraction arithmetic.
 
-_combine and _reduce are shared by the rational model of a Seifert module
-and by check_nonsingular's quotient (Lambda/den)^k.  Each is checked here
-on its own: every result is an integer vector that stands for its Q-span,
-so it must equal the exact Fraction answer up to a positive factor.
+_combine and _reduce are the integer arithmetic of the rational model of a
+Seifert module.  Each is checked here on its own: every result is an
+integer vector that stands for its Q-span, so it must equal the exact
+Fraction answer up to a positive factor.
 """
 import random
 from fractions import Fraction
 
 import pytest
 
-from eqslice.laurent import ZERO, LaurentPoly, _reduce_mod, parse_poly
-from eqslice.modules import _combine, _Quotient, _reduce, from_seifert
+from eqslice.laurent import LaurentPoly
+from eqslice.modules import _combine, _reduce, from_seifert
 
 from cases import dense_seifert
 
@@ -101,42 +101,4 @@ def test_combine_over_the_model(seed):
         expected = [e + sum(a * b for a, b in zip(row, v)) for e, row in zip(expected, power)]
         power = mat_mul(C, power)
     assert any(expected)
-    assert positive_multiple(_combine(model, model.units, coeffs), expected)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_combine_over_the_quotient(seed):
-    # sum_j r_j * vectors[j] mod den, times t^-v for v the least exponent in
-    # r; den has scale 2, so the Horner must carry it
-    rng = random.Random(seed)
-    den = parse_poly("t^2 - 5/2*t + 1") * parse_poly("t + 3")
-    space = _Quotient(den)
-    assert space.scale == 2
-    k = 3
-    vectors = [[random_poly(rng, -1, 3) for _ in range(2)] for _ in range(k)]
-    r = [random_poly(rng, rng.randint(-3, 0), rng.randint(0, 3)) for _ in range(k)]
-    shift = LaurentPoly({-min(e.valuation() for e in r if not e.is_zero()): 1})
-    total = [sum((shift * r[j] * vectors[j][i] for j in range(k)), ZERO) for i in range(2)]
-    expected = [_reduce_mod(e, den).coefficient(d) for e in total for d in range(space.D)]
-    assert positive_multiple(_combine(space, space.coordinates(vectors), r), expected)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_coordinates_read_reduced_and_unreduced_entries_alike(seed):
-    # entries already ordinary of degree below D are read as they stand;
-    # adding a multiple of den, or a unit shift, sends them through the
-    # reduction, and the coordinates must not change
-    rng = random.Random(seed)
-    den = parse_poly("t^2 - 5/2*t + 1") * parse_poly("t + 3")
-    space = _Quotient(den)
-    reduced = [[random_poly(rng, 0, space.D - 1) for _ in range(3)] for _ in range(4)]
-    reduced[0][0] = ZERO
-    unreduced = [
-        [e + den * random_poly(rng, -2, 2) for e in reduced[0]],
-        [e + den for e in reduced[1]],
-        [_reduce_mod(e, den) for e in reduced[2]],
-        [LaurentPoly({-1: 1}) * _reduce_mod(e * LaurentPoly({1: 1}), den) for e in reduced[3]],
-    ]
-    assert all(e.is_zero() or 0 <= e.valuation() <= e.degree() < space.D for row in reduced for e in row)
-    assert any(e.valuation() < 0 or e.degree() >= space.D for row in unreduced for e in row if not e.is_zero())
-    assert space.coordinates(unreduced) == space.coordinates(reduced)
+    assert positive_multiple(_combine(model, coeffs), expected)

@@ -1,30 +1,38 @@
-"""Differential tests of check_nonsingular, the rank test by spinning,
-against the Smith-form algorithm it replaced: solve N^T x = 0 mod den
-through the kernel of [N^T | den*I], then ask whether each solution lies
-in the relation span.
+"""Differential tests of check_nonsingular, the determinant of the trace
+form eps(pair(-, -)), against the Smith-form algorithm it replaced: solve
+N^T x = 0 mod den through the kernel of [N^T | den*I], then ask whether
+each solution lies in the relation span.
 
-The cases mix knot pairings (nonsingular), their sums and negations,
-perturbed grams and pairings on random torsion modules, so that both
-verdicts occur often, also on grams that are not well defined.
+The trace form decides only on a Hermitian, well-defined gram, so the two
+are compared on every case that passes check_hermitian and
+vanishes_on_relations.  The cases mix knot pairings (nonsingular), their
+sums and negations, sums with repeated factors, perturbed grams and
+pairings on random torsion modules, so that both verdicts occur often, on
+both routes: a module's rational model and a RationalBasis.  The cases
+that are not well defined check that validate skips nonsingular on them.
 """
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 
-from eqslice.catalog import assemble, builtin
+from eqslice.catalog import assemble, builtin, sum_specs
+from eqslice.involution import SemilinearMap
 from eqslice.laurent import ONE, ZERO, LaurentPoly, TorsionClass, divexact, laurent_lcm
 from eqslice.matrices import LambdaMatrix, in_span, kernel
-from eqslice.modules import PresentedModule, _Quotient, _spin_rank, direct_sum
+from eqslice.modules import PresentedModule, direct_sum
 from eqslice.pairing import (
     GramPairing,
+    check_hermitian,
     check_nonsingular,
     direct_sum_pairing,
     gram_from_seifert,
     negate_pairing,
+    vanishes_on_relations,
 )
-from cases import CATALOG_GRID, dense_seifert
+from eqslice.witt import EquivariantTriple, validate
+from cases import CATALOG_GRID, SINGULAR_DENSE, check_cases, dense_seifert, swap_double
 
 
 def kernel_oracle(B):
@@ -67,8 +75,19 @@ def scaled(B, p):
     return with_gram(B, [[g.scale(p) for g in row] for row in B.gram])
 
 
+def summed(pairings):
+    """The direct_sum_pairing of the pairings, on their direct_sum module."""
+    return reduce(lambda B1, B2: direct_sum_pairing(B1, B2, direct_sum(B1.module, B2.module)), pairings)
+
+
 def doubled(B):
-    return direct_sum_pairing(B, B, direct_sum(B.module, B.module))
+    return summed([B, B])
+
+
+def composed(B, p):
+    """(x, y) -> pair(p*x, p*y) = p*conj(p)*pair(x, y), Hermitian and well
+    defined with B; singular when p kills a nonzero element."""
+    return scaled(B, p * p.conjugate())
 
 
 def random_class(rng, den):
@@ -89,6 +108,37 @@ def catalog_cases():
         yield f"{name}{params}", B
         yield f"{name}{params} doubled", doubled(B)
         yield f"{name}{params} negated", negate_pairing(B)
+
+
+def sum_cases():
+    """Well-defined pairings with repeated factors, on both routes.
+
+    Swap doubles and block sums of Seifert matrices with det A != 0 have a
+    rational model; direct_sum modules and SINGULAR_DENSE take a
+    RationalBasis.  A sum whose exponent mu has a proper factor p is also
+    composed with p, which kills an element, so the verdict is False.
+    """
+    rng = random.Random(53)
+    for genus in (1, 2, 3):
+        yield f"swap double dense g{genus}", gram_from_seifert(swap_double(dense_seifert(genus, rng)))
+    yield "singular dense", gram_from_seifert(SINGULAR_DENSE)
+    yield "singular dense swap double", gram_from_seifert(swap_double(SINGULAR_DENSE))
+    trefoil = assemble(builtin("trefoil")).pairing
+    yield "trefoil doubled * invariant factor", doubled(scaled(trefoil, trefoil.module.invariant_factors[0]))
+    # t - 2 divides t^2 - 5/2*t + 1 and 3t - 4 divides t^2 - 25/12*t + 1
+    for name, params, root in (("nine46", {}, P([-2, 1])), ("genus_one_slice", {"m": 3, "l": 5}, P([-4, 3]))):
+        spec = builtin(name, **params)
+        B = assemble(spec).pairing
+        for label, S in (("block sum", assemble(sum_specs([spec] * 3)).pairing), ("direct sum", summed([B] * 3))):
+            yield f"{name}{params} x3 {label}", S
+            yield f"{name}{params} x3 {label} composed with {root}", composed(S, root)
+    for (n1, p1), (n2, p2) in zip(CATALOG_GRID, CATALOG_GRID[1:]):
+        B1 = assemble(builtin(n1, **p1)).pairing
+        S = summed([B1, assemble(builtin(n2, **p2)).pairing])
+        yield f"{n1}{p1} + {n2}{p2}", S
+        mu = B1.module.invariant_factors[-1]
+        if mu != S.module.invariant_factors[-1]:
+            yield f"{n1}{p1} + {n2}{p2} composed with {mu}", composed(S, mu)
 
 
 def perturbed_cases():
@@ -127,11 +177,14 @@ def perturbed_cases():
 
 
 def random_module_cases():
-    """Random torsion modules with more relations than generators.
+    """Hyperbolic pairings on M + conj(M), M a random torsion module with
+    more relations than generators.
 
-    With U*R*V = D the Smith form, the gram U^T diag(1/d_k) U is nonsingular:
-    x^T U^T diag(1/d_k) U lies in the ring iff every d_k divides (U x)_k,
-    i.e. iff x is a relation.  Perturbing a block or an entry breaks that.
+    With U*R*V = D the Smith form, H = U^T diag(1/d_k) U is a nonsingular
+    form on M: x^T H lies in the ring iff every d_k divides (U x)_k, i.e.
+    iff x is a relation.  As H is symmetric, the gram [[0, H], [conj(H), 0]]
+    on M + conj(M) is Hermitian, well defined and nonsingular; composing
+    it with an invariant factor d of M makes it singular.
     """
     rng = random.Random(47)
     made = 0
@@ -148,7 +201,7 @@ def random_module_cases():
         if not module.is_torsion or not module.invariant_factors:
             continue
         U, diag = module.snf.U, module.snf.diagonal
-        gram = [
+        H = [
             [
                 sum(
                     (TorsionClass(U.entry(k, i) * U.entry(k, j), diag[k]) for k in range(n)),
@@ -158,19 +211,19 @@ def random_module_cases():
             ]
             for i in range(n)
         ]
-        B = GramPairing(module=module, gram=tuple(tuple(row) for row in gram))
+        zero = [TorsionClass()] * n
+        gram = [zero + row for row in H] + [[h.conjugate() for h in row] + zero for row in H]
+        B = GramPairing(module=direct_sum(module, PresentedModule(n, R.conjugate())), gram=tuple(map(tuple, gram)))
         yield f"random module #{made}", B
-        big = max(range(n), key=lambda k: diag[k].degree())
-        yield f"random module #{made} * (t - 1)", scaled(B, P([-1, 1]))
-        yield f"random module #{made} * factor", scaled(B, diag[big])
-        gram[0][0] = gram[0][0] + random_class(rng, diag[big])
-        yield f"random module #{made} entry shifted", with_gram(B, gram)
+        yield f"random module #{made} composed with t - 1", composed(B, P([-1, 1]))
+        yield f"random module #{made} composed with a factor", composed(B, max(diag[:n], key=LaurentPoly.degree))
         made += 1
 
 
 FAMILIES = {
     "dense": dense_cases,
     "catalog": catalog_cases,
+    "sums": sum_cases,
     "perturbed": perturbed_cases,
     "random_modules": random_module_cases,
 }
@@ -178,56 +231,138 @@ FAMILIES = {
 
 @lru_cache(maxsize=None)
 def verdicts(family):
-    """(label, verdict, oracle's verdict) for each case of the family, built
-    once and inside the tests that ask, so a fault fails them by name."""
-    return [(label, check_nonsingular(B), kernel_oracle(B)) for label, B in FAMILIES[family]()]
+    """(route, label, verdict, oracle's verdict) for each Hermitian,
+    well-defined case of the family, built once and inside the tests that
+    ask, so a fault fails them by name."""
+    return [
+        ("model" if B.module.model else "basis", label, check_nonsingular(B), kernel_oracle(B))
+        for label, B in FAMILIES[family]()
+        if check_hermitian(B) and vanishes_on_relations(B)
+    ]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_agrees_with_kernel_oracle(family):
-    disagree = [(label, new, old) for label, new, old in verdicts(family) if new != old]
+    assert verdicts(family)
+    disagree = [(label, new, old) for _, label, new, old in verdicts(family) if new != old]
     assert not disagree
 
 
 def test_cases_reach_both_verdicts():
-    old = [o for family in FAMILIES for _, _, o in verdicts(family)]
+    cases = [(route, old) for family in FAMILIES for route, _, _, old in verdicts(family)]
+    old = [o for _, o in cases]
     assert old.count(False) >= 10
     assert old.count(True) >= 10
+    assert ("model", False) in cases
+    assert ("basis", False) in cases
 
 
-def test_denominators_that_do_not_kill_the_module_return_early(monkeypatch):
-    # Such a gram fails whatever the ranks are; the divisibility test alone
-    # refuses it, without spinning.
-    def no_spinning(vectors, den):
-        raise AssertionError("spun")
-
-    trefoil = assemble(builtin("trefoil")).pairing
-    R = LambdaMatrix([[P([-2, 1]) * P([-2, 1])]])  # the module Lambda/(t - 2)^2
-    half = TorsionClass(ONE, P([-2, 1]))
-    monkeypatch.setattr("eqslice.pairing._spin_rank", no_spinning)
-    assert not check_nonsingular(doubled(scaled(trefoil, trefoil.module.invariant_factors[0])))
-    assert not check_nonsingular(GramPairing(module=PresentedModule(1, R), gram=((half,),)))
+def ill_defined_cases():
+    """The perturbed grams that are not well defined, and a pairing on
+    Lambda/(t - 2)^2 with values over t - 2, which is neither Hermitian nor
+    well defined."""
+    for label, B in perturbed_cases():
+        if not vanishes_on_relations(B):
+            yield label, B
+    R = LambdaMatrix([[P([-2, 1]) * P([-2, 1])]])
+    yield "Lambda/(t - 2)^2", GramPairing(module=PresentedModule(1, R), gram=((TorsionClass(ONE, P([-2, 1])),),))
 
 
-def spin_rank(vectors, den):
-    space = _Quotient(den)
-    return _spin_rank(space.coordinates(vectors), space)
+def nonsingular_check(T):
+    return next(c for c in validate(T).checks if c.name == "nonsingular")
 
 
-class TestSpinRank:
-    def test_cyclic_vector_fills_its_quotient(self):
-        den = P([2, -3, 1]) * P([1, 1])  # (t - 1)(t - 2)(t + 1)
-        assert spin_rank([[ONE, ZERO]], den) == 3
-        assert spin_rank([[P([-2, 1]), ZERO]], den) == 2
-        assert spin_rank([[ONE, ZERO], [P([0, 1]), ZERO]], den) == 3
-        assert spin_rank([[ONE, ONE], [ZERO, P([-1, 1])]], den) == 5
+def test_validate_skips_nonsingular_on_ill_defined_pairings():
+    labels = []
+    for label, B in ill_defined_cases():
+        identity = SemilinearMap(module=B.module, matrix=LambdaMatrix.identity(B.module.generators))
+        check = nonsingular_check(EquivariantTriple(module=B.module, pairing=B, involution=identity))
+        assert (label, check.passed, check.detail) == (
+            label,
+            False,
+            "skipped: pairing not hermitian and well defined",
+        )
+        labels.append(label)
+    assert any(label.startswith("nine46 entry") for label in labels)
+    assert any("random classes" in label for label in labels)
+    assert "Lambda/(t - 2)^2" in labels
 
-    def test_zero_vectors_and_unit_modulus(self):
-        assert spin_rank([[ZERO, ZERO]], P([-2, 1])) == 0
-        assert spin_rank([[P([-2, 1])]], P([-2, 1])) == 0
-        assert spin_rank([[ONE]], ONE) == 0
 
-    def test_negative_exponents_and_fractions(self):
-        den = P([1, -3, 1])
-        v = [LaurentPoly({-3: Fraction(1, 3), 2: 5})]
-        assert spin_rank([v], den) == 2
+def test_validate_passes_nonsingular_on_check_cases():
+    failing = [label for label, T in check_cases() if not nonsingular_check(T).passed]
+    assert not failing
+
+
+def test_validate_checks_well_definedness_once(monkeypatch):
+    # nonsingular reuses the pairing_well_defined verdict
+    calls = []
+
+    def counted(B):
+        calls.append(B)
+        return vanishes_on_relations(B)
+
+    label, T = next(check_cases())
+    monkeypatch.setattr("eqslice.witt.vanishes_on_relations", counted)
+    assert nonsingular_check(T).passed, label
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, params", CATALOG_GRID[:4])
+def test_model_and_basis_routes_agree(name, params):
+    # the same pairing read off the rational model and off a RationalBasis
+    # of the same presentation without its model
+    B = assemble(builtin(name, **params)).pairing
+    bare = PresentedModule(B.module.generators, B.module.relations)
+    assert B.module.model is not None and bare.model is None
+    mu = B.module.invariant_factors[-1]
+    for C, verdict in ((B, True), (composed(B, mu), False)):
+        assert check_nonsingular(C) is verdict
+        assert check_nonsingular(GramPairing(module=bare, gram=C.gram)) is verdict
+
+
+# Delta = t - 3 + t^-1 and Delta' = 2t - 5 + 2t^-1 = (2t - 1)(t - 2)/t are
+# symmetric, so on Lambda/(rel) the pairing (x, y) -> x conj(y) num/den is
+# Hermitian when num is symmetric, and well defined when den divides rel.
+DELTA = LaurentPoly({-1: 1, 0: -3, 1: 1})
+DELTA2 = LaurentPoly({-1: 2, 0: -5, 1: 2})
+# (t^3 + t^-3)/3 = 6 mod Delta, so it is a unit mod Delta^k
+FRACTIONAL = LaurentPoly({-3: Fraction(1, 3), 3: Fraction(1, 3)})
+# (t - 2)(t + 1)^2 has no t^2 term, so on Lambda/(Delta' (t + 2 + t^-1))
+# the t^(D-2) coefficient, D = 4, kills a nonzero submodule and only the
+# t^(D-1) coefficient decides
+SQUARE = LaurentPoly({-1: 1, 0: 2, 1: 1})
+
+CYCLIC = {
+    "unit value": (DELTA, ONE, DELTA, True),
+    "proper denominator": (DELTA * DELTA2, ONE, DELTA2, False),
+    "full denominator of two factors": (DELTA * DELTA2, ONE, DELTA * DELTA2, True),
+    "repeated factor": (DELTA * DELTA, ONE, DELTA * DELTA, True),
+    "repeated factor over its root": (DELTA * DELTA, ONE, DELTA, False),
+    "fractional numerator": (DELTA, FRACTIONAL, DELTA, True),
+    "fractional numerator, repeated factor": (DELTA * DELTA, FRACTIONAL, DELTA * DELTA, True),
+    "numerator sharing the factor": (DELTA * DELTA, FRACTIONAL * DELTA, DELTA * DELTA, False),
+    "cofactor without a t^(D-2) term": (DELTA2 * SQUARE, ONE, DELTA2 * SQUARE, True),
+    "zero module": (ONE, ZERO, ONE, True),
+}
+
+
+@pytest.mark.parametrize("case", CYCLIC)
+def test_cyclic_module_by_hand(case):
+    rel, num, den, verdict = CYCLIC[case]
+    module = PresentedModule(1, LambdaMatrix([[rel]]))
+    B = GramPairing(module=module, gram=((TorsionClass(num, den),),))
+    assert module.model is None
+    assert check_hermitian(B) and vanishes_on_relations(B)
+    assert check_nonsingular(B) is verdict
+    assert kernel_oracle(B) is verdict
+
+
+def test_module_without_generators_is_nonsingular():
+    assert check_nonsingular(GramPairing(module=PresentedModule(0), gram=()))
+
+
+def test_non_torsion_module_is_singular():
+    # Lambda itself, with the zero pairing
+    module = PresentedModule(1, LambdaMatrix([[ZERO]]))
+    assert not module.is_torsion
+    assert not check_nonsingular(GramPairing(module=module, gram=((TorsionClass(),),)))
