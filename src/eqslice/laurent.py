@@ -235,7 +235,6 @@ class LaurentPoly:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
-T = LaurentPoly({1: 1})
 
 
 def as_poly(x) -> LaurentPoly:
@@ -577,14 +576,8 @@ class TorsionClass:
     to an ordinary polynomial of degree below deg den, and
     gcd(num mod den, den) = gcd(num, den) is cancelled.  The zero class is
     0/1.  Equality is therefore syntactic, and a class is zero iff num is.
-
-    Sums use Henrici's addition (Knuth, TAOCP vol. 2, 4.5.1): with
-    g = gcd(d1, d2), the sum is (n1*(d2/g) + n2*(d1/g)) / (d1*(d2/g)), and
-    only gcd(numerator, g) is left to cancel.  Equal denominators need one
-    gcd against that denominator; coprime ones (g = 1) need none, since
-    every factor of d1 divides the n2*d1 term but not the n1*d2 term, and
-    symmetrically for d2.  Both terms have degree below d1*(d2/g), so the
-    sum needs no reduction.
+    Sums, differences and negatives are the constructor applied to the
+    cross-multiplied fraction.
     """
 
     __slots__ = ("num", "den")
@@ -611,32 +604,13 @@ class TorsionClass:
         return self.num.is_zero()
 
     def __add__(self, other: "TorsionClass") -> "TorsionClass":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        # Henrici's addition, see the class docstring
-        g = laurent_gcd(self.den, other.den)
-        a, b = divexact(self.den, g), divexact(other.den, g)
-        num = self.num * b + other.num * a
-        if num.is_zero():
-            return TORSION_ZERO
-        den = self.den * b
-        if not g.is_one():
-            h = laurent_gcd(num, g)
-            if not h.is_one():
-                num, den = divexact(num, h), divexact(den, h)
-        out = TorsionClass.__new__(TorsionClass)
-        out.num, out.den = num, den
-        return out
+        return TorsionClass(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "TorsionClass") -> "TorsionClass":
-        return self + (-other)
+        return TorsionClass(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "TorsionClass":
-        out = TorsionClass.__new__(TorsionClass)
-        out.num, out.den = -self.num, self.den
-        return out
+        return TorsionClass(-self.num, self.den)
 
     def scale(self, p) -> "TorsionClass":
         """Multiply by a ring element (or rational scalar)."""

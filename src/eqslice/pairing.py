@@ -37,7 +37,9 @@ Math. 8).  So for a Hermitian, well-defined pairing, x is in the kernel of
 the adjoint iff eps(pair(x, t^k y)) = 0 for every k and y, i.e. iff x is
 in the kernel of the Q-form eps(pair(-, -)), and the pairing is
 nonsingular iff that form's matrix over a Q-basis is invertible.  On any
-other gram the verdict means nothing.
+other gram the verdict means nothing.  eps is read off canonical classes,
+each over its own monic denominator: the gram's own when the generators
+are a Q-basis, pair_grid's on a RationalBasis otherwise.
 """
 from __future__ import annotations
 
@@ -59,7 +61,6 @@ from .laurent import (
 )
 from .matrices import (
     LambdaMatrix,
-    SingularMatrixError,
     _dot,
     _eliminate,
     block_diag,
@@ -116,12 +117,7 @@ def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None
     if module.model is not None:
         den, F = module.model.inverse_pencil()
     else:
-        try:
-            den, F = inverse_qt(-seifert_pencil(A).transpose())
-        except SingularMatrixError:
-            raise SingularMatrixError(
-                "A - t*A^T is singular; the input is not a Seifert matrix of a knot"
-            ) from None
+        den, F = inverse_qt(-seifert_pencil(A).transpose())
     n = len(F)
     # (t - 1) * f on coefficient lists
     classes = classes_over([[b - a for a, b in zip(f + [0], [0] + f)] for row in F for f in row], den)
@@ -172,19 +168,19 @@ def check_nonsingular(B: GramPairing) -> bool:
     vanishes_on_relations).  The verdict is det E != 0 for
     E_kl = eps(pair(b_k, b_l)) over a Q-basis b of the module (see the
     module docstring).  With a rational model the generators are a Q-basis
-    and E is read off N = den * gram; any other module takes a
+    and E is read off the gram's classes; any other module takes a
     RationalBasis.
     """
     module = B.module
     if not module.is_torsion:
         return False
     if module.model is not None:
-        den, N = B.common
-        E = [[e.coefficient(den.degree() - 1) for e in row] for row in N.to_lists()]
+        grid = B.gram
     else:
         basis = RationalBasis(module)
         xs = [basis.basis_element(k) for k in range(basis.dimension)]
-        E = [[g.num.coefficient(g.den.degree() - 1) for g in row] for row in pair_grid(B, xs, xs)]
+        grid = pair_grid(B, xs, xs)
+    E = [[g.num.coefficient(g.den.degree() - 1) for g in row] for row in grid]
     return _eliminate(E, 0, 1, truediv, abs)[0] != 0
 
 

@@ -2,8 +2,10 @@
 
 Each name is imported from its own module; `import eqslice` only loads the
 modules.  The traced benchmark pass looks up every `module.name` in
-bench/tracer.py's TRACED, so a renamed or removed one breaks it.
+bench/tracer.py's TRACED, so a renamed or removed one breaks it.  Only the
+TorsionClass constructor and its batch form classes_over build a class.
 """
+import ast
 import importlib
 import importlib.util
 import json
@@ -49,3 +51,25 @@ def test_every_traced_name_resolves():
         if not hasattr(importlib.import_module(f"eqslice.{module_name}"), attr):
             missing.append(qualname)
     assert tracer.TRACED and missing == []
+
+
+def test_only_classes_over_bypasses_the_torsion_class_constructor():
+    uses = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "__new__"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "TorsionClass"
+            ):
+                uses.append(where)
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "eqslice").glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert uses == ["laurent.classes_over"]

@@ -113,7 +113,7 @@ def test_arithmetic_matches_the_fraction_field(draws):
 
 def test_equal_and_shared_denominators(draws):
     # sums over one denominator, and over denominators sharing a factor, are
-    # where Henrici's addition cancels
+    # where a common factor of the cross-multiplied fraction cancels
     for num, den in draws[:200]:
         g = FACTORS[0] * FACTORS[3]
         x, y = TorsionClass(num, den * g), TorsionClass(ONE - num, den * g)

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from eqslice.involution import SemilinearMap
-from eqslice.laurent import ONE, ZERO, LaurentPoly, parse_poly, unit_equal
+from eqslice.laurent import ONE, TORSION_ZERO, ZERO, LaurentPoly, parse_poly, unit_equal
 from eqslice.matrices import LambdaMatrix
 from eqslice.modules import PresentedModule, from_seifert
-from eqslice.pairing import gram_from_seifert
+from eqslice.pairing import GramPairing, gram_from_seifert
 from eqslice.witt import (
     EquivariantTriple,
     diagonal_metabolizer,
@@ -64,6 +64,17 @@ def trivial_triple():
     )
 
 
+def one_generator_triple(relations):
+    """Lambda / relations, or Lambda itself for None, with the zero pairing
+    and the identity involution."""
+    M = PresentedModule(1, relations)
+    return EquivariantTriple(
+        module=M,
+        pairing=GramPairing(module=M, gram=((TORSION_ZERO,),)),
+        involution=SemilinearMap(module=M, matrix=LambdaMatrix([[ONE]])),
+    )
+
+
 class TestValidate:
     def test_nine46_all_pass(self):
         report = validate(nine46_triple())
@@ -93,6 +104,23 @@ class TestValidate:
         )
         report = validate(T)
         assert "one_minus_t_invertible" in report.failing()
+
+    @pytest.mark.parametrize("factors", [["t - 1", "t - 2"], ["t - 1", "t - 1", "t^2 - 3*t + 1"]])
+    def test_order_with_a_factor_t_minus_one_fails_with_its_detail(self, factors):
+        order = ONE
+        for f in factors:
+            order = order * P(f)
+        checks = {c.name: c for c in validate(one_generator_triple(LambdaMatrix([[order]]))).checks}
+        assert checks["torsion"].passed
+        assert not checks["one_minus_t_invertible"].passed
+        assert checks["one_minus_t_invertible"].detail == "order shares a factor with t - 1"
+
+    def test_non_torsion_module_skips_nonsingular(self):
+        checks = {c.name: c for c in validate(one_generator_triple(None)).checks}
+        assert (checks["torsion"].passed, checks["torsion"].detail) == (False, "free rank 1")
+        assert (checks["nonsingular"].passed, checks["nonsingular"].detail) == (False, "skipped: module not torsion")
+        assert not checks["one_minus_t_invertible"].passed
+        assert checks["one_minus_t_invertible"].detail == "order shares a factor with t - 1"
 
     def test_genus_one_grid_passes(self):
         for m in (-2, 1, 2):
