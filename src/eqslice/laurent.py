@@ -47,7 +47,8 @@ class LaurentPoly:
         data: dict[int, Fraction] = {}
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         for k, v in items:
-            v = Fraction(v)
+            if not isinstance(v, Fraction):
+                v = Fraction(v)
             if v:
                 acc = data.get(k)
                 if acc is None:

@@ -3,19 +3,24 @@ involution image vanishes only at zero, slice verdicts, and the equivariant
 4-genus lower bound.
 
 The pairing against the involuted argument is a quadratic expression over a
-rational basis of the module.  Splitting it over pairwise-coprime factor
-powers of the order turns vanishing into the simultaneous vanishing of
-finitely many rational quadratic forms; exhibiting a positive-definite
-combination (signs of semidefinite forms may be flipped first, which is
-harmless: a common zero kills every combination) certifies that only the
-zero element is isotropic, which is the k = 0 input of the genus bound.
+rational basis of the module.  The basis is made of cyclic blocks t^a u_i,
+so its grid of values is t^(a+b) G_ij over the blocks' generator grid G.
+Splitting it over pairwise-coprime factor powers of the order turns
+vanishing into the simultaneous vanishing of finitely many rational
+quadratic forms, each a Hankel matrix on every pair of blocks; exhibiting
+a positive-definite combination (signs of semidefinite forms may be
+flipped first, which is harmless: a common zero kills every combination)
+certifies that only the zero element is isotropic, which is the k = 0
+input of the genus bound.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
 from math import ceil
+from operator import mul
 from typing import Sequence
 
 from .laurent import (
@@ -147,27 +152,41 @@ def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
     pair(x, tau x) is the sum over k, l of v_k v_l grid[k][l], with
     grid[k][l] = pair(b_k, tau b_l), and equals the sum over parts of
     N(v, t)/denominator, where N's t-power coefficients are the stored
-    quadratic forms.  The grid is the forms' matrix as it stands: for every
-    triple that passes validate it is symmetric, as anti-isometry,
-    involutivity and the Hermitian property give
-    pair(b_l, tau b_k) = conj(pair(tau b_l, b_k)) = pair(b_k, tau b_l).
-    A grid that is not symmetric raises RuntimeError.  Before returning,
-    every basis-pair class is rebuilt from the stored forms and compared
-    exactly (see _check_forms), and two seeded random vectors are evaluated
-    end to end, through from_coords, the involution and pair.
+    quadratic forms.  The basis is made of cyclic blocks: b_k = t^a u_i for
+    the block generators u_i, and tau(t^b u_j) = t^-b tau(u_j), so
+    sesquilinearity gives grid[k][l] = t^(a+b) G_ij with
+    G_ij = pair(u_i, tau u_j), and only G is paired.  The grid is the
+    forms' matrix as it stands: for every triple that passes validate it is
+    symmetric, as anti-isometry, involutivity and the Hermitian property
+    give pair(u_j, tau u_i) = conj(pair(tau u_j, u_i)) = pair(u_i, tau u_j).
+    The grid is symmetric iff G is, and a G that is not raises
+    RuntimeError.
+
+    Each nonzero G_ij is split over the factor powers once.  The split is
+    Lambda-linear and t is a unit, so the part of t^s G_ij over F is
+    h_s / F, with h_0 / F the part of G_ij and h_(s+1) = t h_s mod F, one
+    companion step; the forms' (k, l) entries in part F are the
+    coefficients of h_(a+b), so each block pair of a form is a Hankel
+    matrix.  Before returning, every basis-pair class t^(a+b) G_ij is
+    built by the TorsionClass constructor and compared exactly with the
+    stored forms (see _check_forms), and two seeded random vectors are
+    evaluated end to end, through from_coords, the involution and pair.
     """
     basis = RationalBasis(T.module)
     dim = basis.dimension
     if dim == 0:
         return QuadraticCertificate(basis=basis, parts=(), verdict=UNDECIDED, seed=seed)
 
-    beta = [basis.basis_element(k) for k in range(dim)]
-    grid = pair_grid(T.pairing, beta, [T.involution.apply(b) for b in beta])
-    for k in range(dim):
-        for l in range(k + 1, dim):
-            if grid[k][l] != grid[l][k]:
+    # basis element offsets[i] + a is t^a * gens[i], for a < sizes[i]
+    sizes = [d.degree() for d in basis.factors]
+    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    gens = [basis.basis_element(o) for o in offsets]
+    G = pair_grid(T.pairing, gens, [T.involution.apply(u) for u in gens])
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if G[i][j] != G[j][i]:
                 raise RuntimeError(
-                    f"pairing against the involution is not symmetric at ({k}, {l}): the triple is not valid"
+                    f"pairing against the involution is not symmetric at ({offsets[i]}, {offsets[j]}): the triple is not valid"
                 )
 
     base = gcd_free_basis(list(T.module.invariant_factors))
@@ -185,21 +204,32 @@ def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
         deg = F.degree()
         part_forms.append([[[Fraction(0)] * dim for _ in range(dim)] for _ in range(deg)])
 
-    for k in range(dim):
-        for l in range(k, dim):
-            cls = grid[k][l]
-            if cls.is_zero():
+    for i in range(len(gens)):
+        for j in range(i, len(gens)):
+            if G[i][j].is_zero():
                 continue
-            pieces = coprime_split(cls, factor_powers)
+            pieces = coprime_split(G[i][j], factor_powers)
             for idx, piece in enumerate(pieces):
                 if piece.is_zero():
                     continue
                 F = factor_powers[idx]
-                num = piece.num * divexact(F, piece.den)
-                for m, coeff in num.items():
-                    part_forms[idx][m][k][l] += coeff
-                    if l != k:
-                        part_forms[idx][m][l][k] += coeff
+                f = F.dense()
+                D = len(f) - 1
+                h = (piece.num * divexact(F, piece.den)).dense()
+                h += [Fraction(0)] * (D - len(h))
+                forms = part_forms[idx]
+                for s in range(sizes[i] + sizes[j] - 1):
+                    if s:
+                        # h <- t * h mod F
+                        top = h[-1]
+                        h = [Fraction(0)] + h[:-1]
+                        if top:
+                            h = [c - top * fm for c, fm in zip(h, f)]
+                    for a in range(max(0, s - sizes[j] + 1), min(s, sizes[i] - 1) + 1):
+                        k, l = offsets[i] + a, offsets[j] + s - a
+                        for m, coeff in enumerate(h):
+                            if coeff:
+                                forms[m][k][l] = forms[m][l][k] = coeff
 
     parts: list[CoprimePart] = []
     for idx, F in enumerate(factor_powers):
@@ -210,6 +240,13 @@ def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
             parts.append(CoprimePart(denominator=F, forms=layers))
 
     cert = QuadraticCertificate(basis=basis, parts=tuple(parts), verdict=UNDECIDED, seed=seed)
+    # the full grid, for the exact check; it is symmetric as G is
+    cells = [(i, a) for i, size in enumerate(sizes) for a in range(size)]
+    grid: list[list[TorsionClass]] = [[TORSION_ZERO] * dim for _ in range(dim)]
+    for k, (i, a) in enumerate(cells):
+        for l in range(k, dim):
+            j, b = cells[l]
+            grid[k][l] = grid[l][k] = G[i][j].scale(LaurentPoly({a + b: 1}))
     _check_forms(cert, grid)
     _check_samples(T, cert)
     return cert
@@ -218,7 +255,8 @@ def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
 def _check_forms(cert: QuadraticCertificate, grid: list[list[TorsionClass]]) -> None:
     """Raise unless the stored parts give pair(x, tau x) for every rational x.
 
-    grid is the symmetric grid pair(b_k, tau b_l) of tau_quadratic.  With v
+    grid is the symmetric grid pair(b_k, tau b_l) = t^(a+b) G_ij of
+    tau_quadratic, each entry built by the TorsionClass constructor.  With v
     the coordinates of x, pair(x, tau x) = sum over k, l of
     v_k v_l grid[k][l].  The stored parts give the same sum with grid[k][l]
     replaced by the sum over parts of (sum_m forms[m][k][l] t^m)/denominator,
@@ -228,10 +266,7 @@ def _check_forms(cert: QuadraticCertificate, grid: list[list[TorsionClass]]) -> 
     cross-multiplying decides each class without a gcd or a reduction.
     Symmetric forms that agree at every k <= l are right on every vector.
     """
-    P = ONE
-    for part in cert.parts:
-        P = P * part.denominator
-    cofactors = [divexact(P, part.denominator) for part in cert.parts]
+    P, cofactors = _over_common_denominator(cert.parts)
     dim = cert.basis.dimension
     for k in range(dim):
         for l in range(k, dim):
@@ -261,14 +296,29 @@ def _check_samples(T: EquivariantTriple, cert: QuadraticCertificate) -> None:
             raise RuntimeError("quadratic certificate disagrees with direct evaluation")
 
 
+def _over_common_denominator(parts: Sequence[CoprimePart]) -> tuple[LaurentPoly, list[LaurentPoly]]:
+    """P, the product of the part denominators, and P / denominator for each
+    part, as the product of the other denominators."""
+    dens = [part.denominator for part in parts]
+    cofactors = [reduce(mul, dens[:i] + dens[i + 1 :], ONE) for i in range(len(dens))]
+    return reduce(mul, dens, ONE), cofactors
+
+
 def evaluate_certificate(cert: QuadraticCertificate, v: Sequence[Fraction]) -> TorsionClass:
-    """Evaluate the stored coprime-part representation at rational coordinates."""
-    total = TORSION_ZERO
-    for part in cert.parts:
+    """Evaluate the stored coprime-part representation at rational coordinates.
+
+    The part denominators are pairwise coprime, so the sum of the parts is
+    one class over their product P, whose numerator is the sum of each
+    part's numerator times P / denominator; one constructor call makes it
+    canonical.
+    """
+    P, cofactors = _over_common_denominator(cert.parts)
+    total = ZERO
+    for part, cofactor in zip(cert.parts, cofactors):
         num = LaurentPoly({m: _eval_form(Q, v) for m, Q in enumerate(part.forms)})
         if not num.is_zero():
-            total = total + TorsionClass(num, part.denominator)
-    return total
+            total = total + num * cofactor
+    return TorsionClass(total, P)
 
 
 def certify_k0(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
@@ -299,20 +349,23 @@ def certify_k0(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
         if covered == set(range(dim)):
             return replace(base, verdict=CERTIFIED_K0, evidence={"support_partition": partition})
 
-        # (2) sign-normalized nonnegative combinations
-        for label, flipped in (("sign_normalized_sum", True), ("plain_sum", False)):
+        # (2) sign-normalized nonnegative combinations; with no weight
+        # flipped the plain sum is the same matrix, so it is not tried again
+        signs = [-1 if next((Q[i][i] for i in range(dim) if Q[i][i]), 0) < 0 else 1 for Q in forms]
+        combinations = [("sign_normalized_sum", signs)]
+        if -1 in signs:
+            combinations.append(("plain_sum", [1] * len(forms)))
+        for label, weights in combinations:
             total = [[Fraction(0)] * dim for _ in range(dim)]
-            weights = []
-            for Q in forms:
-                w = 1
-                if flipped:
-                    diag = next((Q[i][i] for i in range(dim) if Q[i][i]), Fraction(0))
-                    if diag < 0:
-                        w = -1
-                weights.append(w)
-                for i in range(dim):
-                    for j in range(dim):
-                        total[i][j] += w * Q[i][j]
+            for w, Q in zip(weights, forms):
+                for row, total_row in zip(Q, total):
+                    for j, entry in enumerate(row):
+                        if not entry:
+                            continue
+                        if w > 0:
+                            total_row[j] += entry
+                        else:
+                            total_row[j] -= entry
             d = _definiteness(total)
             if d is not None and d[0] > 0:
                 return replace(

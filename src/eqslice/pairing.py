@@ -145,9 +145,11 @@ def pair(B: GramPairing, x: ModuleElement, y: ModuleElement) -> TorsionClass:
 
 
 def check_hermitian(B: GramPairing) -> bool:
+    """gram[j][i] = conj(gram[i][j]) for i <= j: conjugation is an
+    involution on canonical classes, so the pairs j < i add nothing."""
     n = B.module.generators
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
             if B.gram[j][i] != B.gram[i][j].conjugate():
                 return False
     return True

@@ -2,8 +2,9 @@
 
 The library sums pairing values over the gram's common denominator; these
 follow the definitions term by term instead.  Also kept: a naive fraction
-field, the symmetrised tau-grid and the block-by-block swap check that the
-library replaced.
+field, the symmetrised tau-grid, the per-entry quadratic parts and the
+part-by-part certificate sum that tau_quadratic and evaluate_certificate
+replaced, and the block-by-block swap check that the library replaced.
 """
 from fractions import Fraction
 
@@ -14,12 +15,18 @@ from eqslice.laurent import (
     LaurentPoly,
     TorsionClass,
     as_poly,
+    coprime_split,
     divexact,
+    divides,
+    gcd_free_basis,
     laurent_gcd,
     poly_divmod,
     poly_mod,
 )
 from eqslice.matrices import LambdaMatrix, SingularMatrixError, in_span, seifert_pencil, snf
+from eqslice.modules import RationalBasis
+from eqslice.obstruction import CoprimePart, _eval_form
+from eqslice.pairing import pair_grid
 
 
 class Frac:
@@ -167,6 +174,53 @@ def symmetrised_grid(B, xs, ys):
         ]
         for k in range(len(xs))
     ]
+
+
+def tau_parts_per_entry(T):
+    """The parts of tau_quadratic as it made them before pairing only the
+    block generators: the full grid pair(b_k, tau b_l) over every pair of
+    rational basis elements, and one coprime_split per entry k <= l."""
+    basis = RationalBasis(T.module)
+    dim = basis.dimension
+    beta = [basis.basis_element(k) for k in range(dim)]
+    grid = pair_grid(T.pairing, beta, [T.involution.apply(b) for b in beta])
+    factor_powers = []
+    for f in gcd_free_basis(list(T.module.invariant_factors)):
+        e, rest = 0, T.module.order
+        while divides(f, rest):
+            rest = divexact(rest, f)
+            e += 1
+        factor_powers.append((f**e).monic_ordinary())
+    forms = [[[[Fraction(0)] * dim for _ in range(dim)] for _ in range(F.degree())] for F in factor_powers]
+    for k in range(dim):
+        for l in range(k, dim):
+            if grid[k][l].is_zero():
+                continue
+            for idx, piece in enumerate(coprime_split(grid[k][l], factor_powers)):
+                if piece.is_zero():
+                    continue
+                num = piece.num * divexact(factor_powers[idx], piece.den)
+                for m, coeff in num.items():
+                    forms[idx][m][k][l] += coeff
+                    if l != k:
+                        forms[idx][m][l][k] += coeff
+    parts = []
+    for F, layers in zip(factor_powers, forms):
+        layers = tuple(tuple(tuple(row) for row in Q) for Q in layers)
+        if any(any(any(row) for row in Q) for Q in layers):
+            parts.append(CoprimePart(denominator=F, forms=layers))
+    return tuple(parts)
+
+
+def evaluate_by_fold(cert, v):
+    """The certificate's value at v summed part by part from the zero class,
+    each sum made canonical."""
+    total = TORSION_ZERO
+    for part in cert.parts:
+        num = LaurentPoly({m: _eval_form(Q, v) for m, Q in enumerate(part.forms)})
+        if not num.is_zero():
+            total = total + TorsionClass(num, part.denominator)
+    return total
 
 
 def swap_by_block_smith_forms(M):

@@ -26,8 +26,8 @@ from eqslice.involution import SemilinearMap
 from eqslice.matrices import LambdaMatrix
 from eqslice.pairing import pair, pair_grid
 from eqslice.witt import EquivariantTriple, triple_sum, negate, validate
-from pairing_oracles import symmetrised_grid
-from cases import check_cases
+from pairing_oracles import evaluate_by_fold, symmetrised_grid, tau_parts_per_entry
+from cases import SINGULAR_DENSE, check_cases, swap_double_of
 
 
 def nine46():
@@ -253,6 +253,56 @@ class TestCertificateCheck:
         assert calls == [
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)] for _round in range(2)
         ]
+
+
+def block_shift_cases():
+    """(label, triple): every check_cases() triple (the 15 CATALOG_GRID
+    references, their doubled sums and swap doubles of dense genus 1-2),
+    2- to 4-fold sums of nine46 and of genus_one_slice:m=3,l=5, the swap
+    double of SINGULAR_DENSE, which has no rational model, and a direct_sum
+    module whose blocks have degrees 2 and 4."""
+    yield from check_cases()
+    for name, params in (("nine46", {}), ("genus_one_slice", {"m": 3, "l": 5})):
+        spec = builtin(name, **params)
+        for n in (2, 3, 4):
+            yield f"{name}{params} x{n}", assemble(sum_specs([spec] * n))
+    yield "singular swap double", swap_double_of(SINGULAR_DENSE, "singular_swap")
+    yield "direct_sum", triple_sum(nine46(), assemble(sum_specs([builtin("nine46"), builtin("figure_eight")])))
+
+
+class TestBlockShift:
+    """tau_quadratic pairs the block generators only and shifts in t; the
+    per-entry oracle pairs every basis element with every image."""
+
+    def test_parts_equal_the_per_entry_oracle(self):
+        shapes = set()
+        for label, T in block_shift_cases():
+            cert = tau_quadratic(T)
+            assert cert.parts == tau_parts_per_entry(T), label
+            sizes = [d.degree() for d in cert.basis.factors]
+            if len(sizes) > 1:
+                shapes.add("several blocks")
+            if len(set(sizes)) > 1:
+                shapes.add("blocks of unequal degree")
+            if T.module.model is None:
+                shapes.add("no model")
+        # the shift and the Hankel fill run within and across blocks, also
+        # of unequal degree, and on modules with and without a model
+        assert shapes == {"several blocks", "blocks of unequal degree", "no model"}
+
+    def test_evaluate_certificate_matches_the_fold(self):
+        rng = random.Random(18)
+        multi_part = 0
+        for label, T in block_shift_cases():
+            cert = tau_quadratic(T)
+            if len(cert.parts) < 2:
+                continue
+            multi_part += 1
+            dim = cert.basis.dimension
+            for _ in range(5):
+                v = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(dim)]
+                assert evaluate_certificate(cert, v) == evaluate_by_fold(cert, v), label
+        assert multi_part >= 10
 
 
 class TestCertifyK0:

@@ -153,6 +153,17 @@ class TestHermitian:
         bad[0][0] = bad[0][0] + cls("1", "t - 2")
         assert not check_hermitian(GramPairing(module=B.module, gram=tuple(tuple(r) for r in bad)))
 
+    @pytest.mark.parametrize("A", [NINE46, swap_double(SINGULAR_DENSE)], ids=["nine46", "singular_swap"])
+    def test_perturbed_strictly_lower_or_upper_entry_fails(self, A):
+        # only i <= j is compared, so a change on either side of the
+        # diagonal must show up through gram[j][i] or through conj(gram[i][j])
+        B = gram_from_seifert(A)
+        n = len(B.gram)
+        for i, j in ((n - 1, 0), (0, n - 1), (1, 0), (0, 1)):
+            bad = list(list(row) for row in B.gram)
+            bad[i][j] = bad[i][j] + cls("1", "t - 2")
+            assert not check_hermitian(GramPairing(module=B.module, gram=tuple(tuple(r) for r in bad))), (i, j)
+
     def test_empty(self):
         assert check_hermitian(gram_from_seifert([]))
 
