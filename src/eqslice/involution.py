@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .laurent import ONE, ZERO
+from .laurent import ONE, ZERO, conjugates
 from .matrices import LambdaMatrix, block_diag, mat_vec
 from .modules import ModuleElement, PresentedModule
 from .pairing import GramPairing, pair_grid
@@ -68,15 +68,16 @@ def verify_anti_isometry(T: SemilinearMap, B: GramPairing) -> bool:
     """pair(x, y) = conj(pair(tau x, tau y)), checked on generator pairs.
 
     tau e_i is column i of the matrix, so one grid pairs every image with
-    every image.  Sesquilinearity of the pairing and semilinearity of tau
-    propagate the generator-pair identity to all elements.
+    every image, and laurent.conjugates conjugates the grid in one batch.
+    Sesquilinearity of the pairing and semilinearity of tau propagate the
+    generator-pair identity to all elements.
     """
     if B.module.generators != T.module.generators:
         raise ValueError("pairing and involution live on different modules")
     n = T.module.generators
     images = [ModuleElement(T.module, T.matrix.col(i)) for i in range(n)]
-    grid = pair_grid(B, images, images)
-    return all(B.gram[i][j] == grid[i][j].conjugate() for i in range(n) for j in range(n))
+    conj = conjugates([g for row in pair_grid(B, images, images) for g in row])
+    return all(B.gram[i][j] == conj[i * n + j] for i in range(n) for j in range(n))
 
 
 def swap_involution(M: PresentedModule) -> SemilinearMap:

@@ -7,7 +7,10 @@ exactly.  Units of the ring are the monomials c*t^k with c a nonzero
 rational; canonical forms below fix that ambiguity.  The fraction field
 itself is never formed: a value num/den is kept as a TorsionClass, whose
 constructor decides its one canonical form; classes_over is its batch form
-for many numerators over one integer denominator.
+for many numerators over one integer denominator, and conjugates batches
+conjugation through it.  The batch forms, and the pairing's and the
+certificates' guards, work on integer coefficient lists (integer_lists,
+list_dot, _pseudo_remainder).
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Coeffable = Union[int, Fraction, str]
@@ -394,6 +397,9 @@ def poly_mod(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 def laurent_quo(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Quotient q such that a - q*b has smaller ordinary degree than b."""
+    if b.is_unit():
+        (k, c), = b.items()
+        return a._termmul(-k, 1 / c)
     va, vb = a.valuation(), b.valuation()
     q, _ = poly_divmod(a.shift(-va), b.shift(-vb))
     return q.shift(va - vb)
@@ -501,7 +507,7 @@ def divides(d: LaurentPoly, p: LaurentPoly) -> bool:
     """d | p in the Laurent ring (up to units)."""
     if d.is_zero():
         return p.is_zero()
-    if p.is_zero():
+    if p.is_zero() or d.is_unit():
         return True
     return poly_mod(p.ordinary(), d.ordinary()).is_zero()
 
@@ -651,13 +657,14 @@ def classes_over(nums: Sequence[Sequence[int]], den: Sequence[int]) -> list[Tors
     lists, lowest first, over one integer denominator.
 
     The monic denominator is built once, for all the classes.  With
-    D = deg den and L its leading coefficient, each f is reduced by an
-    integer pseudo-remainder r = L^k * f - q * den of degree below D, so
-    the class's numerator is r / L^(k+1); it is canonical once r and den
-    are coprime, which their images modulo _PRIME certify.  Whatever this
-    cannot decide goes to the constructor: every f when den has a t-power
-    or L vanishes modulo _PRIME, and an f whose image is not coprime to
-    den's (a factor shared over Q, or an unlucky prime).
+    den = g * p, g its content and p primitive of degree D with leading
+    coefficient L, each f is reduced by an integer pseudo-remainder
+    r = L^k * f - q * p of degree below D, so the class's numerator is
+    r / (g * L^(k+1)); it is canonical once r and p are coprime, which
+    their images modulo _PRIME certify.  Whatever this cannot decide goes
+    to the constructor: every f when den has a t-power or L vanishes
+    modulo _PRIME, and an f whose image is not coprime to p's (a factor
+    shared over Q, or an unlucky prime).
     """
     exact = LaurentPoly(enumerate(den))
     if exact.is_zero():
@@ -665,23 +672,16 @@ def classes_over(nums: Sequence[Sequence[int]], den: Sequence[int]) -> list[Tors
     if exact.is_unit():
         return [TORSION_ZERO] * len(nums)
     D = exact.degree()
-    L = den[D]
-    if not den[0] or not L % _PRIME:
+    content = gcd(*den)
+    p = [c // content for c in den[: D + 1]]
+    L = p[D]
+    if not p[0] or not L % _PRIME:
         return [TorsionClass(LaurentPoly(enumerate(f)), exact) for f in nums]
-    monic = exact.scale(Fraction(1, L))
-    image = [c % _PRIME for c in den[: D + 1]]
+    monic = exact.scale(Fraction(1, den[D]))
+    image = [c % _PRIME for c in p]
     out = []
     for f in nums:
-        r, k = list(f), 0
-        while len(r) > D:
-            c = r.pop()
-            if c:
-                # L * r - c * t^s * den cancels the popped top term L * c
-                r = [L * x for x in r]
-                s = len(r) - D
-                for j in range(D):
-                    r[s + j] -= c * den[j]
-                k += 1
+        r, k = _pseudo_remainder(f, p)
         if not any(r):
             out.append(TORSION_ZERO)
             continue
@@ -689,13 +689,85 @@ def classes_over(nums: Sequence[Sequence[int]], den: Sequence[int]) -> list[Tors
         while x and not x[-1]:
             x.pop()
         if not x or not _coprime_images(image, x):
-            out.append(TorsionClass(LaurentPoly(enumerate(f)), exact))
+            # f / den and r / (L^k * den) differ by q / (g * L^k), in Lambda
+            out.append(TorsionClass(LaurentPoly(enumerate(r)), exact.scale(L**k)))
             continue
-        scale = L ** (k + 1)
+        scale = content * L ** (k + 1)
         cls = TorsionClass.__new__(TorsionClass)
         cls.num, cls.den = LaurentPoly((j, Fraction(c, scale)) for j, c in enumerate(r)), monic
         out.append(cls)
     return out
+
+
+def _pseudo_remainder(f: Sequence[int], den: Sequence[int]) -> tuple[list[int], int]:
+    """(r, k) with r = L^k * f - q * den, of length at most D = len(den) - 1,
+    for integer coefficient lists, lowest first, L = den[D] nonzero: each
+    of the k steps cancels a nonzero top term.  den divides f over Q iff r
+    is zero."""
+    D = len(den) - 1
+    L = den[D]
+    r, k = list(f), 0
+    while len(r) > D:
+        c = r.pop()
+        if c:
+            # L * r - c * t^s * den cancels the popped top term L * c
+            r = [L * x for x in r]
+            s = len(r) - D
+            for j in range(D):
+                r[s + j] -= c * den[j]
+            k += 1
+    return r, k
+
+
+def conjugates(xs: Sequence[TorsionClass]) -> list[TorsionClass]:
+    """[x.conjugate() for x in xs], by one classes_over call per denominator.
+
+    For a canonical num/den with D = deg den, the conjugate is
+    t^D conj(num) / t^D conj(den), a fraction of ordinary polynomials: the
+    coefficient lists reversed, cleared to integers by one common scale.
+    """
+    groups: dict[LaurentPoly, list[int]] = {}
+    for i, x in enumerate(xs):
+        if not x.is_zero():
+            groups.setdefault(x.den, []).append(i)
+    out = [TORSION_ZERO] * len(xs)
+    for den, members in groups.items():
+        # the least exponent is -D, from conj(den), as deg num < D
+        (rev, *nums), _, _ = integer_lists([den.conjugate()] + [xs[i].num.conjugate() for i in members])
+        for i, x in zip(members, classes_over(nums, rev)):
+            out[i] = x
+    return out
+
+
+def integer_lists(polys: Sequence[LaurentPoly]) -> tuple[list[list[int]], int, int]:
+    """(lists, m, v) with polys[i] = t^v * LaurentPoly(enumerate(lists[i])) / m
+    for every i: one positive integer m and one exponent v, the least in
+    polys, for all of them; a zero polynomial gives []."""
+    nonzero = [p._c for p in polys if p._c]
+    if not nonzero:
+        return [[] for _ in polys], 1, 0
+    v = min(min(c) for c in nonzero)
+    m = lcm(*(x.denominator for c in nonzero for x in c.values()))
+    out = []
+    for p in polys:
+        f = [0] * (max(p._c) - v + 1) if p._c else []
+        for k, x in p._c.items():
+            f[k - v] = x.numerator * (m // x.denominator)
+        out.append(f)
+    return out, m, v
+
+
+def list_dot(us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]]) -> list[int]:
+    """The sum of u * v over the pairs (u, v), on integer coefficient lists."""
+    acc: list[int] = []
+    for a, b in zip(us, vs):
+        if a and b:
+            acc.extend([0] * (len(a) + len(b) - 1 - len(acc)))
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        acc[i + j] += x * y
+    return acc
 
 
 def coprime_split(x: TorsionClass, factors: list[LaurentPoly]) -> list[TorsionClass]:

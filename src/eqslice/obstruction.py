@@ -18,21 +18,23 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import reduce
-from math import ceil
+from functools import cached_property, reduce
+from math import ceil, lcm
 from operator import mul
 from typing import Sequence
 
 from .laurent import (
     ONE,
     TORSION_ZERO,
-    ZERO,
     LaurentPoly,
     TorsionClass,
+    classes_over,
     coprime_split,
     divexact,
     divides,
     gcd_free_basis,
+    integer_lists,
+    list_dot,
     symmetric_quadratic_tests,
 )
 from .modules import ModuleElement, RationalBasis
@@ -50,6 +52,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 FALSIFIER_SAMPLES = 300
 
 FormMatrix = tuple[tuple[Fraction, ...], ...]
+IntegerForm = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,13 @@ class CoprimePart:
 
     def nonzero_forms(self) -> list[FormMatrix]:
         return [Q for Q in self.forms if any(any(row) for row in Q)]
+
+    @cached_property
+    def integer_forms(self) -> tuple[int, tuple[IntegerForm, ...]]:
+        """(q, layers) with forms[m] = layers[m] / q: q is the least positive
+        integer that clears every entry of every form."""
+        q = lcm(*(c.denominator for Q in self.forms for row in Q for c in row))
+        return q, tuple(tuple(tuple(c.numerator * (q // c.denominator) for c in row) for row in Q) for Q in self.forms)
 
 
 @dataclass(frozen=True)
@@ -95,17 +105,19 @@ class QuadraticCertificate:
         return out
 
 
-def _eval_form(Q: FormMatrix, v: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for i, row in enumerate(Q):
-        if not v[i]:
-            continue
-        s = Fraction(0)
-        for j, entry in enumerate(row):
-            if entry and v[j]:
-                s += entry * v[j]
-        total += v[i] * s
+def _eval_form(Q: Sequence[Sequence[int]], v: Sequence[int]) -> int:
+    """v^T Q v for an integer form Q and an integer vector v."""
+    total = 0
+    for x, row in zip(v, Q):
+        if x:
+            total += x * sum(e * y for e, y in zip(row, v) if e and y)
     return total
+
+
+def _cleared(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(w, m) with v = w / m: m the least positive integer that clears v."""
+    m = lcm(*(x.denominator for x in v))
+    return [x.numerator * (m // x.denominator) for x in v], m
 
 
 def _support(Q: FormMatrix) -> list[int]:
@@ -168,7 +180,8 @@ def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
     companion step; the forms' (k, l) entries in part F are the
     coefficients of h_(a+b), so each block pair of a form is a Hankel
     matrix.  Before returning, every basis-pair class t^(a+b) G_ij is
-    built by the TorsionClass constructor and compared exactly with the
+    made canonical by classes_over (the constructor's batch form, one call
+    per block pair, with no companion step) and compared exactly with the
     stored forms (see _check_forms), and two seeded random vectors are
     evaluated end to end, through from_coords, the involution and pair.
     """
@@ -241,12 +254,14 @@ def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
 
     cert = QuadraticCertificate(basis=basis, parts=tuple(parts), verdict=UNDECIDED, seed=seed)
     # the full grid, for the exact check; it is symmetric as G is
-    cells = [(i, a) for i, size in enumerate(sizes) for a in range(size)]
     grid: list[list[TorsionClass]] = [[TORSION_ZERO] * dim for _ in range(dim)]
-    for k, (i, a) in enumerate(cells):
-        for l in range(k, dim):
-            j, b = cells[l]
-            grid[k][l] = grid[l][k] = G[i][j].scale(LaurentPoly({a + b: 1}))
+    for i in range(len(gens)):
+        for j in range(i, len(gens)):
+            (den, num), _, _ = integer_lists([G[i][j].den, G[i][j].num])
+            shifted = classes_over([[0] * s + num for s in range(sizes[i] + sizes[j] - 1)], den)
+            for a in range(sizes[i]):
+                for b in range(sizes[j]):
+                    grid[offsets[i] + a][offsets[j] + b] = grid[offsets[j] + b][offsets[i] + a] = shifted[a + b]
     _check_forms(cert, grid)
     _check_samples(T, cert)
     return cert
@@ -256,29 +271,30 @@ def _check_forms(cert: QuadraticCertificate, grid: list[list[TorsionClass]]) -> 
     """Raise unless the stored parts give pair(x, tau x) for every rational x.
 
     grid is the symmetric grid pair(b_k, tau b_l) = t^(a+b) G_ij of
-    tau_quadratic, each entry built by the TorsionClass constructor.  With v
+    tau_quadratic, each entry a canonical class from classes_over.  With v
     the coordinates of x, pair(x, tau x) = sum over k, l of
     v_k v_l grid[k][l].  The stored parts give the same sum with grid[k][l]
     replaced by the sum over parts of (sum_m forms[m][k][l] t^m)/denominator,
-    which is rebuilt/P over P, the product of the part denominators.  Both
-    fractions are proper (numerator degree below the denominator's), and two
-    proper fractions are equal in Q(t)/Lambda only when equal in Q(t), so
-    cross-multiplying decides each class without a gcd or a reduction.
-    Symmetric forms that agree at every k <= l are right on every vector.
+    which is rebuilt/P on integer coefficient lists, with each part's forms
+    read as integers over one denominator (CoprimePart.integer_forms) and P
+    a multiple of the product of the part denominators.  Both fractions are
+    proper (numerator degree below the denominator's), and two proper
+    fractions are equal in Q(t)/Lambda only when equal in Q(t), so
+    cross-multiplying integer lists decides each class without a gcd or a
+    reduction.  Symmetric forms that agree at every k <= l are right on
+    every vector.
     """
-    P, cofactors = _over_common_denominator(cert.parts)
+    P, weights = _over_common_denominator(cert.parts)
+    minus_P = [-c for c in P]
     dim = cert.basis.dimension
+    layers = [part.integer_forms[1] for part in cert.parts]
     for k in range(dim):
         for l in range(k, dim):
-            rebuilt = ZERO
-            for part, cofactor in zip(cert.parts, cofactors):
-                if any(Q[k][l] != Q[l][k] for Q in part.forms):
-                    raise RuntimeError(f"quadratic certificate disagrees: forms are not symmetric at ({k}, {l})")
-                num = LaurentPoly({m: Q[k][l] for m, Q in enumerate(part.forms)})
-                if not num.is_zero():
-                    rebuilt = rebuilt + num * cofactor
-            want = grid[k][l]
-            if rebuilt * want.den != want.num * P:
+            if any(Q[k][l] != Q[l][k] for forms in layers for Q in forms):
+                raise RuntimeError(f"quadratic certificate disagrees: forms are not symmetric at ({k}, {l})")
+            rebuilt = list_dot([[Q[k][l] for Q in forms] for forms in layers], weights)
+            (num, den), _, _ = integer_lists([grid[k][l].num, grid[k][l].den])
+            if any(list_dot([rebuilt, num], [den, minus_P])):
                 raise RuntimeError(f"quadratic certificate disagrees with the pairing at ({k}, {l})")
 
 
@@ -296,29 +312,32 @@ def _check_samples(T: EquivariantTriple, cert: QuadraticCertificate) -> None:
             raise RuntimeError("quadratic certificate disagrees with direct evaluation")
 
 
-def _over_common_denominator(parts: Sequence[CoprimePart]) -> tuple[LaurentPoly, list[LaurentPoly]]:
-    """P, the product of the part denominators, and P / denominator for each
-    part, as the product of the other denominators."""
+def _over_common_denominator(parts: Sequence[CoprimePart]) -> tuple[list[int], list[list[int]]]:
+    """(P, weights) on integer coefficient lists, P an integer multiple of
+    the product of the part denominators: the sum over parts p of
+    (f_p / q_p) / denominator_p, q_p that of integer_forms, is
+    sum_p f_p * weights[p] / P."""
     dens = [part.denominator for part in parts]
     cofactors = [reduce(mul, dens[:i] + dens[i + 1 :], ONE) for i in range(len(dens))]
-    return reduce(mul, dens, ONE), cofactors
+    (P, *cofactors), _, _ = integer_lists([reduce(mul, dens, ONE), *cofactors])
+    qs = [part.integer_forms[0] for part in parts]
+    S = lcm(*qs)
+    return [S * c for c in P], [[S // q * c for c in cofactor] for q, cofactor in zip(qs, cofactors)]
 
 
 def evaluate_certificate(cert: QuadraticCertificate, v: Sequence[Fraction]) -> TorsionClass:
     """Evaluate the stored coprime-part representation at rational coordinates.
 
     The part denominators are pairwise coprime, so the sum of the parts is
-    one class over their product P, whose numerator is the sum of each
-    part's numerator times P / denominator; one constructor call makes it
-    canonical.
+    one class over their product.  Its numerator is summed on integer
+    coefficient lists, from v cleared to integers and each part's forms
+    read as integers over one denominator (CoprimePart.integer_forms), and
+    one classes_over call makes it canonical.
     """
-    P, cofactors = _over_common_denominator(cert.parts)
-    total = ZERO
-    for part, cofactor in zip(cert.parts, cofactors):
-        num = LaurentPoly({m: _eval_form(Q, v) for m, Q in enumerate(part.forms)})
-        if not num.is_zero():
-            total = total + num * cofactor
-    return TorsionClass(total, P)
+    P, weights = _over_common_denominator(cert.parts)
+    w, m = _cleared(v)
+    total = list_dot([[_eval_form(Q, w) for Q in part.integer_forms[1]] for part in cert.parts], weights)
+    return classes_over([total], [m * m * c for c in P])[0]
 
 
 def certify_k0(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
@@ -334,6 +353,7 @@ def certify_k0(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
     if dim == 0:
         return replace(base, verdict=CERTIFIED_K0, evidence={"reason": "trivial module"})
     forms = base.all_forms()
+    integer_forms = [Q for part in base.parts for Q in part.integer_forms[1] if any(any(row) for row in Q)]
 
     if forms:
         # (1) support partition
@@ -384,7 +404,8 @@ def certify_k0(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
     for v in _falsifier_candidates(dim, FALSIFIER_SAMPLES, seed):
         if not any(v):
             continue
-        if all(_eval_form(Q, v) == 0 for Q in forms):
+        w, _ = _cleared(v)
+        if all(_eval_form(Q, w) == 0 for Q in integer_forms):
             x = base.basis.from_coords(v)
             if not x.is_zero() and pair(T.pairing, x, T.involution.apply(x)).is_zero():
                 return replace(

@@ -18,14 +18,18 @@ one laurent.classes_over call makes every gram entry the TorsionClass of
 (t - 1) * f over den: the monic den is built once, and each class is
 certified in integers, without a gcd over Q unless the certificate fails.
 
-Values are summed over one common denominator: each pairing caches den, the
-lcm of the distinct denominators of its gram (a gram from classes_over has
-one, so no lcm is taken), and the polynomial matrix N = den * gram.  A
-value is then the class of the Laurent polynomial x^T N conj(y) over den,
-made canonical once by the TorsionClass constructor, and well-definedness
-is den dividing N * conj(r).
-pair_grid is the only evaluator: it pairs a list of elements against
-another, forming each N * conj(y) once, and pair is its 1 x 1 case.
+Values are summed over one common denominator, on integer coefficient
+lists: each pairing caches den, the lcm of the distinct denominators of its
+gram (a gram from classes_over has one, so no lcm is taken) as a primitive
+integer polynomial, and N, with gram = N / (scale * den) for one integer
+scale.  A value is the class of x^T N conj(y) over scale * den, the entries
+of x and of conj(y) cleared to integers by one scale and one power of t; a
+negative power is cleared by exact t^-1 steps modulo den, and one
+classes_over call makes a whole grid of values canonical.  Well-definedness
+is den dividing N * conj(r), an exact integer pseudo-remainder.
+pair_grid is the only evaluator, and no Laurent-polynomial one is kept: it
+pairs a list of elements against another, forming each N * conj(y) once,
+and pair is its 1 x 1 case.
 
 Nonsingularity is one determinant over Q.  Let eps send a class f/den,
 f of degree below D = deg den, den monic, to the t^(D-1) coefficient of f;
@@ -45,29 +49,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from math import gcd
 from operator import truediv
 from typing import Sequence
 
 from .laurent import (
     ONE,
     TORSION_ZERO,
-    ZERO,
-    LaurentPoly,
     TorsionClass,
+    _pseudo_remainder,
     classes_over,
+    conjugates,
     divexact,
-    divides,
+    integer_lists,
     laurent_lcm,
+    list_dot,
 )
-from .matrices import (
-    LambdaMatrix,
-    _dot,
-    _eliminate,
-    block_diag,
-    inverse_qt,
-    mat_vec,
-    seifert_pencil,
-)
+from .matrices import _eliminate, block_diag, inverse_qt, seifert_pencil
 from .modules import ModuleElement, PresentedModule, RationalBasis, from_seifert
 
 
@@ -79,25 +77,21 @@ class GramPairing:
     gram: tuple[tuple[TorsionClass, ...], ...]
 
     @cached_property
-    def common(self) -> tuple[LaurentPoly, LambdaMatrix]:
-        """(den, N): den the lcm of the gram denominators, N = den * gram.
+    def common(self) -> tuple[list[int], list[list[list[int]]], int]:
+        """(den, N, scale) on integer coefficient lists, lowest first, with
+        gram[i][j] the class of N[i][j] / (scale * den).
 
-        den is monic ordinary with nonzero constant term, and every entry
-        of N is an ordinary polynomial of degree below deg den.
+        den is the lcm of the gram denominators made primitive, so it has a
+        nonzero constant term, and every N[i][j] has degree below deg den.
         """
         # the lcm of the distinct denominators: a gram from classes_over has one
         dens = {g.den for row in self.gram for g in row if not g.is_zero()}
         den = reduce(laurent_lcm, dens) if dens else ONE
-        N = LambdaMatrix([[_scaled_numerator(g, den) for g in row] for row in self.gram])
-        return den, N
-
-
-def _scaled_numerator(g: TorsionClass, den: LaurentPoly) -> LaurentPoly:
-    # where the entry is already over den, N shares the gram's numerator, so
-    # the cache holds no second copy of a knot's gram
-    if g.is_zero():
-        return ZERO
-    return g.num if g.den == den else g.num * divexact(den, g.den)
+        nums = [g.num if g.is_zero() or g.den == den else g.num * divexact(den, g.den) for row in self.gram for g in row]
+        (den_list, *N), _, _ = integer_lists([den, *nums])
+        scale = gcd(*den_list)
+        n = len(self.gram)
+        return [c // scale for c in den_list], [N[i * n : (i + 1) * n] for i in range(n)], scale
 
 
 def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None = None) -> GramPairing:
@@ -128,15 +122,42 @@ def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None
 def pair_grid(B: GramPairing, xs: Sequence[ModuleElement], ys: Sequence[ModuleElement]) -> list[list[TorsionClass]]:
     """[[pair(x, y) for y in ys] for x in xs], forming each N * conj(y) once.
 
-    The one place the pairing is evaluated: each value is the class of the
-    Laurent polynomial x^T N conj(y) over den, from the cached (den, N).
+    The one place the pairing is evaluated, on integer coefficient lists
+    from the cached (den, N, scale): the entries of all xs are cleared to
+    integers by one scale and one power of t, and so are those of all
+    conj(y), so every value is t^e * x^T N conj(y) / (c * den) for one
+    exponent e and one integer c.  A negative e is cleared by -e exact
+    steps f -> (a_0 * f - f_0 * den) / t, each multiplying c by a_0 = den(0)
+    (see _times_t_inverse), and one classes_over call makes the whole grid
+    canonical.
     """
     n = B.module.generators
     if any(len(v.coeffs) != n for v in (*xs, *ys)):
         raise ValueError("element does not match the pairing's module")
-    den, N = B.common
-    columns = [mat_vec(N, [c.conjugate() for c in y.coeffs]) for y in ys]
-    return [[TorsionClass(_dot(x.coeffs, col), den) for col in columns] for x in xs]
+    den, N, scale = B.common
+    X, mx, vx = integer_lists([c for x in xs for c in x.coeffs])
+    Y, my, vy = integer_lists([c.conjugate() for y in ys for c in y.coeffs])
+    columns = [[list_dot(row, y) for row in N] for y in (Y[k * n : (k + 1) * n] for k in range(len(ys)))]
+    nums = [list_dot(X[k * n : (k + 1) * n], col) for k in range(len(xs)) for col in columns]
+    e, c = vx + vy, scale * mx * my
+    if e > 0:
+        nums = [[0] * e + f if f else f for f in nums]
+    for _ in range(-e):
+        nums = [_times_t_inverse(f, den) for f in nums]
+        c *= den[0]
+    classes = classes_over(nums, [c * d for d in den])
+    m = len(ys)
+    return [classes[k * m : (k + 1) * m] for k in range(len(xs))]
+
+
+def _times_t_inverse(f: list[int], den: list[int]) -> list[int]:
+    """g with g / (a_0 * den) = t^-1 * f / den mod Lambda, a_0 = den[0]:
+    g = (a_0 * f - f_0 * den) / t, whose constant term cancels."""
+    f0 = f[0] if f else 0
+    g = [den[0] * x for x in f] + [0] * (len(den) - len(f))
+    for j, d in enumerate(den):
+        g[j] -= f0 * d
+    return g[1:]
 
 
 def pair(B: GramPairing, x: ModuleElement, y: ModuleElement) -> TorsionClass:
@@ -146,21 +167,23 @@ def pair(B: GramPairing, x: ModuleElement, y: ModuleElement) -> TorsionClass:
 
 def check_hermitian(B: GramPairing) -> bool:
     """gram[j][i] = conj(gram[i][j]) for i <= j: conjugation is an
-    involution on canonical classes, so the pairs j < i add nothing."""
+    involution on canonical classes, so the pairs j < i add nothing.  The
+    conjugates are made in one batch (laurent.conjugates)."""
     n = B.module.generators
-    for i in range(n):
-        for j in range(i, n):
-            if B.gram[j][i] != B.gram[i][j].conjugate():
-                return False
-    return True
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    conj = conjugates([B.gram[i][j] for i, j in upper])
+    return all(B.gram[j][i] == c for (i, j), c in zip(upper, conj))
 
 
 def vanishes_on_relations(B: GramPairing) -> bool:
     """Well-definedness: gram * conj(r) is zero for every relation column r,
-    i.e. den divides every entry of N * conj(r)."""
-    den, N = B.common
-    R = B.module.relations.conjugate()
-    return all(divides(den, e) for c in range(R.cols) for e in mat_vec(N, R.col(c)))
+    i.e. den divides every entry of N * conj(r), with conj(r) cleared to
+    integers by a scale and a power of t (units, as den(0) != 0): an exact
+    integer pseudo-remainder decides each entry."""
+    den, N, _ = B.common
+    R = B.module.relations
+    columns = [integer_lists([e.conjugate() for e in R.col(c)])[0] for c in range(R.cols)]
+    return not any(any(_pseudo_remainder(list_dot(row, r), den)[0]) for r in columns for row in N)
 
 
 def check_nonsingular(B: GramPairing) -> bool:

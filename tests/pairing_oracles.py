@@ -25,7 +25,7 @@ from eqslice.laurent import (
 )
 from eqslice.matrices import LambdaMatrix, SingularMatrixError, in_span, seifert_pencil, snf
 from eqslice.modules import RationalBasis
-from eqslice.obstruction import CoprimePart, _eval_form
+from eqslice.obstruction import CoprimePart
 from eqslice.pairing import pair_grid
 
 
@@ -212,12 +212,27 @@ def tau_parts_per_entry(T):
     return tuple(parts)
 
 
+def eval_form_fraction(Q, v):
+    """v^T Q v over the rationals, entry by entry: the reference for the
+    library's integer _eval_form."""
+    total = Fraction(0)
+    for i, row in enumerate(Q):
+        if not v[i]:
+            continue
+        s = Fraction(0)
+        for j, entry in enumerate(row):
+            if entry and v[j]:
+                s += entry * v[j]
+        total += v[i] * s
+    return total
+
+
 def evaluate_by_fold(cert, v):
     """The certificate's value at v summed part by part from the zero class,
     each sum made canonical."""
     total = TORSION_ZERO
     for part in cert.parts:
-        num = LaurentPoly({m: _eval_form(Q, v) for m, Q in enumerate(part.forms)})
+        num = LaurentPoly({m: eval_form_fraction(Q, v) for m, Q in enumerate(part.forms)})
         if not num.is_zero():
             total = total + TorsionClass(num, part.denominator)
     return total

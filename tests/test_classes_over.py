@@ -15,10 +15,11 @@ from collections import Counter
 
 import pytest
 
-from eqslice.laurent import LaurentPoly, TorsionClass, classes_over, parse_poly
+from eqslice import laurent
+from eqslice.laurent import LaurentPoly, TorsionClass, classes_over, conjugates, parse_poly
 from eqslice.matrices import inverse_qt, seifert_pencil
 from eqslice.modules import from_seifert
-from eqslice.pairing import gram_from_seifert
+from eqslice.pairing import gram_from_seifert, pair_grid
 from cases import SINGULAR_DENSE, dense_seifert
 
 PRIME = (1 << 61) - 1
@@ -155,6 +156,62 @@ def test_classes_share_one_monic_denominator():
     classes = classes_over([[1], [0, 1], [2, 0, 1]], [1, -3, 2])
     assert classes[0].den is classes[1].den is classes[2].den
     assert classes[0].den == parse_poly("t^2 - 3/2*t + 1/2")
+
+
+@pytest.mark.parametrize("content", [2, 6, -4, 10**30 + 3])
+def test_a_denominator_with_content_takes_the_integer_route(draws, content, monkeypatch):
+    # den = content * p: the pseudo-remainder runs on the primitive p, and
+    # the content goes into the numerator's scale
+    made = []
+    init = TorsionClass.__init__
+
+    def recording(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    for kind, nums, den in draws:
+        if kind not in ("generic", "long"):
+            continue
+        scaled = [content * c for c in den]
+        expected = constructor(nums, scaled)
+        with monkeypatch.context() as m:
+            m.setattr(TorsionClass, "__init__", recording)
+            made.clear()
+            got = classes_over(nums, scaled)
+            fallbacks = len(made)
+        assert_same(got, expected)
+        # the image test sees p, as it did for den
+        assert fallbacks == sum(any(c is x for x in made) for c in classes_over(nums, den))
+
+
+def test_conjugates_match_the_constructor(draws, monkeypatch):
+    classes = [c for _, nums, den in draws for c in constructor(nums, den)]
+    classes += [g for row in gram_from_seifert(SINGULAR_DENSE).gram for g in row]
+    calls = []
+    batch = laurent.classes_over
+
+    def counted(nums, den):
+        calls.append(den)
+        return batch(nums, den)
+
+    monkeypatch.setattr(laurent, "classes_over", counted)
+    got = conjugates(classes)
+    assert_same(got, [c.conjugate() for c in classes])
+    # one call per distinct denominator of a nonzero class, and many classes
+    # share one
+    nonzero = [c for c in classes if not c.is_zero()]
+    assert 200 <= len(calls) == len({c.den for c in nonzero}) <= len(nonzero) // 2
+    assert conjugates([]) == []
+
+
+def test_conjugates_of_a_pairing_grid_match_the_constructor():
+    rng = random.Random(71)
+    B = gram_from_seifert(dense_seifert(3, rng))
+    M = B.module
+    xs = [M.element([LaurentPoly({k: rng.randint(-3, 3) for k in range(-2, 2)}) for _ in range(M.generators)]) for _ in range(4)]
+    grid = [g for row in pair_grid(B, xs, xs) for g in row]
+    assert_same(conjugates(grid), [g.conjugate() for g in grid])
+    assert_same(conjugates(conjugates(grid)), grid)
 
 
 def per_entry_gram(A):

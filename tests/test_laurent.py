@@ -17,10 +17,12 @@ from eqslice.laurent import (
     divexact,
     divides,
     extended_gcd,
+    poly_divmod,
     poly_mod,
     format_poly,
     gcd_free_basis,
     laurent_gcd,
+    laurent_quo,
     normalize_alexander,
     parse_poly,
     parse_rational,
@@ -147,6 +149,33 @@ class TestGcd:
         assert not divides(P("t - 3"), p)
         with pytest.raises(ValueError):
             divexact(p, P("t - 3"))
+
+
+class TestUnitShortcuts:
+    """divides and laurent_quo answer a unit divisor c*t^k without a division."""
+
+    UNITS = [ONE, P("-3/2*t^4"), P("t^-2"), LaurentPoly({5: Fraction(7, 3)}), LaurentPoly({-1: -5})]
+
+    def test_a_unit_divides_zero_and_nonzero(self):
+        for d in self.UNITS:
+            assert divides(d, ZERO)
+            for p in (P("t - 2"), P("1/3*t^-3 + 5*t^2"), ONE, P("-7/9*t^6")):
+                assert divides(d, p)
+                assert divexact(p, d) * d == p
+
+    def test_quotient_by_a_unit_matches_the_division_route(self):
+        rng = random.Random(19)
+        for trial in range(300):
+            a = rand_poly(rng, max_deg=6, allow_zero=False, laurent=True).scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            b = self.UNITS[trial % len(self.UNITS)] if trial < 20 else LaurentPoly(
+                {rng.randint(-4, 4): Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))}
+            )
+            va, vb = a.valuation(), b.valuation()
+            q, r = poly_divmod(a.shift(-va), b.shift(-vb))
+            got = laurent_quo(a, b)
+            assert r.is_zero()
+            assert got == q.shift(va - vb) and str(got) == str(q.shift(va - vb))
+            assert got * b == a
 
 
 class TestCanonicalForm:

@@ -1,11 +1,12 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from eqslice.catalog import assemble, builtin, sum_specs
-from eqslice.laurent import ONE, ZERO, parse_poly, unit_equal
+from eqslice.laurent import ONE, TORSION_ZERO, ZERO, parse_poly, unit_equal
 from eqslice.obstruction import (
     CERTIFIED_K0,
     COUNTEREXAMPLE,
@@ -14,6 +15,8 @@ from eqslice.obstruction import (
     NOT_EQUIVARIANTLY_SLICE,
     UNDECIDED,
     _check_forms,
+    _cleared,
+    _eval_form,
     _falsifier_candidates,
     amphichiral_obstruction,
     certify_k0,
@@ -26,7 +29,7 @@ from eqslice.involution import SemilinearMap
 from eqslice.matrices import LambdaMatrix
 from eqslice.pairing import pair, pair_grid
 from eqslice.witt import EquivariantTriple, triple_sum, negate, validate
-from pairing_oracles import evaluate_by_fold, symmetrised_grid, tau_parts_per_entry
+from pairing_oracles import eval_form_fraction, evaluate_by_fold, symmetrised_grid, tau_parts_per_entry
 from cases import SINGULAR_DENSE, check_cases, swap_double_of
 
 
@@ -303,6 +306,71 @@ class TestBlockShift:
                 v = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(dim)]
                 assert evaluate_certificate(cert, v) == evaluate_by_fold(cert, v), label
         assert multi_part >= 10
+
+
+class TestIntegerForms:
+    """Each part's forms are read as integer matrices over one denominator,
+    cached on the part; the Fraction evaluation is the oracle."""
+
+    def test_integer_eval_form_matches_the_fraction_oracle(self):
+        rng = random.Random(19)
+        for label, T in check_cases():
+            cert = tau_quadratic(T)
+            dim = cert.basis.dimension
+            vectors = [[Fraction(0)] * dim] + [
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(dim)] for _ in range(3)
+            ]
+            for part in cert.parts:
+                q, layers = part.integer_forms
+                assert part.integer_forms is part.integer_forms
+                for v in vectors:
+                    w, m = _cleared(v)
+                    for Q, layer in zip(part.forms, layers):
+                        assert Fraction(_eval_form(layer, w), q * m * m) == eval_form_fraction(Q, v), label
+            for v in vectors:
+                assert evaluate_certificate(cert, v) == evaluate_by_fold(cert, v), label
+            assert evaluate_certificate(cert, vectors[0]) == TORSION_ZERO
+
+    @pytest.mark.parametrize(
+        "triple",
+        [lambda: nine46_sum(2), lambda: assemble(builtin("swap_double", inner="nine46")), lambda: genus_one(-2, 3, 2)],
+        ids=["nine46x2", "swap_nine46", "genus_one"],
+    )
+    def test_one_perturbed_coefficient_raises_at_its_entry(self, triple):
+        # in the Fraction forms, which a new part reads afresh, and in the
+        # cached integer forms; a symmetric change is caught against the
+        # pairing, a one-sided one as an asymmetry, each at its own (k, l)
+        T = triple()
+        cert = tau_quadratic(T)
+        grid = tau_grid_oracle(T, cert.basis)
+        dim = cert.basis.dimension
+        spots = [(idx, m, k, l) for idx, part in enumerate(cert.parts) for m in range(len(part.forms)) for k in range(dim) for l in range(k, dim)]
+        for idx, m, k, l in random.Random(20).sample(spots, min(len(spots), 12)):
+            at = re.escape(f"disagrees with the pairing at ({k}, {l})")
+
+            def bump(forms, m=m, k=k, l=l):
+                forms[m][k][l] += 1
+                if k != l:
+                    forms[m][l][k] += 1
+
+            with pytest.raises(RuntimeError, match=at):
+                _check_forms(with_forms(cert, idx, bump), grid)
+            part = cert.parts[idx]
+            q, layers = part.integer_forms
+            for symmetric in (True, False):
+                if not symmetric and k == l:
+                    continue
+                edited = [[list(row) for row in Q] for Q in layers]
+                edited[m][k][l] += 1
+                if symmetric and k != l:
+                    edited[m][l][k] += 1
+                fresh = replace(part)
+                fresh.__dict__["integer_forms"] = (q, tuple(tuple(tuple(row) for row in Q) for Q in edited))
+                bad = replace(cert, parts=cert.parts[:idx] + (fresh,) + cert.parts[idx + 1 :])
+                message = at if symmetric else re.escape(f"forms are not symmetric at ({k}, {l})")
+                with pytest.raises(RuntimeError, match=message):
+                    _check_forms(bad, grid)
+        _check_forms(cert, grid)
 
 
 class TestCertifyK0:

@@ -410,3 +410,92 @@ def test_singular_seifert_matrix_goes_through_inverse_qt(inverse_qt_calls):
 def test_unknot_takes_no_inverse(inverse_qt_calls):
     assert gram_from_seifert([]).gram == ()
     assert inverse_qt_calls == []
+
+
+def rational_elements(M, count, rng, low):
+    """count elements with Fraction coefficients and exponents low..1, the
+    first with a t^low term, then the zero element."""
+    def coefficient():
+        return LaurentPoly({k: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for k in range(low, 2) if rng.random() < 0.6})
+
+    xs = [[coefficient() for _ in range(M.generators)] for _ in range(count)]
+    xs[0][0] = xs[0][0] + LaurentPoly({low: Fraction(1, 3)})
+    return [M.element(x) for x in xs] + [M.element([ZERO] * M.generators)]
+
+
+def several_denominators():
+    B1, B2 = gram_from_seifert(NINE46), gram_from_seifert(genus_one(2, 3))
+    return direct_sum_pairing(B1, B2, direct_sum(B1.module, B2.module))
+
+
+# label -> pairing, off the integer draws of random_elements
+RATIONAL_CASES = {
+    "nine46": lambda: gram_from_seifert(NINE46),
+    "swap double of dense genus 2": lambda: gram_from_seifert(swap_double(dense_seifert(2, random.Random(37)))),
+    "singular swap double": lambda: gram_from_seifert(swap_double(SINGULAR_DENSE)),
+    "direct sum, several denominators": several_denominators,
+    "negated direct sum": lambda: negate_pairing(several_denominators()),
+    "hand-built": lambda: hand_built(False)[0],
+    "zero gram": lambda: hand_built(True)[0],
+}
+
+
+@pytest.mark.parametrize("label", RATIONAL_CASES)
+def test_pair_grid_matches_per_term_on_rational_elements(label, monkeypatch):
+    # Fraction coefficients, exponents below -deg den, which take the
+    # t^-1 steps, zero elements, and grams over several denominators
+    B = RATIONAL_CASES[label]()
+    assert vanishes_on_relations(B) == vanishes_per_term(B)
+    D = len(B.common[0]) - 1
+    rng = random.Random(label)
+    steps = []
+    step = pairing._times_t_inverse
+    monkeypatch.setattr(pairing, "_times_t_inverse", lambda f, den: steps.append(1) or step(f, den))
+    xs = rational_elements(B.module, 3, rng, -D - 2)
+    ys = rational_elements(B.module, 2, rng, -1)
+    grid = pair_grid(B, xs, ys)
+    assert grid == [[pair_per_term(B, x, y) for y in ys] for x in xs]
+    assert all(g.is_zero() for g in grid[-1]) and all(row[-1].is_zero() for row in grid)
+    if D:
+        assert len(steps) >= (D + 2) * len(xs) * len(ys)
+    # and the other way round: exponents below -deg den in conj(y)
+    assert pair_grid(B, ys, xs) == [[pair_per_term(B, y, x) for x in xs] for y in ys]
+
+
+def test_rational_cases_reach_several_denominators_and_both_verdicts():
+    dens = {label: {g.den for row in build().gram for g in row if not g.is_zero()} for label, build in RATIONAL_CASES.items()}
+    assert len(dens["direct sum, several denominators"]) >= 2 and len(dens["negated direct sum"]) >= 2
+    assert not dens["zero gram"]
+    verdicts = [vanishes_on_relations(build()) for build in RATIONAL_CASES.values()]
+    assert True in verdicts and False in verdicts
+
+
+def perturbed_N(B, i, j, k):
+    """A copy of B whose cached integer N has N[i][j]'s t^k coefficient
+    raised by 1; the gram is unchanged."""
+    den, N, scale = B.common
+    bad = [[list(f) for f in row] for row in N]
+    bad[i][j] = bad[i][j] + [0] * (k + 1 - len(bad[i][j]))
+    bad[i][j][k] += 1
+    copy = GramPairing(module=B.module, gram=B.gram)
+    copy.__dict__["common"] = (den, bad, scale)
+    return copy
+
+
+@pytest.mark.parametrize("label", ["nine46", "swap double of dense genus 2", "direct sum, several denominators"])
+def test_a_perturbed_integer_N_is_caught(label):
+    # vanishes_on_relations and pair_grid read N, the oracles read the gram;
+    # every coefficient below deg den is perturbed in turn on the smallest
+    # case, and a few elsewhere
+    B = RATIONAL_CASES[label]()
+    assert vanishes_on_relations(B)
+    n, D = B.module.generators, len(B.common[0]) - 1
+    spots = [(i, j, k) for i in range(n) for j in range(n) for k in range(D)]
+    if n > 2:
+        spots = random.Random(label).sample(spots, 6)
+    for i, j, k in spots:
+        bad = perturbed_N(B, i, j, k)
+        assert not vanishes_on_relations(bad), (i, j, k)
+        x, y = B.module.generator(i), B.module.generator(j)
+        assert pair_grid(bad, [x], [y]) != [[pair_per_term(bad, x, y)]], (i, j, k)
+        assert pair_grid(B, [x], [y]) == [[pair_per_term(B, x, y)]]
