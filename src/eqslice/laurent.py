@@ -5,12 +5,12 @@ Everything here is immutable and uses arbitrary-precision rationals, so
 equality questions (divisibility, vanishing of a torsion class) are decided
 exactly.  Units of the ring are the monomials c*t^k with c a nonzero
 rational; canonical forms below fix that ambiguity.  The fraction field
-itself is never formed: a value num/den is kept as a TorsionClass, whose
-constructor decides its one canonical form; classes_over is its batch form
-for many numerators over one integer denominator, and conjugates batches
-conjugation through it.  The batch forms, and the pairing's and the
-certificates' guards, work on integer coefficient lists (integer_lists,
-list_dot, _pseudo_remainder).
+itself is never formed: a value num/den is kept as a TorsionClass in one
+canonical form, which classes_over alone decides, in integers, for t^e
+times many numerators over one integer denominator.  The constructor is
+its one-element case, and conjugates batches conjugation through it.
+classes_over, and the pairing's and the certificates' guards, work on
+integer coefficient lists (integer_lists, list_dot, _pseudo_remainder).
 """
 from __future__ import annotations
 
@@ -410,25 +410,12 @@ def laurent_quo(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 _PRIME = (1 << 61) - 1
 
 
-def _dense_mod_prime(p: LaurentPoly) -> list[int] | None:
-    """Coefficients of the ordinary polynomial p modulo _PRIME, lowest first;
-    None if a denominator or the leading coefficient vanishes modulo it."""
-    out = [0] * (p.degree() + 1)
-    for k, c in p.items():
-        v, d = c.numerator % _PRIME, c.denominator
-        if d != 1:
-            if not d % _PRIME:
-                return None
-            v = v * pow(d, -1, _PRIME) % _PRIME
-        out[k] = v
-    return out if out[-1] else None
-
-
-def _coprime_mod_prime(a: LaurentPoly, b: LaurentPoly) -> bool:
-    """True only if the ordinary polynomials a and b are coprime over Q.
-    False means undecided (see _coprime_images)."""
-    x, y = _dense_mod_prime(a), _dense_mod_prime(b)
-    return x is not None and y is not None and _coprime_images(x, y)
+def _image(f: Sequence[int]) -> list[int]:
+    """The integer coefficient list f modulo _PRIME, zero top terms dropped."""
+    x = [c % _PRIME for c in f]
+    while x and not x[-1]:
+        x.pop()
+    return x
 
 
 def _coprime_images(x: list[int], y: list[int]) -> bool:
@@ -470,7 +457,11 @@ def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     if q.is_zero():
         return p.monic_ordinary()
     a, b = p.ordinary(), q.ordinary()
-    if _coprime_mod_prime(a, b):
+    # integer multiples of a and b, whose images certify coprimality when
+    # their leading coefficients survive
+    (x, y), _, _ = integer_lists([a, b])
+    ix, iy = _image(x), _image(y)
+    if len(ix) == len(x) and len(iy) == len(y) and _coprime_images(ix, iy):
         return ONE
     while not b.is_zero():
         a, b = b, poly_mod(a, b)
@@ -539,97 +530,36 @@ def unit_equal(p: LaurentPoly, q: LaurentPoly) -> bool:
     return p.monic_ordinary() == q.monic_ordinary()
 
 
-@lru_cache(maxsize=1024)
-def _t_inverse_mod(den: LaurentPoly) -> LaurentPoly:
-    # den ordinary with constant term a_0 != 0, so t is invertible:
-    # t^-1 = -(a_1 + a_2 t + ... + a_d t^(d-1)) / a_0  (mod den)
-    c = den.dense()
-    if not c or not c[0]:
-        raise ValueError("t is not invertible modulo the denominator")
-    return LaurentPoly(enumerate(-v / c[0] for v in c[1:]))
-
-
-def _reduce_mod(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Ordinary representative of num mod den with degree < deg den.
-
-    den must be an ordinary polynomial with nonzero constant term, so that t
-    is invertible in the quotient and every class has such a representative.
-    """
-    if num.is_zero():
-        return ZERO
-    v = num.valuation()
-    if v >= 0:
-        return poly_mod(num, den)
-    r = poly_mod(num.shift(-v), den)
-    # times t^v = (t^-1)^(-v), by square-and-multiply mod den
-    e, power = -v, _t_inverse_mod(den)
-    while e:
-        if e & 1:
-            r = poly_mod(r * power, den)
-        e >>= 1
-        if e:
-            power = poly_mod(power * power, den)
-    return r
-
-
 # ---------------------------------------------------------------------------
 # The torsion quotient.
 
 class TorsionClass:
     """The class of num/den in (fraction field)/(Laurent ring).
 
-    The constructor is the one place the canonical form is decided: den is
-    made monic and ordinary (nonzero constant term), num is reduced mod den
-    to an ordinary polynomial of degree below deg den, and
-    gcd(num mod den, den) = gcd(num, den) is cancelled.  The zero class is
-    0/1.  Equality is therefore syntactic, and a class is zero iff num is.
-    Sums, differences and negatives are the constructor applied to the
-    cross-multiplied fraction.
+    The canonical form: den monic and ordinary (nonzero constant term), num
+    reduced mod den to an ordinary polynomial of degree below deg den, and
+    gcd(num, den) cancelled; the zero class is 0/1.  Equality is therefore
+    syntactic, and a class is zero iff num is.  classes_over decides that
+    form and makes every instance; the constructor is its one-element case.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num=ZERO, den=ONE):
-        num, den = as_poly(num), as_poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        self.num, self.den = ZERO, ONE
-        if num.is_zero() or den.is_unit():
-            return
-        # num/den = (num * t^-v / lc) / (den * t^-v / lc), over a monic ordinary den
-        v, lc = den.valuation(), den.leading_coefficient()
-        den = den.shift(-v).scale(1 / lc)
-        num = _reduce_mod(num.shift(-v), den).scale(1 / lc)
-        if num.is_zero():
-            return
-        g = laurent_gcd(num, den)
-        if not g.is_one():
-            num, den = divexact(num, g), divexact(den, g)
-        self.num, self.den = num, den
+    def __new__(cls, num=ZERO, den=ONE):
+        # num/den = f/d for the integer lists f, d over one scale and t-power
+        (f, d), _, _ = integer_lists([as_poly(num), as_poly(den)])
+        return classes_over([f], d)[0]
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not by filling
+        # in the instance __new__ returns for no arguments, the shared zero
+        return TorsionClass, (self.num, self.den)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __add__(self, other: "TorsionClass") -> "TorsionClass":
-        return TorsionClass(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "TorsionClass") -> "TorsionClass":
-        return TorsionClass(self.num * other.den - other.num * self.den, self.den * other.den)
-
     def __neg__(self) -> "TorsionClass":
         return TorsionClass(-self.num, self.den)
-
-    def scale(self, p) -> "TorsionClass":
-        """Multiply by a ring element (or rational scalar)."""
-        p = as_poly(p)
-        if p.is_zero() or self.is_zero():
-            return TORSION_ZERO
-        if p.is_one():
-            return self
-        return TorsionClass(self.num * p, self.den)
-
-    def conjugate(self) -> "TorsionClass":
-        return TorsionClass(self.num.conjugate(), self.den.conjugate())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorsionClass):
@@ -648,74 +578,102 @@ class TorsionClass:
         return f"TorsionClass({str(self)!r})"
 
 
-TORSION_ZERO = TorsionClass()
+TORSION_ZERO = object.__new__(TorsionClass)
+TORSION_ZERO.num, TORSION_ZERO.den = ZERO, ONE
 
 
-def classes_over(nums: Sequence[Sequence[int]], den: Sequence[int]) -> list[TorsionClass]:
-    """[TorsionClass(LaurentPoly(enumerate(f)), LaurentPoly(enumerate(den)))
-    for f in nums]: the constructor's batch form for integer coefficient
-    lists, lowest first, over one integer denominator.
+def classes_over(nums: Sequence[Sequence[int]], den: Sequence[int], e: int = 0) -> list[TorsionClass]:
+    """The canonical classes of t^e * f / den for f in nums, on integer
+    coefficient lists, lowest first: the one place a class's canonical form
+    is decided (see TorsionClass).
 
-    The monic denominator is built once, for all the classes.  With
-    den = g * p, g its content and p primitive of degree D with leading
-    coefficient L, each f is reduced by an integer pseudo-remainder
-    r = L^k * f - q * p of degree below D, so the class's numerator is
-    r / (g * L^(k+1)); it is canonical once r and p are coprime, which
-    their images modulo _PRIME certify.  Whatever this cannot decide goes
-    to the constructor: every f when den has a t-power or L vanishes
-    modulo _PRIME, and an f whose image is not coprime to p's (a factor
-    shared over Q, or an unlucky prime).
+    With den = g * t^v * p, g its content and p primitive of degree D with
+    leading coefficient L, the t^v moves into e and the monic p / L is
+    built once, for all the classes.  For e >= 0 each f is only shifted; a
+    negative e is made once, as t^e = w / s modulo p, in O(log |e|)
+    products (_inverse_t_power), and each f takes one product by w.  An
+    integer pseudo-remainder r = L^k * f - q * p then reduces f to degree
+    below D, so the class's numerator is r / (g * s * L^(k+1)).  It is
+    canonical once r and p are coprime, which their images modulo _PRIME
+    certify; where they cannot (a factor shared over Q, an unlucky prime,
+    or L vanishing modulo it), laurent_gcd cancels the gcd exactly.
     """
-    exact = LaurentPoly(enumerate(den))
-    if exact.is_zero():
+    support = [i for i, c in enumerate(den) if c]
+    if not support:
         raise ZeroDivisionError("zero denominator")
-    if exact.is_unit():
+    v, top = support[0], support[-1]
+    if v == top:
         return [TORSION_ZERO] * len(nums)
-    D = exact.degree()
     content = gcd(*den)
-    p = [c // content for c in den[: D + 1]]
-    L = p[D]
-    if not p[0] or not L % _PRIME:
-        return [TorsionClass(LaurentPoly(enumerate(f)), exact) for f in nums]
-    monic = exact.scale(Fraction(1, den[D]))
-    image = [c % _PRIME for c in p]
+    p = [c // content for c in den[v : top + 1]]
+    L, e = p[-1], e - v
+    monic = LaurentPoly((j, Fraction(c, L)) for j, c in enumerate(p))
+    image = _image(p)
+    certifies = len(image) == len(p)
+    w, s = _inverse_t_power(p, -e) if e < 0 else ([1], 1)
     out = []
     for f in nums:
+        if e < 0:
+            f = list_dot([w], [f])
+        elif e and f:
+            f = [0] * e + list(f)
         r, k = _pseudo_remainder(f, p)
         if not any(r):
             out.append(TORSION_ZERO)
             continue
-        x = [c % _PRIME for c in r]
-        while x and not x[-1]:
-            x.pop()
+        scale = content * s * L ** (k + 1)
+        num, over = LaurentPoly((j, Fraction(c, scale)) for j, c in enumerate(r)), monic
+        x = _image(r) if certifies else None
         if not x or not _coprime_images(image, x):
-            # f / den and r / (L^k * den) differ by q / (g * L^k), in Lambda
-            out.append(TorsionClass(LaurentPoly(enumerate(r)), exact.scale(L**k)))
-            continue
-        scale = content * L ** (k + 1)
-        cls = TorsionClass.__new__(TorsionClass)
-        cls.num, cls.den = LaurentPoly((j, Fraction(c, scale)) for j, c in enumerate(r)), monic
+            g = laurent_gcd(num, monic)
+            if not g.is_one():
+                num, over = divexact(num, g), divexact(monic, g)
+        cls = object.__new__(TorsionClass)
+        cls.num, cls.den = num, over
         out.append(cls)
     return out
+
+
+def _inverse_t_power(p: Sequence[int], n: int) -> tuple[list[int], int]:
+    """(w, s) with t^-n = w / s modulo p, an integer coefficient list
+    (lowest first) with nonzero constant term, and len(w) <= deg p: by
+    square-and-multiply of t^-1 = -(p_1 + p_2 t + ... + p_D t^(D-1)) / p_0,
+    each product cut back by _pseudo_remainder, O(log n) products in all."""
+    L = p[-1]
+    base, b = [-c for c in p[1:]], p[0]
+    w, s = [1], 1
+    while True:
+        if n & 1:
+            w, k = _pseudo_remainder(list_dot([w], [base]), p)
+            s *= b * L**k
+        n >>= 1
+        if not n:
+            return w, s
+        base, k = _pseudo_remainder(list_dot([base], [base]), p)
+        b *= b * L**k
 
 
 def _pseudo_remainder(f: Sequence[int], den: Sequence[int]) -> tuple[list[int], int]:
     """(r, k) with r = L^k * f - q * den, of length at most D = len(den) - 1,
     for integer coefficient lists, lowest first, L = den[D] nonzero: each
     of the k steps cancels a nonzero top term.  den divides f over Q iff r
-    is zero."""
+    is zero.  A step multiplies only the D terms below the top by L; a term
+    further down takes the factor L^k of the steps before it once, when it
+    comes within D of the top, so a step costs O(D) however long f is."""
     D = len(den) - 1
     L = den[D]
-    r, k = list(f), 0
-    while len(r) > D:
+    r, k, power = list(f), 0, 1
+    for s in range(len(r) - 1 - D, -1, -1):
         c = r.pop()
         if c:
-            # L * r - c * t^s * den cancels the popped top term L * c
-            r = [L * x for x in r]
-            s = len(r) - D
-            for j in range(D):
-                r[s + j] -= c * den[j]
+            # L * r - c * t^s * den cancels the popped top term L * c; r[s:]
+            # is the D terms below it
+            r[s:] = [L * x - c * d for x, d in zip(r[s:], den)]
             k += 1
+            power *= L
+        if s:
+            # the term that comes within D of the top next
+            r[s - 1] *= power
     return r, k
 
 

@@ -180,8 +180,8 @@ def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
     companion step; the forms' (k, l) entries in part F are the
     coefficients of h_(a+b), so each block pair of a form is a Hankel
     matrix.  Before returning, every basis-pair class t^(a+b) G_ij is
-    made canonical by classes_over (the constructor's batch form, one call
-    per block pair, with no companion step) and compared exactly with the
+    made canonical by classes_over (one call per block pair, with no
+    companion step) and compared exactly with the
     stored forms (see _check_forms), and two seeded random vectors are
     evaluated end to end, through from_coords, the involution and pair.
     """

@@ -23,13 +23,12 @@ lists: each pairing caches den, the lcm of the distinct denominators of its
 gram (a gram from classes_over has one, so no lcm is taken) as a primitive
 integer polynomial, and N, with gram = N / (scale * den) for one integer
 scale.  A value is the class of x^T N conj(y) over scale * den, the entries
-of x and of conj(y) cleared to integers by one scale and one power of t; a
-negative power is cleared by exact t^-1 steps modulo den, and one
-classes_over call makes a whole grid of values canonical.  Well-definedness
-is den dividing N * conj(r), an exact integer pseudo-remainder.
-pair_grid is the only evaluator, and no Laurent-polynomial one is kept: it
-pairs a list of elements against another, forming each N * conj(y) once,
-and pair is its 1 x 1 case.
+of x and of conj(y) cleared to integers by one scale and one power of t,
+and one classes_over call, which takes that power, makes a whole grid of
+values canonical.  Well-definedness is den dividing N * conj(r), an exact
+integer pseudo-remainder.  pair_grid is the only evaluator, and no
+Laurent-polynomial one is kept: it pairs a list of elements against
+another, forming each N * conj(y) once, and pair is its 1 x 1 case.
 
 Nonsingularity is one determinant over Q.  Let eps send a class f/den,
 f of degree below D = deg den, den monic, to the t^(D-1) coefficient of f;
@@ -126,10 +125,8 @@ def pair_grid(B: GramPairing, xs: Sequence[ModuleElement], ys: Sequence[ModuleEl
     from the cached (den, N, scale): the entries of all xs are cleared to
     integers by one scale and one power of t, and so are those of all
     conj(y), so every value is t^e * x^T N conj(y) / (c * den) for one
-    exponent e and one integer c.  A negative e is cleared by -e exact
-    steps f -> (a_0 * f - f_0 * den) / t, each multiplying c by a_0 = den(0)
-    (see _times_t_inverse), and one classes_over call makes the whole grid
-    canonical.
+    exponent e and one integer c, and one classes_over call, which takes
+    the t^e, makes the whole grid canonical.
     """
     n = B.module.generators
     if any(len(v.coeffs) != n for v in (*xs, *ys)):
@@ -139,25 +136,10 @@ def pair_grid(B: GramPairing, xs: Sequence[ModuleElement], ys: Sequence[ModuleEl
     Y, my, vy = integer_lists([c.conjugate() for y in ys for c in y.coeffs])
     columns = [[list_dot(row, y) for row in N] for y in (Y[k * n : (k + 1) * n] for k in range(len(ys)))]
     nums = [list_dot(X[k * n : (k + 1) * n], col) for k in range(len(xs)) for col in columns]
-    e, c = vx + vy, scale * mx * my
-    if e > 0:
-        nums = [[0] * e + f if f else f for f in nums]
-    for _ in range(-e):
-        nums = [_times_t_inverse(f, den) for f in nums]
-        c *= den[0]
-    classes = classes_over(nums, [c * d for d in den])
+    c = scale * mx * my
+    classes = classes_over(nums, [c * d for d in den], vx + vy)
     m = len(ys)
     return [classes[k * m : (k + 1) * m] for k in range(len(xs))]
-
-
-def _times_t_inverse(f: list[int], den: list[int]) -> list[int]:
-    """g with g / (a_0 * den) = t^-1 * f / den mod Lambda, a_0 = den[0]:
-    g = (a_0 * f - f_0 * den) / t, whose constant term cancels."""
-    f0 = f[0] if f else 0
-    g = [den[0] * x for x in f] + [0] * (len(den) - len(f))
-    for j, d in enumerate(den):
-        g[j] -= f0 * d
-    return g[1:]
 
 
 def pair(B: GramPairing, x: ModuleElement, y: ModuleElement) -> TorsionClass:

@@ -1,7 +1,9 @@
 """Independent and per-term evaluations of the pairing, kept as test oracles.
 
 The library sums pairing values over the gram's common denominator; these
-follow the definitions term by term instead.  Also kept: a naive fraction
+follow the definitions term by term instead, with the arithmetic of torsion
+classes (sums, differences, ring multiples, conjugates) as the constructor
+applied to the cross-multiplied fraction.  Also kept: a naive fraction
 field, the symmetrised tau-grid, the per-entry quadratic parts and the
 part-by-part certificate sum that tau_quadratic and evaluate_certificate
 replaced, and the block-by-block swap check that the library replaced.
@@ -100,6 +102,26 @@ def _inverse_mod(a, m):
     return poly_mod(s0.scale(1 / r0.coefficient(0)), m)
 
 
+def class_add(x, y):
+    """x + y for torsion classes: the constructor on the cross-multiplied
+    fraction."""
+    return TorsionClass(x.num * y.den + y.num * x.den, x.den * y.den)
+
+
+def class_sub(x, y):
+    return TorsionClass(x.num * y.den - y.num * x.den, x.den * y.den)
+
+
+def class_scale(x, p):
+    """p * x for a ring element or rational p."""
+    return TorsionClass(x.num * as_poly(p), x.den)
+
+
+def class_conjugate(x):
+    """The ring involution t -> t^-1 applied to x."""
+    return TorsionClass(x.num.conjugate(), x.den.conjugate())
+
+
 def pair_per_term(B, x, y):
     """sum over i, j of gram[i][j] * x_i * conj(y_j), one torsion class per term."""
     n = B.module.generators
@@ -107,7 +129,7 @@ def pair_per_term(B, x, y):
     for j in range(n):
         cj = y.coeffs[j].conjugate()
         for i in range(n):
-            acc = acc + B.gram[i][j].scale(x.coeffs[i] * cj)
+            acc = class_add(acc, class_scale(B.gram[i][j], x.coeffs[i] * cj))
     return acc
 
 
@@ -120,7 +142,7 @@ def vanishes_per_term(B):
         for i in range(n):
             acc = TORSION_ZERO
             for j in range(n):
-                acc = acc + B.gram[i][j].scale(r[j])
+                acc = class_add(acc, class_scale(B.gram[i][j], r[j]))
             if not acc.is_zero():
                 return False
     return True
@@ -169,7 +191,7 @@ def symmetrised_grid(B, xs, ys):
     """
     return [
         [
-            (pair_per_term(B, xs[k], ys[l]) + pair_per_term(B, xs[l], ys[k])).scale(Fraction(1, 2))
+            class_scale(class_add(pair_per_term(B, xs[k], ys[l]), pair_per_term(B, xs[l], ys[k])), Fraction(1, 2))
             for l in range(len(ys))
         ]
         for k in range(len(xs))
@@ -234,7 +256,7 @@ def evaluate_by_fold(cert, v):
     for part in cert.parts:
         num = LaurentPoly({m: eval_form_fraction(Q, v) for m, Q in enumerate(part.forms)})
         if not num.is_zero():
-            total = total + TorsionClass(num, part.denominator)
+            total = class_add(total, TorsionClass(num, part.denominator))
     return total
 
 

@@ -7,11 +7,11 @@ from eqslice.laurent import (
     ONE,
     ZERO,
     LaurentPoly,
-    _reduce_mod,
     divexact,
     divides,
     laurent_gcd,
     parse_poly,
+    poly_mod,
     unit_equal,
 )
 from eqslice.matrices import LambdaMatrix, mat_vec
@@ -39,7 +39,22 @@ def to_coords(B, x):
     """The coordinates of x in the rational basis B: the inverse of
     B.from_coords, read off U * x with U from the module's Smith form."""
     y = mat_vec(B.module.snf.U, list(x.coeffs))
-    return tuple(_reduce_mod(y[i], d).coefficient(j) for i, d in B.blocks for j in range(d.degree()))
+    return tuple(reduced(y[i], d).coefficient(j) for i, d in B.blocks for j in range(d.degree()))
+
+
+def reduced(y, d):
+    """y mod d, of degree below deg d, for d ordinary with d(0) != 0: a
+    negative power of t is cleared one t^-1 = -(d_1 + d_2 t + ...) / d_0
+    at a time."""
+    if y.is_zero():
+        return ZERO
+    v = min(y.valuation(), 0)
+    c = d.dense()
+    tinv = LaurentPoly(enumerate(-a / c[0] for a in c[1:]))
+    r = poly_mod(y.shift(-v), d)
+    for _ in range(-v):
+        r = poly_mod(r * tinv, d)
+    return r
 
 
 def t_matrix(B):

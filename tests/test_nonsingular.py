@@ -33,6 +33,7 @@ from eqslice.pairing import (
 )
 from eqslice.witt import EquivariantTriple, validate
 from cases import CATALOG_GRID, SINGULAR_DENSE, check_cases, dense_seifert, swap_double
+from pairing_oracles import class_add, class_conjugate, class_scale
 
 
 def kernel_oracle(B):
@@ -72,7 +73,7 @@ def with_gram(B, gram):
 
 
 def scaled(B, p):
-    return with_gram(B, [[g.scale(p) for g in row] for row in B.gram])
+    return with_gram(B, [[class_scale(g, p) for g in row] for row in B.gram])
 
 
 def summed(pairings):
@@ -159,7 +160,7 @@ def perturbed_cases():
         for trial in range(2):
             gram = [list(row) for row in B.gram]
             i, j = rng.randrange(n), rng.randrange(n)
-            gram[i][j] = gram[i][j] + random_class(rng, module.order.monic_ordinary())
+            gram[i][j] = class_add(gram[i][j], random_class(rng, module.order.monic_ordinary()))
             yield f"{label} entry ({i},{j}) shifted #{trial}", with_gram(B, gram)
         for trial in range(2):
             order = module.order.monic_ordinary()
@@ -167,7 +168,7 @@ def perturbed_cases():
             yield f"{label} random classes #{trial}", with_gram(B, gram)
         a = [random_class(rng, module.order.monic_ordinary()) for _ in range(n)]
         b = [LaurentPoly({0: rng.randint(1, 3), 1: rng.randint(-2, 2)}) for _ in range(n)]
-        yield f"{label} random rank one", with_gram(B, [[ai.scale(bj) for bj in b] for ai in a])
+        yield f"{label} random rank one", with_gram(B, [[class_scale(ai, bj) for bj in b] for ai in a])
         half = n // 2
         gram = [
             [g if i >= half or j >= half else TorsionClass() for j, g in enumerate(row)]
@@ -203,7 +204,8 @@ def random_module_cases():
         U, diag = module.snf.U, module.snf.diagonal
         H = [
             [
-                sum(
+                reduce(
+                    class_add,
                     (TorsionClass(U.entry(k, i) * U.entry(k, j), diag[k]) for k in range(n)),
                     TorsionClass(),
                 )
@@ -212,7 +214,7 @@ def random_module_cases():
             for i in range(n)
         ]
         zero = [TorsionClass()] * n
-        gram = [zero + row for row in H] + [[h.conjugate() for h in row] + zero for row in H]
+        gram = [zero + row for row in H] + [[class_conjugate(h) for h in row] + zero for row in H]
         B = GramPairing(module=direct_sum(module, PresentedModule(n, R.conjugate())), gram=tuple(map(tuple, gram)))
         yield f"random module #{made}", B
         yield f"random module #{made} composed with t - 1", composed(B, P([-1, 1]))

@@ -2,8 +2,8 @@
 
 Each name is imported from its own module; `import eqslice` only loads the
 modules.  The traced benchmark pass looks up every `module.name` in
-bench/tracer.py's TRACED, so a renamed or removed one breaks it.  Only the
-TorsionClass constructor and its batch form classes_over build a class.
+bench/tracer.py's TRACED, so a renamed or removed one breaks it.  Only
+classes_over, which the TorsionClass constructor calls, makes a class.
 """
 import ast
 import importlib
@@ -53,23 +53,33 @@ def test_every_traced_name_resolves():
     assert tracer.TRACED and missing == []
 
 
-def test_only_classes_over_bypasses_the_torsion_class_constructor():
+def test_only_classes_over_makes_a_torsion_class():
+    # an instance is made by a __new__ call on TorsionClass, with it as the
+    # first argument, or inside the class itself: only classes_over, which
+    # decides the canonical form, and the module-level zero may do that
     uses = []
+
+    def makes_a_class(call, where):
+        func = call.func
+        if not (isinstance(func, ast.Attribute) and func.attr == "__new__"):
+            return False
+        named = [func.value, *call.args[:1]]
+        return where.startswith("laurent.TorsionClass") or any(
+            isinstance(n, ast.Name) and n.id == "TorsionClass" for n in named
+        )
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{where}.{child.name}")
                 continue
-            if (
-                isinstance(child, ast.Attribute)
-                and child.attr == "__new__"
-                and isinstance(child.value, ast.Name)
-                and child.value.id == "TorsionClass"
-            ):
+            if isinstance(child, ast.Call) and makes_a_class(child, where):
                 uses.append(where)
+            if isinstance(child, ast.Attribute) and child.attr == "__new__" and isinstance(child.value, ast.Name):
+                if child.value.id == "TorsionClass":
+                    uses.append(where)
             visit(child, where)
 
     for path in sorted((ROOT / "src" / "eqslice").glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
-    assert uses == ["laurent.classes_over"]
+    assert uses == ["laurent", "laurent.classes_over"]

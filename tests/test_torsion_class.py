@@ -1,19 +1,22 @@
-"""Differential test of the TorsionClass constructor and its arithmetic.
+"""Differential test of the TorsionClass constructor and of the class
+arithmetic the oracles build on it.
 
-The constructor decides the canonical form in one pass: monic ordinary
-denominator, numerator reduced mod it, gcd cancelled.  The reference is the
-two-step path it replaced, taken through the naive fraction field of
-pairing_oracles: the canonical fraction num/den first, then its numerator
-reduced mod its denominator.  Seeded draws, no hypothesis, so this runs
+The constructor is laurent.classes_over's one-element case, which decides
+the canonical form in one pass: monic ordinary denominator, numerator
+reduced mod it, gcd cancelled.  The reference is the two-step path through
+the naive fraction field of pairing_oracles: the canonical fraction
+num/den first, then its numerator reduced mod its denominator.  Seeded draws, no hypothesis, so this runs
 wherever pytest does.
 """
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from eqslice.laurent import ONE, ZERO, LaurentPoly, TorsionClass, format_poly, parse_poly
-from pairing_oracles import Frac
+from eqslice.laurent import ONE, TORSION_ZERO, ZERO, LaurentPoly, TorsionClass, format_poly, parse_poly
+from pairing_oracles import Frac, class_add, class_conjugate, class_scale, class_sub
 
 # pairwise coprime irreducibles over Q
 FACTORS = [
@@ -103,12 +106,12 @@ def test_arithmetic_matches_the_fraction_field(draws):
     for (n1, d1), (n2, d2) in zip(draws, draws[1:] + draws[:1]):
         x, y = TorsionClass(n1, d1), TorsionClass(n2, d2)
         X, Y = Frac(n1, d1), Frac(n2, d2)
-        assert_class(x + y, X + Y)
-        assert_class(x - y, X - Y)
+        assert_class(class_add(x, y), X + Y)
+        assert_class(class_sub(x, y), X - Y)
         assert_class(-x, -X)
         p = rand_poly(rng, -3, 2)
-        assert_class(x.scale(p), X * Frac(p))
-        assert_class(x.conjugate(), Frac(X.num.conjugate(), X.den.conjugate()))
+        assert_class(class_scale(x, p), X * Frac(p))
+        assert_class(class_conjugate(x), Frac(X.num.conjugate(), X.den.conjugate()))
 
 
 def test_equal_and_shared_denominators(draws):
@@ -117,6 +120,15 @@ def test_equal_and_shared_denominators(draws):
     for num, den in draws[:200]:
         g = FACTORS[0] * FACTORS[3]
         x, y = TorsionClass(num, den * g), TorsionClass(ONE - num, den * g)
-        assert_class(x + y, Frac(num, den * g) + Frac(ONE - num, den * g))
+        assert_class(class_add(x, y), Frac(num, den * g) + Frac(ONE - num, den * g))
         z = TorsionClass(num, g * FACTORS[1])
-        assert_class(x + z, Frac(num, den * g) + Frac(num, g * FACTORS[1]))
+        assert_class(class_add(x, z), Frac(num, den * g) + Frac(num, g * FACTORS[1]))
+
+
+def test_copies_rebuild_the_class_and_keep_the_shared_zero():
+    # TorsionClass() returns the shared zero, so a copy must not be made by
+    # calling __new__ without arguments and filling in the result
+    x = TorsionClass(parse_poly("t + 3"), parse_poly("2*t^2 - 5*t + 2"))
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert (y.num, y.den, str(y)) == (x.num, x.den, str(x))
+    assert TorsionClass() is TORSION_ZERO and (TORSION_ZERO.num, TORSION_ZERO.den) == (ZERO, ONE)
