@@ -546,9 +546,10 @@ class TorsionClass:
     __slots__ = ("num", "den")
 
     def __new__(cls, num=ZERO, den=ONE):
-        # num/den = f/d for the integer lists f, d over one scale and t-power
-        (f, d), _, _ = integer_lists([as_poly(num), as_poly(den)])
-        return classes_over([f], d)[0]
+        # num = t^a f / m and den = t^b d / n, each over its own scale and t-power
+        (f,), m, a = integer_lists([as_poly(num)])
+        (d,), n, b = integer_lists([as_poly(den)])
+        return classes_over([[n * c for c in f]], [m * c for c in d], a - b)[0]
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, not by filling

@@ -11,7 +11,7 @@ invariant factors, decides whether an element is zero and inverts
 A - t*A^T for the pairing.  Every other presentation reads the first two
 off the Smith normal form of its relations, taken at construction.  A
 module with a model takes the Smith form, with its unimodular transforms,
-on first use, which is a RationalBasis.
+on first use: a RationalBasis reads its cyclic block generators off it.
 
 The rational model is the one Krylov space: its integer arithmetic is the
 Horner sum _combine, which maps an element to its vector, and the
@@ -399,11 +399,12 @@ def submodule_presentation(M: PresentedModule, gens: Sequence[ModuleElement]) ->
 
 
 class RationalBasis:
-    """Rational vector-space basis of a torsion module.
+    """Rational vector-space basis of a torsion module, in cyclic blocks.
 
-    Uses the cyclic decomposition from the Smith normal form: for each
-    invariant factor d the powers t^0 .. t^(deg d - 1) of its cyclic
-    generator.
+    With U R V = D the Smith form, blocks holds (u_i, d_i) for each d_i
+    that is not a unit: u_i, column i of U^-1, generates a summand
+    Lambda/d_i and gives the basis elements t^0 u_i .. t^(deg d_i - 1) u_i.
+    R has rank n, so u_i = (R V e_i) / d_i.
     """
 
     def __init__(self, module: PresentedModule):
@@ -411,32 +412,25 @@ class RationalBasis:
             raise ValueError("rational basis requires a torsion module")
         self.module = module
         s = module.snf
-        n = module.generators
-        # U R V = D and a torsion module has rank n, so the first n columns
-        # of R V are those of U^-1 scaled by the nonzero diagonal entries.
-        cols = [
-            [divexact(e, s.diagonal[j]) for e in mat_vec(module.relations, s.V.col(j))]
-            for j in range(n)
-        ]
-        self._Uinv = LambdaMatrix(zip(*cols))
-        self.blocks: list[tuple[int, LaurentPoly]] = []
-        for i in range(n):
+        self.blocks: list[tuple[ModuleElement, LaurentPoly]] = []
+        for i in range(module.generators):
             d = s.diagonal[i]
             if not d.is_unit():
-                self.blocks.append((i, d))
+                u = module.element([divexact(e, d) for e in mat_vec(module.relations, s.V.col(i))])
+                self.blocks.append((u, d))
         self.factors = tuple(d for _, d in self.blocks)
         self.dimension = sum(d.degree() for d in self.factors)
 
     def from_coords(self, coords: Sequence[Fraction]) -> ModuleElement:
         if len(coords) != self.dimension:
             raise ValueError("coordinate length mismatch")
-        y = [ZERO] * self.module.generators
+        x = [ZERO] * self.module.generators
         off = 0
-        for i, d in self.blocks:
-            s = d.degree()
-            y[i] = LaurentPoly({j: coords[off + j] for j in range(s)})
-            off += s
-        x = mat_vec(self._Uinv, y)
+        for u, d in self.blocks:
+            p = LaurentPoly((j, coords[off + j]) for j in range(d.degree()))
+            off += d.degree()
+            if not p.is_zero():
+                x = [a + p * c for a, c in zip(x, u.coeffs)]
         return self.module.element(x)
 
     def basis_element(self, k: int) -> ModuleElement:

@@ -25,9 +25,9 @@ from typing import Sequence
 
 from .laurent import (
     ONE,
-    TORSION_ZERO,
     LaurentPoly,
     TorsionClass,
+    _pseudo_remainder,
     classes_over,
     coprime_split,
     divexact,
@@ -179,11 +179,10 @@ def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
     h_s / F, with h_0 / F the part of G_ij and h_(s+1) = t h_s mod F, one
     companion step; the forms' (k, l) entries in part F are the
     coefficients of h_(a+b), so each block pair of a form is a Hankel
-    matrix.  Before returning, every basis-pair class t^(a+b) G_ij is
-    made canonical by classes_over (one call per block pair, with no
-    companion step) and compared exactly with the
-    stored forms (see _check_forms), and two seeded random vectors are
-    evaluated end to end, through from_coords, the involution and pair.
+    matrix.  Before returning, the stored forms are compared exactly with
+    t^(a+b) G_ij on every basis pair, one block pair at a time (see
+    _check_forms), and two seeded random vectors are evaluated end to
+    end, through from_coords, the involution and pair.
     """
     basis = RationalBasis(T.module)
     dim = basis.dimension
@@ -191,9 +190,9 @@ def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
         return QuadraticCertificate(basis=basis, parts=(), verdict=UNDECIDED, seed=seed)
 
     # basis element offsets[i] + a is t^a * gens[i], for a < sizes[i]
+    gens = [u for u, _ in basis.blocks]
     sizes = [d.degree() for d in basis.factors]
     offsets = [sum(sizes[:i]) for i in range(len(sizes))]
-    gens = [basis.basis_element(o) for o in offsets]
     G = pair_grid(T.pairing, gens, [T.involution.apply(u) for u in gens])
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
@@ -253,54 +252,53 @@ def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
             parts.append(CoprimePart(denominator=F, forms=layers))
 
     cert = QuadraticCertificate(basis=basis, parts=tuple(parts), verdict=UNDECIDED, seed=seed)
-    # the full grid, for the exact check; it is symmetric as G is
-    grid: list[list[TorsionClass]] = [[TORSION_ZERO] * dim for _ in range(dim)]
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
-            (den, num), _, _ = integer_lists([G[i][j].den, G[i][j].num])
-            shifted = classes_over([[0] * s + num for s in range(sizes[i] + sizes[j] - 1)], den)
-            for a in range(sizes[i]):
-                for b in range(sizes[j]):
-                    grid[offsets[i] + a][offsets[j] + b] = grid[offsets[j] + b][offsets[i] + a] = shifted[a + b]
-    _check_forms(cert, grid)
+    _check_forms(cert, G)
     _check_samples(T, cert)
     return cert
 
 
-def _check_forms(cert: QuadraticCertificate, grid: list[list[TorsionClass]]) -> None:
+def _check_forms(cert: QuadraticCertificate, G: list[list[TorsionClass]]) -> None:
     """Raise unless the stored parts give pair(x, tau x) for every rational x.
 
-    grid is the symmetric grid pair(b_k, tau b_l) = t^(a+b) G_ij of
-    tau_quadratic, each entry a canonical class from classes_over.  With v
-    the coordinates of x, pair(x, tau x) = sum over k, l of
-    v_k v_l grid[k][l].  The stored parts give the same sum with grid[k][l]
-    replaced by the sum over parts of (sum_m forms[m][k][l] t^m)/denominator,
-    which is rebuilt/P on integer coefficient lists, with each part's forms
-    read as integers over one denominator (CoprimePart.integer_forms) and P
-    a multiple of the product of the part denominators.  Both fractions are
-    proper (numerator degree below the denominator's), and two proper
+    G is tau_quadratic's symmetric generator grid: with v the coordinates
+    of x, pair(x, tau x) is the sum over the basis pairs b_k = t^a u_i,
+    b_l = t^b u_j of v_k v_l t^(a+b) G_ij.  The stored parts put the sum
+    over parts of (sum_m forms[m][k][l] t^m)/denominator in place of
+    t^(a+b) G_ij: rebuilt/P on integer coefficient lists, the forms read as
+    integers (CoprimePart.integer_forms) and P a multiple of the product of
+    the part denominators.  For G_ij = num/den, the pseudo-remainder
+    r_s = L^e t^s num - q den, L the leading coefficient of den, gives
+    t^s G_ij = r_s/(L^e den).  Both fractions are proper, and two proper
     fractions are equal in Q(t)/Lambda only when equal in Q(t), so
-    cross-multiplying integer lists decides each class without a gcd or a
-    reduction.  Symmetric forms that agree at every k <= l are right on
-    every vector.
+    cross-multiplying decides each entry with no gcd or canonical class.
+    Symmetric forms that agree at every k <= l are right on every vector.
     """
     P, weights = _over_common_denominator(cert.parts)
     minus_P = [-c for c in P]
-    dim = cert.basis.dimension
+    sizes = [d.degree() for d in cert.basis.factors]
+    # basis element k is t^a u_i for blocks[k] = (i, a)
+    blocks = [(i, a) for i, size in enumerate(sizes) for a in range(size)]
+    # shifted[i, j][s] = (r_s, L^e den)
+    shifted = {}
+    for i in range(len(sizes)):
+        for j in range(i, len(sizes)):
+            (num, den), _, _ = integer_lists([G[i][j].num, G[i][j].den])
+            remainders = (_pseudo_remainder([0] * s + num, den) for s in range(sizes[i] + sizes[j] - 1))
+            shifted[i, j] = [(r, [den[-1] ** e * c for c in den]) for r, e in remainders]
     layers = [part.integer_forms[1] for part in cert.parts]
-    for k in range(dim):
-        for l in range(k, dim):
+    for k, (i, a) in enumerate(blocks):
+        for l, (j, b) in enumerate(blocks[k:], k):
             if any(Q[k][l] != Q[l][k] for forms in layers for Q in forms):
                 raise RuntimeError(f"quadratic certificate disagrees: forms are not symmetric at ({k}, {l})")
             rebuilt = list_dot([[Q[k][l] for Q in forms] for forms in layers], weights)
-            (num, den), _, _ = integer_lists([grid[k][l].num, grid[k][l].den])
-            if any(list_dot([rebuilt, num], [den, minus_P])):
+            r, den = shifted[i, j][a + b]
+            if any(list_dot([rebuilt, r], [den, minus_P])):
                 raise RuntimeError(f"quadratic certificate disagrees with the pairing at ({k}, {l})")
 
 
 def _check_samples(T: EquivariantTriple, cert: QuadraticCertificate) -> None:
     """Two seeded end-to-end evaluations, through from_coords, the involution
-    and pair, of what _check_forms proves from the basis-pair classes."""
+    and pair, of what _check_forms proves from the generator grid."""
     basis = cert.basis
     rng = random.Random(cert.seed)
     for _ in range(2):

@@ -9,7 +9,7 @@ from math import lcm
 import pytest
 
 from eqslice.catalog import builtin, sum_specs
-from eqslice.laurent import ONE, ZERO, LaurentPoly, parse_poly
+from eqslice.laurent import ONE, ZERO, LaurentPoly, divexact, parse_poly
 from eqslice.matrices import (
     DEFAULT_DEGREE_CAP,
     DegreeCapError,
@@ -17,6 +17,7 @@ from eqslice.matrices import (
     SingularMatrixError,
     det,
     inverse_qt,
+    mat_vec,
     seifert_pencil,
 )
 from eqslice.modules import PresentedModule, RationalBasis, from_seifert
@@ -221,8 +222,26 @@ class TestAgainstSympy:
 
 class TestRationalBasisInverse:
     def assert_unimodular_inverse(self, module):
+        # each kept generator u_i is column i of U^-1: U * u_i = e_i
         B = RationalBasis(module)
-        assert module.snf.U * B._Uinv == LambdaMatrix.identity(module.generators)
+        s, n = module.snf, module.generators
+        kept = [i for i in range(n) if not s.diagonal[i].is_unit()]
+        assert B.factors == tuple(s.diagonal[i] for i in kept)
+        for i, (u, d) in zip(kept, B.blocks):
+            assert mat_vec(s.U, list(u.coeffs)) == tuple(ONE if r == i else ZERO for r in range(n))
+        # the full U^-1, columns (R V e_j) / d_j, against from_coords
+        Uinv = LambdaMatrix(
+            zip(*[[divexact(e, s.diagonal[j]) for e in mat_vec(module.relations, s.V.col(j))] for j in range(n)])
+        )
+        assert s.U * Uinv == LambdaMatrix.identity(n)
+        rng = random.Random(37)
+        for _ in range(3):
+            coords = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(B.dimension)]
+            y, off = [ZERO] * n, 0
+            for i, d in zip(kept, B.factors):
+                y[i] = LaurentPoly({j: coords[off + j] for j in range(d.degree())})
+                off += d.degree()
+            assert B.from_coords(coords).coeffs == mat_vec(Uinv, y)
 
     @pytest.mark.parametrize("ref", [("nine46", {}), ("genus_one_slice", {"m": 3, "l": 5})])
     def test_nfold_sums(self, ref):

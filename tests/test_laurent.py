@@ -270,6 +270,18 @@ class TestTorsionClass:
         assert (x.num, x.den) == (LaurentPoly({0: Fraction(1, 2**100000)}), P("t - 2"))
         assert 0 < len(calls) <= 2 * (100000).bit_length()
 
+    def test_constructor_passes_only_the_denominators_own_terms(self, monkeypatch):
+        # each polynomial is cleared to integers over its own t-power, so a
+        # far-off numerator exponent does not widen the denominator's list
+        dens = []
+        over = laurent.classes_over
+        monkeypatch.setattr(laurent, "classes_over", lambda nums, den, e=0: dens.append(den) or over(nums, den, e))
+        for num, den in (("t^-100000", "t - 2"), ("t^9 - 1", "2*t^2 - 5*t + 2"), ("3/2*t^-7 + t^5", "t^4 - 1/3*t^3")):
+            dens.clear()
+            x = TorsionClass(P(num), P(den))
+            assert [len(d) for d in dens] == [P(den).span() + 1], (num, den)
+            assert x == TorsionClass(P(num).shift(7), P(den).shift(7)), (num, den)
+
     def test_negative_power_matches_repeated_inverse(self):
         # t^-1 = -(a_1 + a_2 t) / a_0 modulo den = a_0 + a_1 t + a_2 t^2,
         # applied one step at a time

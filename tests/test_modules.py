@@ -37,9 +37,12 @@ NINE46 = [[0, 2], [1, 0]]
 
 def to_coords(B, x):
     """The coordinates of x in the rational basis B: the inverse of
-    B.from_coords, read off U * x with U from the module's Smith form."""
-    y = mat_vec(B.module.snf.U, list(x.coeffs))
-    return tuple(reduced(y[i], d).coefficient(j) for i, d in B.blocks for j in range(d.degree()))
+    B.from_coords, read off U * x with U from the module's Smith form; the
+    blocks are its non-unit diagonal entries, in order."""
+    s = B.module.snf
+    y = mat_vec(s.U, list(x.coeffs))
+    blocks = [(i, d) for i, d in enumerate(s.diagonal[: B.module.generators]) if not d.is_unit()]
+    return tuple(reduced(y[i], d).coefficient(j) for i, d in blocks for j in range(d.degree()))
 
 
 def reduced(y, d):

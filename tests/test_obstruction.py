@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from eqslice.catalog import assemble, builtin, sum_specs
-from eqslice.laurent import ONE, TORSION_ZERO, ZERO, parse_poly, unit_equal
+from eqslice.laurent import ONE, TORSION_ZERO, ZERO, LaurentPoly, TorsionClass, classes_over, parse_poly, unit_equal
 from eqslice.obstruction import (
     CERTIFIED_K0,
     COUNTEREXAMPLE,
@@ -14,6 +14,7 @@ from eqslice.obstruction import (
     NOT_EQUIVARIANTLY_ALGEBRAICALLY_SLICE,
     NOT_EQUIVARIANTLY_SLICE,
     UNDECIDED,
+    CoprimePart,
     _check_forms,
     _cleared,
     _eval_form,
@@ -29,7 +30,7 @@ from eqslice.involution import SemilinearMap
 from eqslice.matrices import LambdaMatrix
 from eqslice.pairing import pair, pair_grid
 from eqslice.witt import EquivariantTriple, triple_sum, negate, validate
-from pairing_oracles import eval_form_fraction, evaluate_by_fold, symmetrised_grid, tau_parts_per_entry
+from pairing_oracles import class_add, eval_form_fraction, evaluate_by_fold, symmetrised_grid, tau_parts_per_entry
 from cases import SINGULAR_DENSE, check_cases, swap_double_of
 
 
@@ -127,6 +128,31 @@ def tau_grid_oracle(T, basis):
     return symmetrised_grid(T.pairing, beta, [T.involution.apply(b) for b in beta])
 
 
+def generator_grid_oracle(T, basis):
+    """The symmetrised grid pair(u_i, tau u_j) over the block generators,
+    per term: the G that _check_forms reads."""
+    gens = [u for u, _ in basis.blocks]
+    return symmetrised_grid(T.pairing, gens, [T.involution.apply(u) for u in gens])
+
+
+def assert_forms_match_the_grid(cert, grid):
+    """At every k <= l, the sum over parts of (sum_m forms[m][k][l] t^m) /
+    denominator is the class grid[k][l], summed by the oracle's addition."""
+    dim = cert.basis.dimension
+    for k in range(dim):
+        for l in range(k, dim):
+            total = TORSION_ZERO
+            for part in cert.parts:
+                num = LaurentPoly({m: Q[k][l] for m, Q in enumerate(part.forms)})
+                total = class_add(total, TorsionClass(num, part.denominator))
+            assert total == grid[k][l], (k, l)
+
+
+def block_offsets(cert):
+    sizes = [d.degree() for d in cert.basis.factors]
+    return [sum(sizes[:i]) for i in range(len(sizes))]
+
+
 def with_forms(cert, idx, edit):
     """A copy of cert whose part idx has its forms rewritten by edit(forms)."""
     part = cert.parts[idx]
@@ -189,7 +215,8 @@ class TestCertificateCheck:
         for _label, T in check_cases():
             cert = tau_quadratic(T)  # runs the exact check
             sampled_self_check(T, cert)
-            _check_forms(cert, tau_grid_oracle(T, cert.basis))
+            _check_forms(cert, generator_grid_oracle(T, cert.basis))
+            assert_forms_match_the_grid(cert, tau_grid_oracle(T, cert.basis))
 
     @pytest.mark.parametrize(
         "triple",
@@ -204,7 +231,7 @@ class TestCertificateCheck:
     def test_mutations_rejected(self, triple):
         T = triple()
         cert = tau_quadratic(T)
-        sym = tau_grid_oracle(T, cert.basis)
+        sym = generator_grid_oracle(T, cert.basis)
         seen = []
         for label, bad in mutations(cert):
             seen.append(label)
@@ -308,6 +335,46 @@ class TestBlockShift:
         assert multi_part >= 10
 
 
+    def test_shifted_or_filled_generator_grid_rejected_at_its_block_pair(self):
+        # G_ij replaced by t * G_ij (an off-by-one shift), or a zero G_ij made
+        # nonzero, is first wrong at the block pair's corner (off_i, off_j):
+        # every earlier k <= l reads another G entry
+        t = parse_poly("t")
+        kinds = set()
+        for label, T in block_shift_cases():
+            cert = tau_quadratic(T)
+            G = generator_grid_oracle(T, cert.basis)
+            offsets = block_offsets(cert)
+            _check_forms(cert, G)
+            for i in range(len(G)):
+                for j in range(i, len(G)):
+                    if G[i][j].is_zero():
+                        kind, value = "filled", TorsionClass(ONE, cert.basis.factors[i])
+                    else:
+                        kind, value = "shifted", TorsionClass(t * G[i][j].num, G[i][j].den)
+                    kinds.add(kind)
+                    bad = [row[:] for row in G]
+                    bad[i][j] = bad[j][i] = value
+                    at = re.escape(f"disagrees with the pairing at ({offsets[i]}, {offsets[j]})")
+                    with pytest.raises(RuntimeError, match=at):
+                        _check_forms(cert, bad)
+        assert kinds == {"filled", "shifted"}
+
+    def test_two_classes_over_calls_per_certificate(self, monkeypatch):
+        # the exact check builds no canonical class: the only classes_over
+        # calls are the two sampled evaluations
+        calls = []
+
+        def counting(nums, den, e=0):
+            calls.append(len(nums))
+            return classes_over(nums, den, e)
+
+        monkeypatch.setattr("eqslice.obstruction.classes_over", counting)
+        for label, T in block_shift_cases():
+            calls.clear()
+            tau_quadratic(T)
+            assert calls == [1, 1], label
+
 class TestIntegerForms:
     """Each part's forms are read as integer matrices over one denominator,
     cached on the part; the Fraction evaluation is the oracle."""
@@ -342,7 +409,7 @@ class TestIntegerForms:
         # pairing, a one-sided one as an asymmetry, each at its own (k, l)
         T = triple()
         cert = tau_quadratic(T)
-        grid = tau_grid_oracle(T, cert.basis)
+        grid = generator_grid_oracle(T, cert.basis)
         dim = cert.basis.dimension
         spots = [(idx, m, k, l) for idx, part in enumerate(cert.parts) for m in range(len(part.forms)) for k in range(dim) for l in range(k, dim)]
         for idx, m, k, l in random.Random(20).sample(spots, min(len(spots), 12)):
@@ -433,6 +500,37 @@ class TestCertifyK0:
 
         for dim, samples, seed in ((1, 0, 0), (1, 5, 3), (2, 300, 0), (4, 300, 7), (6, 17, 11)):
             assert list(_falsifier_candidates(dim, samples, seed)) == eager(dim, samples, seed)
+
+    @staticmethod
+    def crafted(monkeypatch, *forms):
+        """certify_k0 on nine46 with tau_quadratic returning its certificate
+        with the given forms, one per part over a linear denominator."""
+        cert = tau_quadratic(nine46())
+        parts = tuple(
+            CoprimePart(
+                denominator=parse_poly(f"t - {idx + 2}"),
+                forms=(tuple(tuple(Fraction(c) for c in row) for row in Q),),
+            )
+            for idx, Q in enumerate(forms)
+        )
+        monkeypatch.setattr("eqslice.obstruction.tau_quadratic", lambda T, seed=0: replace(cert, parts=parts))
+        return certify_k0(nine46())
+
+    def test_support_partition_route(self, monkeypatch):
+        # route (1): each coordinate is covered by a form definite on its
+        # support; the indefinite third form joins no partition
+        cert = self.crafted(monkeypatch, [[1, 0], [0, 0]], [[0, 0], [0, 1]], [[1, 2], [2, 1]])
+        assert cert.verdict == CERTIFIED_K0
+        assert cert.evidence == {
+            "support_partition": [{"form": 0, "sign": 1, "support": [0]}, {"form": 1, "sign": 1, "support": [1]}]
+        }
+
+    def test_plain_sum_route(self, monkeypatch):
+        # route (2): both forms are indefinite, the sign-normalized sum
+        # -Q0 + Q1 = diag(3, -4) is too, and the plain sum diag(1, 2) is definite
+        cert = self.crafted(monkeypatch, [[-1, 0], [0, 3]], [[2, 0], [0, -1]])
+        assert cert.verdict == CERTIFIED_K0
+        assert cert.evidence == {"combination": {"kind": "plain_sum", "weights": [1, 1], "pivots": ["1", "2"]}}
 
     def test_deterministic_given_seed(self):
         a = certify_k0(nine46(), seed=7)
