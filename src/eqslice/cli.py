@@ -8,6 +8,7 @@ Smith form that did not converge, a certificate failing its self-check).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -223,7 +224,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one:
+    parse_args keeps no state between calls, and argparse works out the
+    help width again for each message."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--quiet", action="store_true", help="suppress informational output")

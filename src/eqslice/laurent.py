@@ -395,16 +395,6 @@ def poly_mod(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return poly_divmod(a, b)[1]
 
 
-def laurent_quo(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Quotient q such that a - q*b has smaller ordinary degree than b."""
-    if b.is_unit():
-        (k, c), = b.items()
-        return a._termmul(-k, 1 / c)
-    va, vb = a.valuation(), b.valuation()
-    q, _ = poly_divmod(a.shift(-va), b.shift(-vb))
-    return q.shift(va - vb)
-
-
 # A Mersenne prime.  Reduction modulo it maps the coefficients of almost
 # every input to a field of small integers, where Euclid has no swell.
 _PRIME = (1 << 61) - 1
@@ -590,9 +580,9 @@ def classes_over(nums: Sequence[Sequence[int]], den: Sequence[int], e: int = 0) 
 
     With den = g * t^v * p, g its content and p primitive of degree D with
     leading coefficient L, the t^v moves into e and the monic p / L is
-    built once, for all the classes.  For e >= 0 each f is only shifted; a
-    negative e is made once, as t^e = w / s modulo p, in O(log |e|)
-    products (_inverse_t_power), and each f takes one product by w.  An
+    built once, for all the classes.  For 0 <= e < D each f is only
+    shifted; any other e is made once, as t^e = w / s modulo p, in
+    O(log |e|) products (_power_mod), and each f takes one product by w.  An
     integer pseudo-remainder r = L^k * f - q * p then reduces f to degree
     below D, so the class's numerator is r / (g * s * L^(k+1)).  It is
     canonical once r and p are coprime, which their images modulo _PRIME
@@ -611,10 +601,11 @@ def classes_over(nums: Sequence[Sequence[int]], den: Sequence[int], e: int = 0) 
     monic = LaurentPoly((j, Fraction(c, L)) for j, c in enumerate(p))
     image = _image(p)
     certifies = len(image) == len(p)
-    w, s = _inverse_t_power(p, -e) if e < 0 else ([1], 1)
+    shift = 0 <= e < len(p) - 1
+    w, s = ([1], 1) if shift else _inverse_t_power(p, -e) if e < 0 else _power_mod(p, [0, 1], 1, e)
     out = []
     for f in nums:
-        if e < 0:
+        if not shift:
             f = list_dot([w], [f])
         elif e and f:
             f = [0] * e + list(f)
@@ -636,12 +627,17 @@ def classes_over(nums: Sequence[Sequence[int]], den: Sequence[int], e: int = 0) 
 
 
 def _inverse_t_power(p: Sequence[int], n: int) -> tuple[list[int], int]:
-    """(w, s) with t^-n = w / s modulo p, an integer coefficient list
-    (lowest first) with nonzero constant term, and len(w) <= deg p: by
-    square-and-multiply of t^-1 = -(p_1 + p_2 t + ... + p_D t^(D-1)) / p_0,
-    each product cut back by _pseudo_remainder, O(log n) products in all."""
+    """(w, s) with t^-n = w / s modulo p, from
+    t^-1 = -(p_1 + p_2 t + ... + p_D t^(D-1)) / p_0 (see _power_mod)."""
+    return _power_mod(p, [-c for c in p[1:]], p[0], n)
+
+
+def _power_mod(p: Sequence[int], base: list[int], b: int, n: int) -> tuple[list[int], int]:
+    """(w, s) with (base / b)^n = w / s modulo p, for n >= 1 an integer
+    coefficient list (lowest first) with len(w) <= deg p: by
+    square-and-multiply, each product cut back by _pseudo_remainder,
+    O(log n) products in all."""
     L = p[-1]
-    base, b = [-c for c in p[1:]], p[0]
     w, s = [1], 1
     while True:
         if n & 1:

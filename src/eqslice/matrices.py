@@ -12,11 +12,14 @@ comes from the module's exponent (see modules._RationalModel).
 The Laurent ring is a PID (a localization of the rational polynomial ring),
 so Smith normal form exists; pivoting works on ordinary-polynomial degrees
 after stripping t-power units, which keeps the Euclidean algorithm honest.
+snf runs on integer coefficient lists, each entry t^v * c(t) / d in one
+canonical form, and makes LaurentPoly entries only for its result.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from fractions import Fraction
+from math import gcd, lcm
 from operator import floordiv
 from typing import Iterable, Sequence
 
@@ -24,10 +27,12 @@ from .laurent import (
     ONE,
     ZERO,
     LaurentPoly,
+    _pseudo_remainder,
     as_poly,
     divexact,
     divides,
-    laurent_quo,
+    integer_lists,
+    list_dot,
 )
 
 DEFAULT_DEGREE_CAP = 512
@@ -349,58 +354,45 @@ def snf(M: LambdaMatrix) -> SnfResult:
     Pivots are chosen with minimal ordinary degree, ties broken by lowest
     row then column index, so the output is deterministic.  Diagonal entries
     are monic ordinary polynomials in a divisibility chain; the non-unit
-    ones are the invariant factors.
+    ones are the invariant factors.  D, U and V hold integer coefficient
+    lists (see _entry): an update a - q*b is one integer convolution over
+    lcm(da, dq*db), a quotient an integer pseudo-division by the pivot and
+    a divisibility test a pseudo-remainder.
     """
     r, c = M.rows, M.cols
-    D = M.to_lists()
-    U = LambdaMatrix.identity(r).to_lists()
-    V = LambdaMatrix.identity(c).to_lists()
+    entries, m, low = integer_lists([e for row in M._e for e in row])
+    D = [[_entry(low, entries[i * c + j], m) for j in range(c)] for i in range(r)]
+    U, V = ([[(0, [1], 1) if i == j else None for j in range(n)] for i in range(n)] for n in (r, c))
 
     def check_cap():
-        for row in D:
-            for e in row:
-                if not e.is_zero() and e.span() > DEFAULT_DEGREE_CAP:
-                    raise DegreeCapError(
-                        f"intermediate degree {e.span()} exceeds cap {DEFAULT_DEGREE_CAP}"
-                    )
+        # the first entry over the cap, row by row
+        span = next((len(e[1]) - 1 for row in D for e in row if e is not None and len(e[1]) - 1 > DEFAULT_DEGREE_CAP), 0)
+        if span:
+            raise DegreeCapError(f"intermediate degree {span} exceeds cap {DEFAULT_DEGREE_CAP}")
 
-    def swap_rows(a, b):
-        if a != b:
-            D[a], D[b] = D[b], D[a]
-            U[a], U[b] = U[b], U[a]
-
-    def swap_cols(a, b):
-        if a != b:
-            for row in D:
-                row[a], row[b] = row[b], row[a]
-            for row in V:
-                row[a], row[b] = row[b], row[a]
-
-    def scale_row(i, unit):
-        D[i] = [unit * e for e in D[i]]
-        U[i] = [unit * e for e in U[i]]
+    def swap(k, i, j):
+        # row k with row i, column k with column j
+        D[k], D[i], U[k], U[i] = D[i], D[k], U[i], U[k]
+        for row in D + V:
+            row[k], row[j] = row[j], row[k]
 
     def addmul_row(i, k, q):
         # row_i -= q * row_k
-        D[i] = [a - q * b for a, b in zip(D[i], D[k])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
+        D[i] = [a if b is None else _sub_mul(a, q, b) for a, b in zip(D[i], D[k])]
+        U[i] = [a if b is None else _sub_mul(a, q, b) for a, b in zip(U[i], U[k])]
 
     def addmul_col(j, k, q):
-        for row in D:
-            row[j] = row[j] - q * row[k]
-        for row in V:
-            row[j] = row[j] - q * row[k]
+        for row in D + V:
+            if row[k] is not None:
+                row[j] = _sub_mul(row[j], q, row[k])
 
     def find_pivot(k):
         best = None
         for i in range(k, r):
             for j in range(k, c):
                 e = D[i][j]
-                if e.is_zero():
-                    continue
-                s = e.span()
-                if best is None or s < best[0]:
-                    best = (s, i, j)
+                if e is not None and (best is None or len(e[1]) - 1 < best[0]):
+                    best = (len(e[1]) - 1, i, j)
         return best
 
     guard = 0
@@ -409,60 +401,138 @@ def snf(M: LambdaMatrix) -> SnfResult:
         found = find_pivot(k)
         if found is None:
             break
-        _, pi, pj = found
-        swap_rows(k, pi)
-        swap_cols(k, pj)
+        swap(k, *found[1:])
         while True:
             guard += 1
             if guard > 100000:
                 raise RuntimeError("Smith normal form failed to converge")
-            piv = D[k][k]
-            unit = LaurentPoly({-piv.valuation(): 1 / piv.leading_coefficient()})
-            if not unit.is_one():
-                scale_row(k, unit)
+            v, P, d = D[k][k]
+            if v or P[-1] != d:
+                # row_k times the unit t^-v / lc, lc = P[-1] / d, as 0 - (-unit) * row_k
+                unit = (-v, [-d], P[-1])
+                D[k] = [e if e is None else _sub_mul(None, unit, e) for e in D[k]]
+                U[k] = [e if e is None else _sub_mul(None, unit, e) for e in U[k]]
             piv = D[k][k]
             dirty = False
             for i in range(k + 1, r):
-                if not D[i][k].is_zero():
-                    addmul_row(i, k, laurent_quo(D[i][k], piv))
-                    if not D[i][k].is_zero():
+                if D[i][k] is not None:
+                    q = _quotient(D[i][k], piv)
+                    if q is not None:
+                        addmul_row(i, k, q)
+                    if D[i][k] is not None:
                         dirty = True
             for j in range(k + 1, c):
-                if not D[k][j].is_zero():
-                    addmul_col(j, k, laurent_quo(D[k][j], piv))
-                    if not D[k][j].is_zero():
+                if D[k][j] is not None:
+                    q = _quotient(D[k][j], piv)
+                    if q is not None:
+                        addmul_col(j, k, q)
+                    if D[k][j] is not None:
                         dirty = True
             check_cap()
             if dirty:
-                _, pi, pj = find_pivot(k)
-                swap_rows(k, pi)
-                swap_cols(k, pj)
+                swap(k, *find_pivot(k)[1:])
                 continue
-            bad = None
-            for i in range(k + 1, r):
-                for j in range(k + 1, c):
-                    if not D[i][j].is_zero() and not divides(piv, D[i][j]):
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is not None:
-                addmul_row(k, bad, -ONE)
-                continue
-            break
+            # the first row below with an entry the pivot does not divide
+            bad = next(
+                (i for i in range(k + 1, r) for e in D[i][k + 1 :]
+                 if e is not None and len(piv[1]) > 1 and any(_pseudo_remainder(e[1], piv[1])[0])),
+                None,
+            )
+            if bad is None:
+                break
+            addmul_row(k, bad, (0, [-1], 1))
         k += 1
 
-    diag = tuple(D[i][i] for i in range(min(r, c)))
+    U, D, V = (LambdaMatrix([[_poly(e) for e in row] for row in X]) for X in (U, D, V))
+    diag = tuple(D.entry(i, i) for i in range(min(r, c)))
     rank = sum(1 for d in diag if not d.is_zero())
     invariant = tuple(d for d in diag if not d.is_zero() and not d.is_unit())
-    return SnfResult(
-        U=LambdaMatrix(U),
-        D=LambdaMatrix(D),
-        V=LambdaMatrix(V),
-        diagonal=diag,
-        invariant_factors=invariant,
-        rank=rank,
-    )
+    return SnfResult(U=U, D=D, V=V, diagonal=diag, invariant_factors=invariant, rank=rank)
+
+
+def _entry(v: int, c: list[int], d: int):
+    """The entry of snf for t^v * (c_0 + c_1 t + ...) / d, d != 0: the
+    canonical (v', c', d') with the same value, c'_0 and c'_m nonzero,
+    d' > 0 and gcd(d', c') = 1; None for zero."""
+    hi = len(c)
+    while hi and not c[hi - 1]:
+        hi -= 1
+    if not hi:
+        return None
+    lo = 0
+    while not c[lo]:
+        lo += 1
+    if lo or hi < len(c):
+        c = c[lo:hi]
+    if d != 1:
+        g = gcd(d, *c)
+        if d < 0:
+            g = -g
+        if g != 1:
+            c, d = [x // g for x in c], d // g
+    return v + lo, c, d
+
+
+def _poly(e) -> LaurentPoly:
+    if e is None:
+        return ZERO
+    v, c, d = e
+    return LaurentPoly((v + i, Fraction(x, d)) for i, x in enumerate(c) if x)
+
+
+def _sub_mul(a, q, b):
+    """The entry a - q*b, for b nonzero."""
+    vq, Q, dq = q
+    vb, B, db = b
+    prod = [Q[0] * y for y in B] if len(Q) == 1 else list_dot([Q], [B])
+    vp, dp = vq + vb, dq * db
+    if a is None:
+        return _entry(vp, [-x for x in prod], dp)
+    va, A, da = a
+    if da != dp:
+        # over one lcm
+        l = lcm(da, dp)
+        if l != da:
+            A = [x * (l // da) for x in A]
+        if l != dp:
+            prod = [x * (l // dp) for x in prod]
+        dp = l
+    lo = min(va, vp)
+    out = [0] * (max(va + len(A), vp + len(prod)) - lo)
+    out[va - lo : va - lo + len(A)] = A
+    s = vp - lo
+    out[s : s + len(prod)] = [x - y for x, y in zip(out[s : s + len(prod)], prod)]
+    return _entry(lo, out, dp)
+
+
+def _quotient(a, b):
+    """The entry q with a - q*b of smaller ordinary degree than b."""
+    va, A, da = a
+    vb, B, db = b
+    q, _, k = _pseudo_divide(A, B)
+    return _entry(va - vb, [x * db for x in q], da * B[-1] ** k) if q else None
+
+
+def _pseudo_divide(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, k) with L^k * f = q * g + r and len(r) < len(g), for integer
+    coefficient lists, lowest first, L = g[-1] != 0 and k the number of
+    quotient terms, len(f) - len(g) + 1 or 0.  Scaling f by L^k first makes
+    every step's division by L exact."""
+    m = len(g) - 1
+    L, k = g[-1], len(f) - m
+    if k <= 0:
+        return [], list(f), 0
+    scale = L**k
+    r = [x * scale for x in f]
+    q = [0] * k
+    for s in range(k - 1, -1, -1):
+        top = r.pop()
+        if top:
+            top //= L
+            q[s] = top
+            for j in range(m):
+                r[s + j] -= top * g[j]
+    return q, r, k
 
 
 def kernel(M: LambdaMatrix) -> LambdaMatrix:

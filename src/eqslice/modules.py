@@ -31,16 +31,18 @@ from .laurent import (
     LaurentPoly,
     as_poly,
     divexact,
+    integer_lists,
     laurent_gcd,
+    list_dot,
 )
 from .matrices import (
     LambdaMatrix,
     SnfResult,
     _eliminate,
+    _pseudo_divide,
     block_diag,
     in_span,
     kernel,
-    mat_vec,
     seifert_form_det,
     seifert_pencil,
     snf,
@@ -404,20 +406,31 @@ class RationalBasis:
     With U R V = D the Smith form, blocks holds (u_i, d_i) for each d_i
     that is not a unit: u_i, column i of U^-1, generates a summand
     Lambda/d_i and gives the basis elements t^0 u_i .. t^(deg d_i - 1) u_i.
-    R has rank n, so u_i = (R V e_i) / d_i.
+    R has rank n, so u_i = (R V e_i) / d_i, an exact pseudo-division on
+    integer coefficient lists.
     """
 
     def __init__(self, module: PresentedModule):
         if not module.is_torsion:
             raise ValueError("rational basis requires a torsion module")
         self.module = module
-        s = module.snf
+        s, R = module.snf, module.relations
+        # R = t^vr * flat / mr, V e_i = t^v * col / m and d_i = p / md on
+        # integer lists, d_i monic and ordinary
+        flat, mr, vr = integer_lists([e for row in R.to_lists() for e in row])
         self.blocks: list[tuple[ModuleElement, LaurentPoly]] = []
-        for i in range(module.generators):
-            d = s.diagonal[i]
-            if not d.is_unit():
-                u = module.element([divexact(e, d) for e in mat_vec(module.relations, s.V.col(i))])
-                self.blocks.append((u, d))
+        for i, d in enumerate(s.diagonal):
+            if d.is_unit():
+                continue
+            (col, m, v), ((p,), md, _) = integer_lists(s.V.col(i)), integer_lists([d])
+            u = []
+            for k in range(R.rows):
+                # L^j * w = q * p, so w / (mr * m) over p / md is q * md / (L^j * mr * m)
+                q, rest, j = _pseudo_divide(list_dot(flat[k * R.cols : (k + 1) * R.cols], col), p)
+                if any(rest):
+                    raise ValueError(f"{d} does not divide R V e_{i}")
+                u.append(LaurentPoly((vr + v + a, Fraction(c * md, p[-1] ** j * mr * m)) for a, c in enumerate(q)))
+            self.blocks.append((module.element(u), d))
         self.factors = tuple(d for _, d in self.blocks)
         self.dimension = sum(d.degree() for d in self.factors)
 

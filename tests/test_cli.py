@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from eqslice.catalog import CatalogError
-from eqslice.cli import EXIT_INTERNAL, main, resolve_spec
+from eqslice.cli import EXIT_INTERNAL, build_parser, main, resolve_spec
 from eqslice.laurent import ONE, TorsionClass, parse_poly
 from eqslice.matrices import DegreeCapError, inverse_qt
 from cases import SINGULAR_DENSE, swap_double
@@ -456,6 +460,29 @@ class TestUsage:
 
     def test_missing_command(self, capsys):
         assert run(capsys, )[0] == 2
+
+
+class TestParserCache:
+    """main builds its parser once per process; each later call prints
+    what the same call prints in a fresh process."""
+
+    RUNS = [["obstruct"], ["obstruct", "--json", "nine46"], ["catalog", "show", "nine46"]]
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_runs_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
+        # argparse wraps its messages at $COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": src}
+        codes = []
+        for argv in self.RUNS:
+            got = run(capsys, *argv)
+            fresh = subprocess.run([sys.executable, "-m", "eqslice.cli", *argv], capture_output=True, text=True, env=env)
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            codes.append(got[0])
+        assert codes == [2, 0, 0]
 
 
 class TestSingularSeifertMatrix:

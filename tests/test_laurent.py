@@ -21,7 +21,6 @@ from eqslice.laurent import (
     format_poly,
     gcd_free_basis,
     laurent_gcd,
-    laurent_quo,
     normalize_alexander,
     parse_poly,
     parse_rational,
@@ -29,6 +28,7 @@ from eqslice.laurent import (
     unit_equal,
 )
 from pairing_oracles import Frac, class_add, class_scale, class_sub
+from snf_oracle import laurent_quo
 
 
 def P(s):
@@ -310,6 +310,22 @@ class TestTorsionClass:
             r = poly_mod(r * P("t"), den)
         x = TorsionClass(P("t^20000"), den)
         assert (x.num, x.den) == (r, den)
+
+    @pytest.mark.parametrize(
+        "e, den",
+        [(600, "2*t^3 - t + 3"), (600, "t^2 - 5*t + 2"), (5000, "t^2 - 5*t + 2"), (5000, "3*t - 1"), (50000, "t^2 - t + 1")],
+    )
+    def test_large_positive_exponent_by_squaring(self, monkeypatch, e, den):
+        # t^e modulo den is made by square-and-multiply: O(log e)
+        # pseudo-remainders, each of a product of two reduced lists, and
+        # never one of the shifted numerator, which has e + 1 terms
+        lengths = []
+        remainder = laurent._pseudo_remainder
+        monkeypatch.setattr(laurent, "_pseudo_remainder", lambda f, d: lengths.append(len(f)) or remainder(f, d))
+        x = TorsionClass(P(f"t^{e}"), P(den))
+        assert 0 < len(lengths) <= 2 * e.bit_length() + 1
+        assert max(lengths) <= 2 * P(den).degree() + 1
+        assert (x.num, x.den) == Frac(P(f"t^{e}"), P(den)).torsion()
 
     def test_class_zero_iff_in_ring(self):
         rng = random.Random(8)
