@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .laurent import ONE, ZERO, conjugates
+from .laurent import ONE, ZERO, same_classes
 from .matrices import LambdaMatrix, block_diag, mat_vec
 from .modules import ModuleElement, PresentedModule
-from .pairing import GramPairing, pair_grid
+from .pairing import GramPairing, pair_values
 
 
 @dataclass(frozen=True)
@@ -67,17 +67,29 @@ def is_involutive(T: SemilinearMap) -> bool:
 def verify_anti_isometry(T: SemilinearMap, B: GramPairing) -> bool:
     """pair(x, y) = conj(pair(tau x, tau y)), checked on generator pairs.
 
-    tau e_i is column i of the matrix, so one grid pairs every image with
-    every image, and laurent.conjugates conjugates the grid in one batch.
-    Sesquilinearity of the pairing and semilinearity of tau propagate the
-    generator-pair identity to all elements.
+    tau e_i is column i of the matrix, so one pair_values call pairs every
+    image with every image, as t^e * x_ij / H.  With every x_ij padded to
+    w coefficients and D = deg H, its conjugate is
+    t^(D + 1 - e - w) * rev(x_ij) / rev(H), and laurent.same_class
+    compares that with gram[i][j] = N_ij / (scale * den), on the integer
+    lists of B.common, with no canonical class.  Sesquilinearity of the
+    pairing and semilinearity of tau propagate the generator-pair identity
+    to all elements.
     """
     if B.module.generators != T.module.generators:
         raise ValueError("pairing and involution live on different modules")
     n = T.module.generators
     images = [ModuleElement(T.module, T.matrix.col(i)) for i in range(n)]
-    conj = conjugates([g for row in pair_grid(B, images, images) for g in row])
-    return all(B.gram[i][j] == conj[i * n + j] for i in range(n) for j in range(n))
+    nums, H, e = pair_values(B, images, images)
+    den, N, scale = B.common
+    w = max(map(len, nums), default=0)
+    pairs = (
+        (N[i][j], (x + [0] * (w - len(x)))[::-1])
+        for i in range(n)
+        for j, x in enumerate(nums[i * n : (i + 1) * n])
+        if N[i][j] or any(x)
+    )
+    return same_classes(pairs, [scale * c for c in den], 0, H[::-1], len(H) - e - w)
 
 
 def swap_involution(M: PresentedModule) -> SemilinearMap:

@@ -8,19 +8,22 @@ rational; canonical forms below fix that ambiguity.  The fraction field
 itself is never formed: a value num/den is kept as a TorsionClass in one
 canonical form, which classes_over alone decides, in integers, for t^e
 times many numerators over one integer denominator.  The constructor is
-its one-element case, and conjugates batches conjugation through it.
-classes_over, and the pairing's and the certificates' guards, work on
-integer coefficient lists (integer_lists, list_dot, _pseudo_remainder).
+its one-element case.  A value that is only compared makes no class:
+same_class decides equality of two fractions by one integer divisibility.
+classes_over, same_class, the exact gcd, divides and divexact, and the
+pairing's and the certificates' guards work on integer coefficient lists
+(integer_lists, list_dot, _pseudo_remainder, _pseudo_divide).
 """
 from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 Coeffable = Union[int, Fraction, str]
 
@@ -391,10 +394,6 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     return LaurentPoly(enumerate(q)), LaurentPoly(enumerate(r))
 
 
-def poly_mod(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return poly_divmod(a, b)[1]
-
-
 # A Mersenne prime.  Reduction modulo it maps the coefficients of almost
 # every input to a field of small integers, where Euclid has no swell.
 _PRIME = (1 << 61) - 1
@@ -453,11 +452,16 @@ def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     ix, iy = _image(x), _image(y)
     if len(ix) == len(x) and len(iy) == len(y) and _coprime_images(ix, iy):
         return ONE
-    while not b.is_zero():
-        a, b = b, poly_mod(a, b)
-        if not b.is_zero():
-            b = b.scale(1 / b.leading_coefficient())
-    return a.monic_ordinary()
+    # Euclid on integer lists, each remainder made primitive
+    while y:
+        r, _ = _pseudo_remainder(x, y)
+        while r and not r[-1]:
+            r.pop()
+        if r:
+            g = gcd(*r)
+            r = [c // g for c in r]
+        x, y = y, r
+    return LaurentPoly((j, Fraction(c, x[-1])) for j, c in enumerate(x))
 
 
 def extended_gcd(p: LaurentPoly, q: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
@@ -490,7 +494,10 @@ def divides(d: LaurentPoly, p: LaurentPoly) -> bool:
         return p.is_zero()
     if p.is_zero() or d.is_unit():
         return True
-    return poly_mod(p.ordinary(), d.ordinary()).is_zero()
+    # each cleared over its own t-power, so an ordinary polynomial
+    (f,), _, _ = integer_lists([p])
+    (g,), _, _ = integer_lists([d])
+    return not any(_pseudo_remainder(f, g)[0])
 
 
 def divexact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
@@ -500,11 +507,14 @@ def divexact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     if d.is_unit():
         (k, c), = d.items()
         return p if d.is_one() else p._termmul(-k, 1 / c)
-    vp, vd = p.valuation(), d.valuation()
-    q, r = poly_divmod(p.shift(-vp), d.shift(-vd))
-    if not r.is_zero():
+    # p = t^a f / m and d = t^b g / n, so p / d = t^(a-b) n q / (m L^k)
+    (f,), m, a = integer_lists([p])
+    (g,), n, b = integer_lists([d])
+    q, r, k = _pseudo_divide(f, g)
+    if any(r):
         raise ValueError(f"{d} does not divide {p}")
-    return q.shift(vp - vd)
+    scale = m * g[-1] ** k
+    return LaurentPoly((a - b + j, Fraction(n * c, scale)) for j, c in enumerate(q))
 
 
 def laurent_lcm(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
@@ -674,24 +684,54 @@ def _pseudo_remainder(f: Sequence[int], den: Sequence[int]) -> tuple[list[int], 
     return r, k
 
 
-def conjugates(xs: Sequence[TorsionClass]) -> list[TorsionClass]:
-    """[x.conjugate() for x in xs], by one classes_over call per denominator.
+def _pseudo_divide(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, k) with L^k * f = q * g + r and len(r) < len(g), for integer
+    coefficient lists, lowest first, L = g[-1] != 0 and k the number of
+    quotient terms, len(f) - len(g) + 1 or 0.  Scaling f by L^k first makes
+    every step's division by L exact."""
+    m = len(g) - 1
+    L, k = g[-1], len(f) - m
+    if k <= 0:
+        return [], list(f), 0
+    scale = L**k
+    r = [x * scale for x in f]
+    q = [0] * k
+    for s in range(k - 1, -1, -1):
+        top = r.pop()
+        if top:
+            top //= L
+            q[s] = top
+            for j in range(m):
+                r[s + j] -= top * g[j]
+    return q, r, k
 
-    For a canonical num/den with D = deg den, the conjugate is
-    t^D conj(num) / t^D conj(den), a fraction of ordinary polynomials: the
-    coefficient lists reversed, cleared to integers by one common scale.
+
+def same_class(f: Sequence[int], d: Sequence[int], e: int, g: Sequence[int], h: Sequence[int], k: int) -> bool:
+    """Whether t^e * f / d = t^k * g / h in Q(t)/Lambda, for integer
+    coefficient lists, lowest first, d and h with nonzero constant and top
+    terms; no gcd is taken and no canonical class made.
+
+    With m = min(e, k) the difference is t^m * x / (d * h), for
+    x = t^(e-m) * f * h - t^(k-m) * g * d, and it lies in Lambda iff d * h
+    divides t^m * x there.  t^m is a unit, and as d(0) * h(0) != 0, d * h
+    has no factor t, so that holds iff d * h divides x in Q[t]: one
+    _pseudo_remainder decides it.
     """
-    groups: dict[LaurentPoly, list[int]] = {}
-    for i, x in enumerate(xs):
-        if not x.is_zero():
-            groups.setdefault(x.den, []).append(i)
-    out = [TORSION_ZERO] * len(xs)
-    for den, members in groups.items():
-        # the least exponent is -D, from conj(den), as deg num < D
-        (rev, *nums), _, _ = integer_lists([den.conjugate()] + [xs[i].num.conjugate() for i in members])
-        for i, x in zip(members, classes_over(nums, rev)):
-            out[i] = x
-    return out
+    return same_classes([(f, g)], d, e, h, k)
+
+
+def same_classes(pairs: Iterable[tuple[Sequence[int], Sequence[int]]], d: Sequence[int], e: int, h: Sequence[int], k: int) -> bool:
+    """same_class(f, d, e, g, h, k) for every (f, g) in pairs, with d * h
+    formed once; a pair of zero lists costs no product."""
+    dh, minus_d = list_dot([d], [h]), [-c for c in d]
+    m = min(e, k)
+    low_f, low_g = [0] * (e - m), [0] * (k - m)
+    for f, g in pairs:
+        if any(f) or any(g):
+            x = list_dot([low_f + list(f), low_g + list(g)], [h, minus_d])
+            if any(_pseudo_remainder(x, dh)[0]):
+                return False
+    return True
 
 
 def integer_lists(polys: Sequence[LaurentPoly]) -> tuple[list[list[int]], int, int]:

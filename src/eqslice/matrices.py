@@ -27,6 +27,7 @@ from .laurent import (
     ONE,
     ZERO,
     LaurentPoly,
+    _pseudo_divide,
     _pseudo_remainder,
     as_poly,
     divexact,
@@ -58,10 +59,6 @@ class LambdaMatrix:
         self._e = grid
         self.rows = len(grid)
         self.cols = len(grid[0]) if grid else 0
-
-    @classmethod
-    def identity(cls, n: int) -> "LambdaMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "LambdaMatrix":
@@ -511,28 +508,6 @@ def _quotient(a, b):
     vb, B, db = b
     q, _, k = _pseudo_divide(A, B)
     return _entry(va - vb, [x * db for x in q], da * B[-1] ** k) if q else None
-
-
-def _pseudo_divide(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int], int]:
-    """(q, r, k) with L^k * f = q * g + r and len(r) < len(g), for integer
-    coefficient lists, lowest first, L = g[-1] != 0 and k the number of
-    quotient terms, len(f) - len(g) + 1 or 0.  Scaling f by L^k first makes
-    every step's division by L exact."""
-    m = len(g) - 1
-    L, k = g[-1], len(f) - m
-    if k <= 0:
-        return [], list(f), 0
-    scale = L**k
-    r = [x * scale for x in f]
-    q = [0] * k
-    for s in range(k - 1, -1, -1):
-        top = r.pop()
-        if top:
-            top //= L
-            q[s] = top
-            for j in range(m):
-                r[s + j] -= top * g[j]
-    return q, r, k
 
 
 def kernel(M: LambdaMatrix) -> LambdaMatrix:

@@ -29,6 +29,7 @@ from .laurent import (
     ONE,
     ZERO,
     LaurentPoly,
+    _pseudo_divide,
     as_poly,
     divexact,
     integer_lists,
@@ -39,7 +40,6 @@ from .matrices import (
     LambdaMatrix,
     SnfResult,
     _eliminate,
-    _pseudo_divide,
     block_diag,
     in_span,
     kernel,

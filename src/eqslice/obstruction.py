@@ -35,10 +35,11 @@ from .laurent import (
     gcd_free_basis,
     integer_lists,
     list_dot,
+    same_class,
     symmetric_quadratic_tests,
 )
 from .modules import ModuleElement, RationalBasis
-from .pairing import pair, pair_grid
+from .pairing import pair, pair_grid, pair_values
 from .witt import AxiomCheck, EquivariantTriple, validate
 
 CERTIFIED_K0 = "CERTIFIED_K0"
@@ -182,7 +183,8 @@ def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
     matrix.  Before returning, the stored forms are compared exactly with
     t^(a+b) G_ij on every basis pair, one block pair at a time (see
     _check_forms), and two seeded random vectors are evaluated end to
-    end, through from_coords, the involution and pair.
+    end, through from_coords, the involution and the pairing
+    (_check_samples).
     """
     basis = RationalBasis(T.module)
     dim = basis.dimension
@@ -298,15 +300,18 @@ def _check_forms(cert: QuadraticCertificate, G: list[list[TorsionClass]]) -> Non
 
 def _check_samples(T: EquivariantTriple, cert: QuadraticCertificate) -> None:
     """Two seeded end-to-end evaluations, through from_coords, the involution
-    and pair, of what _check_forms proves from the generator grid."""
+    and the pairing, of what _check_forms proves from the generator grid:
+    the stored parts' value (_certificate_value) and pair_values' value of
+    pair(x, tau x) are compared by laurent.same_class, with no canonical
+    class."""
     basis = cert.basis
     rng = random.Random(cert.seed)
     for _ in range(2):
         v = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(basis.dimension)]
-        stored = evaluate_certificate(cert, v)
+        stored, over = _certificate_value(cert, v)
         x = basis.from_coords(v)
-        direct = pair(T.pairing, x, T.involution.apply(x))
-        if stored != direct:
+        (direct,), den, e = pair_values(T.pairing, [x], [T.involution.apply(x)])
+        if not same_class(stored, over, 0, direct, den, e):
             raise RuntimeError("quadratic certificate disagrees with direct evaluation")
 
 
@@ -323,19 +328,26 @@ def _over_common_denominator(parts: Sequence[CoprimePart]) -> tuple[list[int], l
     return [S * c for c in P], [[S // q * c for c in cofactor] for q, cofactor in zip(qs, cofactors)]
 
 
-def evaluate_certificate(cert: QuadraticCertificate, v: Sequence[Fraction]) -> TorsionClass:
-    """Evaluate the stored coprime-part representation at rational coordinates.
+def _certificate_value(cert: QuadraticCertificate, v: Sequence[Fraction]) -> tuple[list[int], list[int]]:
+    """(total, over) on integer coefficient lists, lowest first, with the
+    stored parts' value at rational coordinates v equal to total / over.
 
     The part denominators are pairwise coprime, so the sum of the parts is
-    one class over their product.  Its numerator is summed on integer
-    coefficient lists, from v cleared to integers and each part's forms
-    read as integers over one denominator (CoprimePart.integer_forms), and
-    one classes_over call makes it canonical.
+    one fraction over their product P.  Its numerator is summed from v
+    cleared to integers, v = w / m, and each part's forms read as integers
+    over one denominator (CoprimePart.integer_forms), over m^2 * P.
     """
     P, weights = _over_common_denominator(cert.parts)
     w, m = _cleared(v)
     total = list_dot([[_eval_form(Q, w) for Q in part.integer_forms[1]] for part in cert.parts], weights)
-    return classes_over([total], [m * m * c for c in P])[0]
+    return total, [m * m * c for c in P]
+
+
+def evaluate_certificate(cert: QuadraticCertificate, v: Sequence[Fraction]) -> TorsionClass:
+    """Evaluate the stored coprime-part representation at rational
+    coordinates: one classes_over call makes _certificate_value canonical."""
+    total, over = _certificate_value(cert, v)
+    return classes_over([total], over)[0]
 
 
 def certify_k0(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:

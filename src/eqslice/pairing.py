@@ -23,12 +23,16 @@ lists: each pairing caches den, the lcm of the distinct denominators of its
 gram (a gram from classes_over has one, so no lcm is taken) as a primitive
 integer polynomial, and N, with gram = N / (scale * den) for one integer
 scale.  A value is the class of x^T N conj(y) over scale * den, the entries
-of x and of conj(y) cleared to integers by one scale and one power of t,
-and one classes_over call, which takes that power, makes a whole grid of
-values canonical.  Well-definedness is den dividing N * conj(r), an exact
-integer pseudo-remainder.  pair_grid is the only evaluator, and no
-Laurent-polynomial one is kept: it pairs a list of elements against
-another, forming each N * conj(y) once, and pair is its 1 x 1 case.
+of x and of conj(y) cleared to integers by one scale and one power of t.
+pair_values is the only evaluator, and no Laurent-polynomial one is kept:
+it pairs a list of elements against another on integer lists, forming
+each N * conj(y) once.  pair_grid makes its whole grid canonical by one
+classes_over call, which takes that power, and pair is its 1 x 1 case.
+The checks that only compare values make no class: check_hermitian,
+the involution's anti-isometry and the certificate's sampled evaluations
+read the integer lists and decide each comparison by laurent.same_class.
+Well-definedness is den dividing N * conj(r), an exact integer
+pseudo-remainder.
 
 Nonsingularity is one determinant over Q.  Let eps send a class f/den,
 f of degree below D = deg den, den monic, to the t^(D-1) coefficient of f;
@@ -47,7 +51,7 @@ are a Q-basis, pair_grid's on a RationalBasis otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd
 from operator import truediv
 from typing import Sequence
@@ -55,14 +59,15 @@ from typing import Sequence
 from .laurent import (
     ONE,
     TORSION_ZERO,
+    LaurentPoly,
     TorsionClass,
     _pseudo_remainder,
     classes_over,
-    conjugates,
     divexact,
     integer_lists,
     laurent_lcm,
     list_dot,
+    same_classes,
 )
 from .matrices import _eliminate, block_diag, inverse_qt, seifert_pencil
 from .modules import ModuleElement, PresentedModule, RationalBasis, from_seifert
@@ -83,14 +88,30 @@ class GramPairing:
         den is the lcm of the gram denominators made primitive, so it has a
         nonzero constant term, and every N[i][j] has degree below deg den.
         """
-        # the lcm of the distinct denominators: a gram from classes_over has one
-        dens = {g.den for row in self.gram for g in row if not g.is_zero()}
-        den = reduce(laurent_lcm, dens) if dens else ONE
-        nums = [g.num if g.is_zero() or g.den == den else g.num * divexact(den, g.den) for row in self.gram for g in row]
-        (den_list, *N), _, _ = integer_lists([den, *nums])
-        scale = gcd(*den_list)
+        classes = [g for row in self.gram for g in row]
+        # only the zero class has den 1
+        den, cofactors = _lcm_cofactors(frozenset(g.den for g in classes) - {ONE})
+        # all ordinary, den with a nonzero constant term: one scale m, no t-power
+        (den_list, *N), m, _ = integer_lists([den, *(c for _, c in cofactors), *(g.num for g in classes)])
+        content = gcd(*den_list)
+        scale = content
+        if cofactors:
+            # num / d = num * (den / d) / den, over m * den_list
+            lists = {d: c for (d, _), c in zip(cofactors, N)}
+            N = [f and (list_dot([f], [lists[g.den]]) if g.den in lists else [m * c for c in f]) for g, f in zip(classes, N[len(cofactors) :])]
+            scale *= m
         n = len(self.gram)
-        return [c // scale for c in den_list], [N[i * n : (i + 1) * n] for i in range(n)], scale
+        return [c // content for c in den_list], [N[i * n : (i + 1) * n] for i in range(n)], scale
+
+
+@lru_cache(maxsize=256)
+def _lcm_cofactors(dens: frozenset[LaurentPoly]) -> tuple[LaurentPoly, tuple[tuple[LaurentPoly, LaurentPoly], ...]]:
+    """(den, cofactors): den the lcm of the monic denominators dens (1 for
+    none), and (d, den / d) for each d other than den.  A gram from
+    classes_over has one denominator; the grams of a block sum repeat one
+    set of them, hence the cache."""
+    den = reduce(laurent_lcm, dens) if dens else ONE
+    return den, tuple((d, divexact(den, d)) for d in dens if d != den)
 
 
 def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None = None) -> GramPairing:
@@ -118,15 +139,16 @@ def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None
     return GramPairing(module=module, gram=gram)
 
 
-def pair_grid(B: GramPairing, xs: Sequence[ModuleElement], ys: Sequence[ModuleElement]) -> list[list[TorsionClass]]:
-    """[[pair(x, y) for y in ys] for x in xs], forming each N * conj(y) once.
+def pair_values(B: GramPairing, xs: Sequence[ModuleElement], ys: Sequence[ModuleElement]) -> tuple[list[list[int]], list[int], int]:
+    """(nums, H, e) with pair(xs[k], ys[l]) = t^e * nums[k * len(ys) + l] / H
+    on integer coefficient lists, lowest first, forming each N * conj(y)
+    once.
 
-    The one place the pairing is evaluated, on integer coefficient lists
-    from the cached (den, N, scale): the entries of all xs are cleared to
-    integers by one scale and one power of t, and so are those of all
-    conj(y), so every value is t^e * x^T N conj(y) / (c * den) for one
-    exponent e and one integer c, and one classes_over call, which takes
-    the t^e, makes the whole grid canonical.
+    The one place the pairing is evaluated, from the cached
+    (den, N, scale): the entries of all xs are cleared to integers by one
+    scale and one power of t, and so are those of all conj(y), so every
+    value is t^e * x^T N conj(y) / (c * den) for one exponent e and one
+    integer c, and H = c * den keeps den's nonzero constant term.
     """
     n = B.module.generators
     if any(len(v.coeffs) != n for v in (*xs, *ys)):
@@ -137,7 +159,13 @@ def pair_grid(B: GramPairing, xs: Sequence[ModuleElement], ys: Sequence[ModuleEl
     columns = [[list_dot(row, y) for row in N] for y in (Y[k * n : (k + 1) * n] for k in range(len(ys)))]
     nums = [list_dot(X[k * n : (k + 1) * n], col) for k in range(len(xs)) for col in columns]
     c = scale * mx * my
-    classes = classes_over(nums, [c * d for d in den], vx + vy)
+    return nums, [c * d for d in den], vx + vy
+
+
+def pair_grid(B: GramPairing, xs: Sequence[ModuleElement], ys: Sequence[ModuleElement]) -> list[list[TorsionClass]]:
+    """[[pair(x, y) for y in ys] for x in xs]: one classes_over call, which
+    takes the t^e, makes the whole grid of pair_values canonical."""
+    classes = classes_over(*pair_values(B, xs, ys))
     m = len(ys)
     return [classes[k * m : (k + 1) * m] for k in range(len(xs))]
 
@@ -149,12 +177,25 @@ def pair(B: GramPairing, x: ModuleElement, y: ModuleElement) -> TorsionClass:
 
 def check_hermitian(B: GramPairing) -> bool:
     """gram[j][i] = conj(gram[i][j]) for i <= j: conjugation is an
-    involution on canonical classes, so the pairs j < i add nothing.  The
-    conjugates are made in one batch (laurent.conjugates)."""
-    n = B.module.generators
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
-    conj = conjugates([B.gram[i][j] for i, j in upper])
-    return all(B.gram[j][i] == c for (i, j), c in zip(upper, conj))
+    involution, so the pairs j < i add nothing.
+
+    Decided on the integer lists of common, with no canonical class: for
+    gram[i][j] = N_ij / (scale * den), D = deg den and deg N_ij < D,
+    conj(N_ij / den) = t * rev_D(N_ij) / rev(den), rev_D reversing N_ij
+    padded to D coefficients, and laurent.same_class compares that with
+    N_ji / den; the scale cancels, den * rev(den) is formed once, and a
+    pair of zero entries costs nothing.
+    """
+    den, N, _ = B.common
+    D = len(den) - 1
+    n = len(N)
+    pairs = (
+        (N[j][i], (N[i][j] + [0] * (D - len(N[i][j])))[::-1])
+        for i in range(n)
+        for j in range(i, n)
+        if N[i][j] or N[j][i]
+    )
+    return same_classes(pairs, den, 0, den[::-1], 1)
 
 
 def vanishes_on_relations(B: GramPairing) -> bool:

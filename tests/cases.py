@@ -11,7 +11,8 @@ import random
 from fractions import Fraction
 
 from eqslice.catalog import KnotSpec, assemble, builtin, sum_specs
-from eqslice.matrices import block_diag
+from eqslice.laurent import ONE, ZERO
+from eqslice.matrices import LambdaMatrix, block_diag
 
 CATALOG_GRID = [
     ("nine46", {}),
@@ -33,6 +34,11 @@ CATALOG_GRID = [
 
 # a dense genus-2 draw with det A = 0: dense_seifert(2, random.Random(57))
 SINGULAR_DENSE = [[-3, 0, 1, 1], [-1, -3, -2, 1], [1, -2, -1, 1], [1, 1, 0, -1]]
+
+
+def identity(n):
+    """The n x n identity LambdaMatrix."""
+    return LambdaMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
 
 def dense_seifert(genus, rng):

@@ -6,7 +6,9 @@ classes (sums, differences, ring multiples, conjugates) as the constructor
 applied to the cross-multiplied fraction.  Also kept: a naive fraction
 field, the symmetrised tau-grid, the per-entry quadratic parts and the
 part-by-part certificate sum that tau_quadratic and evaluate_certificate
-replaced, and the block-by-block swap check that the library replaced.
+replaced, the block-by-block swap check that the library replaced, and
+the batched conjugation the Hermitian and anti-isometry checks used before
+they compared values without canonical classes.
 """
 from fractions import Fraction
 
@@ -17,18 +19,19 @@ from eqslice.laurent import (
     LaurentPoly,
     TorsionClass,
     as_poly,
+    classes_over,
     coprime_split,
     divexact,
     divides,
     gcd_free_basis,
-    laurent_gcd,
+    integer_lists,
     poly_divmod,
-    poly_mod,
 )
 from eqslice.matrices import LambdaMatrix, SingularMatrixError, in_span, seifert_pencil, snf
 from eqslice.modules import RationalBasis
 from eqslice.obstruction import CoprimePart
 from eqslice.pairing import pair_grid
+from laurent_oracle import oracle_divexact, oracle_laurent_gcd, poly_mod
 
 
 class Frac:
@@ -49,8 +52,8 @@ class Frac:
         if num.is_zero():
             num, den = ZERO, ONE
         else:
-            g = laurent_gcd(num, den)
-            num, den = divexact(num, g), divexact(den, g)
+            g = oracle_laurent_gcd(num, den)
+            num, den = oracle_divexact(num, g), oracle_divexact(den, g)
             v, lc = den.valuation(), den.leading_coefficient()
             num, den = num.shift(-v).scale(1 / lc), den.shift(-v).scale(1 / lc)
         self.num, self.den = num, den
@@ -120,6 +123,28 @@ def class_scale(x, p):
 def class_conjugate(x):
     """The ring involution t -> t^-1 applied to x."""
     return TorsionClass(x.num.conjugate(), x.den.conjugate())
+
+
+def conjugates(xs):
+    """[class_conjugate(x) for x in xs], by one classes_over call per
+    denominator: the canonical route the Hermitian and anti-isometry checks
+    took before they compared values by same_class.
+
+    For a canonical num/den with D = deg den, the conjugate is
+    t^D conj(num) / t^D conj(den), a fraction of ordinary polynomials: the
+    coefficient lists reversed, cleared to integers by one common scale.
+    """
+    groups = {}
+    for i, x in enumerate(xs):
+        if not x.is_zero():
+            groups.setdefault(x.den, []).append(i)
+    out = [TORSION_ZERO] * len(xs)
+    for den, members in groups.items():
+        # the least exponent is -D, from conj(den), as deg num < D
+        (rev, *nums), _, _ = integer_lists([den.conjugate()] + [xs[i].num.conjugate() for i in members])
+        for i, x in zip(members, classes_over(nums, rev)):
+            out[i] = x
+    return out
 
 
 def pair_per_term(B, x, y):

@@ -4,10 +4,13 @@ coefficient lists.
 
 This is not a test file.  oracle_snf is the ring-level elimination: every
 entry a LaurentPoly, every update a ring operation, each quotient by
-laurent_quo and each divisibility test by eqslice.laurent.divides.
+laurent_quo and each divisibility test by the Fraction divides of
+laurent_oracle.
 """
-from eqslice.laurent import ONE, LaurentPoly, divides, poly_divmod
+from eqslice.laurent import ONE, LaurentPoly, poly_divmod
 from eqslice.matrices import DEFAULT_DEGREE_CAP, DegreeCapError, LambdaMatrix, SnfResult
+from cases import identity
+from laurent_oracle import oracle_divides
 
 
 def laurent_quo(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -30,8 +33,8 @@ def oracle_snf(M: LambdaMatrix) -> SnfResult:
     """
     r, c = M.rows, M.cols
     D = M.to_lists()
-    U = LambdaMatrix.identity(r).to_lists()
-    V = LambdaMatrix.identity(c).to_lists()
+    U = identity(r).to_lists()
+    V = identity(c).to_lists()
 
     def check_cap():
         for row in D:
@@ -118,7 +121,7 @@ def oracle_snf(M: LambdaMatrix) -> SnfResult:
             bad = None
             for i in range(k + 1, r):
                 for j in range(k + 1, c):
-                    if not D[i][j].is_zero() and not divides(piv, D[i][j]):
+                    if not D[i][j].is_zero() and not oracle_divides(piv, D[i][j]):
                         bad = i
                         break
                 if bad is not None:

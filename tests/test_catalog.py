@@ -23,6 +23,7 @@ from eqslice.laurent import normalize_alexander, parse_poly, unit_equal
 from eqslice.matrices import LambdaMatrix, det
 from eqslice.modules import from_seifert
 from eqslice.witt import validate
+from cases import identity
 
 
 def P(s):
@@ -185,7 +186,7 @@ class TestAssemble:
 
     def test_sum_refuses_an_involution_of_the_wrong_size(self):
         nine46 = builtin("nine46")
-        bad = KnotSpec(name="bad", seifert=nine46.seifert, involution=LambdaMatrix.identity(3))
+        bad = KnotSpec(name="bad", seifert=nine46.seifert, involution=identity(3))
         with pytest.raises(ValueError):
             sum_specs([nine46, bad])
 
@@ -194,7 +195,7 @@ class TestAssemble:
         bad = KnotSpec(
             name="bad",
             seifert=spec.seifert,
-            involution=LambdaMatrix.identity(2),
+            involution=identity(2),
         )
         with pytest.raises(CatalogValidationError) as e:
             assemble(bad)

@@ -8,7 +8,6 @@ import pytest
 
 from eqslice.catalog import CatalogError
 from eqslice.cli import EXIT_INTERNAL, build_parser, main, resolve_spec
-from eqslice.laurent import ONE, TorsionClass, parse_poly
 from eqslice.matrices import DegreeCapError, inverse_qt
 from cases import SINGULAR_DENSE, swap_double
 
@@ -94,10 +93,8 @@ class TestInternalErrors:
         assert err == f"internal error: {type(error).__name__}: {error}\n"
 
     def test_certificate_self_check(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            "eqslice.obstruction.evaluate_certificate",
-            lambda cert, v: TorsionClass(ONE, parse_poly("t - 3")),
-        )
+        # the stored parts read as 1 / (t - 3) at every sample
+        monkeypatch.setattr("eqslice.obstruction._certificate_value", lambda cert, v: ([1], [-3, 1]))
         code, out, err = run(capsys, "obstruct", "nine46", "--json")
         assert code == EXIT_INTERNAL
         assert out == ""

@@ -21,7 +21,7 @@ from eqslice.matrices import (
     seifert_pencil,
 )
 from eqslice.modules import PresentedModule, RationalBasis, from_seifert
-from cases import dense_seifert
+from cases import dense_seifert, identity
 
 
 def subset_det(M):
@@ -233,7 +233,7 @@ class TestRationalBasisInverse:
         Uinv = LambdaMatrix(
             zip(*[[divexact(e, s.diagonal[j]) for e in mat_vec(module.relations, s.V.col(j))] for j in range(n)])
         )
-        assert s.U * Uinv == LambdaMatrix.identity(n)
+        assert s.U * Uinv == identity(n)
         rng = random.Random(37)
         for _ in range(3):
             coords = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(B.dimension)]

@@ -16,7 +16,7 @@ from eqslice.matrices import LambdaMatrix
 from eqslice.modules import PresentedModule, direct_sum, from_seifert
 from eqslice.pairing import direct_sum_pairing, gram_from_seifert, negate_pairing, pair
 from pairing_oracles import swap_by_block_smith_forms
-from cases import check_cases
+from cases import check_cases, identity
 
 
 def P(s):
@@ -111,7 +111,7 @@ class TestVerifyInvolution:
 
     def test_plain_conjugation_not_well_defined_on_nine46(self):
         M = from_seifert(NINE46)
-        T = SemilinearMap(module=M, matrix=LambdaMatrix.identity(2))
+        T = SemilinearMap(module=M, matrix=identity(2))
         assert not is_well_defined(T)
 
     def test_trivial_module(self):

@@ -17,7 +17,6 @@ from eqslice.laurent import (
     divides,
     extended_gcd,
     poly_divmod,
-    poly_mod,
     format_poly,
     gcd_free_basis,
     laurent_gcd,
@@ -27,6 +26,7 @@ from eqslice.laurent import (
     symmetric_quadratic_tests,
     unit_equal,
 )
+from laurent_oracle import poly_mod
 from pairing_oracles import Frac, class_add, class_scale, class_sub
 from snf_oracle import laurent_quo
 

@@ -16,6 +16,7 @@ from eqslice.matrices import (
     seifert_pencil,
     snf,
 )
+from cases import identity
 from test_exact_linear_algebra import as_polys, assert_inverse
 
 
@@ -50,7 +51,7 @@ class TestDet:
         assert det(M) == -(P("2*t - 1") * P("t - 2"))
 
     def test_identity(self):
-        assert det(LambdaMatrix.identity(3)) == ONE
+        assert det(identity(3)) == ONE
 
     def test_genus_one_closed_form(self):
         m, l = 1, 1
@@ -97,8 +98,8 @@ class TestInverse:
                 assert F.entry(i, j) * delta == -adj[i][j] * den
 
     def test_identity_inverse(self):
-        den, F = as_polys(inverse_qt(LambdaMatrix.identity(2)))
-        assert den == ONE and F == LambdaMatrix.identity(2)
+        den, F = as_polys(inverse_qt(identity(2)))
+        assert den == ONE and F == identity(2)
 
     def test_product_is_identity(self):
         rng = random.Random(11)
@@ -183,7 +184,7 @@ class TestKernel:
         assert all(e.is_zero() for e in mat_vec(M, K.col(0)))
 
     def test_identity_kernel_trivial(self):
-        assert kernel(LambdaMatrix.identity(3)).cols == 0
+        assert kernel(identity(3)).cols == 0
 
     def test_random_kernels_annihilate(self):
         rng = random.Random(14)

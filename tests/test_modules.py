@@ -11,7 +11,6 @@ from eqslice.laurent import (
     divides,
     laurent_gcd,
     parse_poly,
-    poly_mod,
     unit_equal,
 )
 from eqslice.matrices import LambdaMatrix, mat_vec
@@ -22,6 +21,7 @@ from eqslice.modules import (
     from_seifert,
     submodule_presentation,
 )
+from laurent_oracle import poly_mod
 
 
 def P(s):

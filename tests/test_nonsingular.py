@@ -32,7 +32,7 @@ from eqslice.pairing import (
     vanishes_on_relations,
 )
 from eqslice.witt import EquivariantTriple, validate
-from cases import CATALOG_GRID, SINGULAR_DENSE, check_cases, dense_seifert, swap_double
+from cases import CATALOG_GRID, SINGULAR_DENSE, check_cases, dense_seifert, identity, swap_double
 from pairing_oracles import class_add, class_conjugate, class_scale
 
 
@@ -277,8 +277,8 @@ def nonsingular_check(T):
 def test_validate_skips_nonsingular_on_ill_defined_pairings():
     labels = []
     for label, B in ill_defined_cases():
-        identity = SemilinearMap(module=B.module, matrix=LambdaMatrix.identity(B.module.generators))
-        check = nonsingular_check(EquivariantTriple(module=B.module, pairing=B, involution=identity))
+        trivial = SemilinearMap(module=B.module, matrix=identity(B.module.generators))
+        check = nonsingular_check(EquivariantTriple(module=B.module, pairing=B, involution=trivial))
         assert (label, check.passed, check.detail) == (
             label,
             False,

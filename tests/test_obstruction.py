@@ -15,6 +15,7 @@ from eqslice.obstruction import (
     NOT_EQUIVARIANTLY_SLICE,
     UNDECIDED,
     CoprimePart,
+    _certificate_value,
     _check_forms,
     _cleared,
     _eval_form,
@@ -274,9 +275,9 @@ class TestCertificateCheck:
 
         def counting(cert, v):
             calls.append(v)
-            return evaluate_certificate(cert, v)
+            return _certificate_value(cert, v)
 
-        monkeypatch.setattr("eqslice.obstruction.evaluate_certificate", counting)
+        monkeypatch.setattr("eqslice.obstruction._certificate_value", counting)
         cert = tau_quadratic(nine46(), seed=5)
         rng = random.Random(5)
         dim = cert.basis.dimension
@@ -360,9 +361,9 @@ class TestBlockShift:
                         _check_forms(cert, bad)
         assert kinds == {"filled", "shifted"}
 
-    def test_two_classes_over_calls_per_certificate(self, monkeypatch):
-        # the exact check builds no canonical class: the only classes_over
-        # calls are the two sampled evaluations
+    def test_no_classes_over_call_per_certificate(self, monkeypatch):
+        # neither the exact check nor the two sampled evaluations, which
+        # compare values by same_class, builds a canonical class here
         calls = []
 
         def counting(nums, den, e=0):
@@ -373,7 +374,7 @@ class TestBlockShift:
         for label, T in block_shift_cases():
             calls.clear()
             tau_quadratic(T)
-            assert calls == [1, 1], label
+            assert calls == [], label
 
 class TestIntegerForms:
     """Each part's forms are read as integer matrices over one denominator,

@@ -16,6 +16,7 @@ from eqslice.witt import (
     triple_sum,
     validate,
 )
+from cases import identity
 
 
 def P(s):
@@ -85,7 +86,7 @@ class TestValidate:
         bad = EquivariantTriple(
             module=T.module,
             pairing=T.pairing,
-            involution=SemilinearMap(module=T.module, matrix=LambdaMatrix.identity(2)),
+            involution=SemilinearMap(module=T.module, matrix=identity(2)),
         )
         report = validate(bad)
         assert not report.ok
