@@ -148,7 +148,7 @@ def cmd_obstruct(args) -> int:
         lines.append(f"  certificate: {report.certificate.verdict}")
         for part in report.certificate.parts:
             lines.append(
-                f"    part over {part.denominator}: {len(part.nonzero_forms())} form(s)"
+                f"    part over {part.denominator}: {sum(any(map(any, Q)) for Q in part.layers)} form(s)"
             )
         lines.append(f"  reason: {report.reason}")
     emit(args, payloads[0] if len(payloads) == 1 else {"results": payloads}, lines)

@@ -10,9 +10,10 @@ canonical form, which classes_over alone decides, in integers, for t^e
 times many numerators over one integer denominator.  The constructor is
 its one-element case.  A value that is only compared makes no class:
 same_class decides equality of two fractions by one integer divisibility.
-classes_over, same_class, the exact gcd, divides and divexact, and the
-pairing's and the certificates' guards work on integer coefficient lists
-(integer_lists, list_dot, _pseudo_remainder, _pseudo_divide).
+classes_over, same_class, the exact gcd, divides and divexact, the batch
+coprime_split, and the pairing's and the certificates' guards work on
+integer coefficient lists (integer_lists, list_dot, _pseudo_remainder,
+_pseudo_divide).
 """
 from __future__ import annotations
 
@@ -158,17 +159,6 @@ class LaurentPoly:
         out._c = {k + kk: v * vv for kk, vv in self._c.items()}
         out._hash = None
         return out
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers only exist for units; shift instead")
-        result, base = ONE, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by the unit t^k."""
@@ -372,28 +362,6 @@ def parse_poly(text: str) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # Division, gcd, and friends.
 
-def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Euclidean division of ordinary polynomials (valuations >= 0)."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    da = a.dense()
-    db = b.dense()
-    nb = len(db) - 1
-    lb = db[-1]
-    if len(da) - 1 < nb:
-        return ZERO, a
-    q = [Fraction(0)] * (len(da) - nb)
-    r = da[:]
-    for i in range(len(da) - 1, nb - 1, -1):
-        c = r[i]
-        if c:
-            f = c / lb
-            q[i - nb] = f
-            for j in range(nb + 1):
-                r[i - nb + j] -= f * db[j]
-    return LaurentPoly(enumerate(q)), LaurentPoly(enumerate(r))
-
-
 # A Mersenne prime.  Reduction modulo it maps the coefficients of almost
 # every input to a field of small integers, where Euclid has no swell.
 _PRIME = (1 << 61) - 1
@@ -462,30 +430,6 @@ def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
             r = [c // g for c in r]
         x, y = y, r
     return LaurentPoly((j, Fraction(c, x[-1])) for j, c in enumerate(x))
-
-
-def extended_gcd(p: LaurentPoly, q: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
-    """Bezout data (g, s, u) with s*p + u*q = g, the monic ordinary gcd."""
-    if p.is_zero() and q.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    if p.is_zero():
-        g = q.monic_ordinary()
-        return g, ZERO, divexact(g, q)
-    if q.is_zero():
-        g = p.monic_ordinary()
-        return g, divexact(g, p), ZERO
-    va, vb = p.valuation(), q.valuation()
-    r0, r1 = p.shift(-va), q.shift(-vb)
-    s0, s1 = ONE, ZERO
-    u0, u1 = ZERO, ONE
-    while not r1.is_zero():
-        qq, rr = poly_divmod(r0, r1)
-        r0, r1 = r1, rr
-        s0, s1 = s1, s0 - qq * s1
-        u0, u1 = u1, u0 - qq * u1
-    lc = r0.leading_coefficient()
-    inv = 1 / lc
-    return r0.scale(inv), s0.scale(inv).shift(-va), u0.scale(inv).shift(-vb)
 
 
 def divides(d: LaurentPoly, p: LaurentPoly) -> bool:
@@ -721,17 +665,24 @@ def same_class(f: Sequence[int], d: Sequence[int], e: int, g: Sequence[int], h: 
 
 
 def same_classes(pairs: Iterable[tuple[Sequence[int], Sequence[int]]], d: Sequence[int], e: int, h: Sequence[int], k: int) -> bool:
-    """same_class(f, d, e, g, h, k) for every (f, g) in pairs, with d * h
-    formed once; a pair of zero lists costs no product."""
+    """same_class(f, d, e, g, h, k) for every (f, g) in pairs."""
+    return first_difference(pairs, d, e, h, k) is None
+
+
+def first_difference(pairs: Iterable[tuple[Sequence[int], Sequence[int]]], d: Sequence[int], e: int, h: Sequence[int], k: int) -> int | None:
+    """The index of the first (f, g) in pairs with
+    t^e * f / d != t^k * g / h in Q(t)/Lambda (see same_class), None if
+    there is none, with d * h formed once; a pair of zero lists costs no
+    product."""
     dh, minus_d = list_dot([d], [h]), [-c for c in d]
     m = min(e, k)
     low_f, low_g = [0] * (e - m), [0] * (k - m)
-    for f, g in pairs:
+    for index, (f, g) in enumerate(pairs):
         if any(f) or any(g):
             x = list_dot([low_f + list(f), low_g + list(g)], [h, minus_d])
             if any(_pseudo_remainder(x, dh)[0]):
-                return False
-    return True
+                return index
+    return None
 
 
 def integer_lists(polys: Sequence[LaurentPoly]) -> tuple[list[list[int]], int, int]:
@@ -765,43 +716,82 @@ def list_dot(us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]]) -> list[i
     return acc
 
 
-def coprime_split(x: TorsionClass, factors: list[LaurentPoly]) -> list[TorsionClass]:
-    """Split x into classes with denominators dividing the given factors.
+def _products(factors: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """(P, cofactors) on integer coefficient lists: P the product of the
+    factors and cofactors[i] the product of all but factors[i]."""
+    P = [1]
+    for F in factors:
+        P = list_dot([P], [F])
+    cofactors = []
+    for i in range(len(factors)):
+        others = [1]
+        for G in factors[:i] + factors[i + 1 :]:
+            others = list_dot([others], [G])
+        cofactors.append(others)
+    return P, cofactors
 
-    The factors must be pairwise coprime and their product must annihilate x.
-    The parts re-sum to x, and x = 0 iff every part is zero.
+
+def _inverse_mod(a: Sequence[int], p: Sequence[int]) -> tuple[list[int], int]:
+    """(w, s) with a * w = s modulo p, s a nonzero integer, so a^-1 = w / s
+    modulo p, for integer coefficient lists, lowest first, p of degree at
+    least 1: the extended Euclidean algorithm by pseudo-division, each
+    remainder made primitive together with its cofactor.  Raises
+    ValueError when a and p are not coprime over Q."""
+    # invariant: s_i * a = r_i modulo p
+    r0, s0 = list(p), []
+    r1, k = _pseudo_remainder(a, p)
+    s1 = [p[-1] ** k]
+    while True:
+        while r1 and not r1[-1]:
+            r1.pop()
+        if not r1:
+            raise ValueError("the polynomials are not coprime")
+        if len(r1) == 1:
+            return s1, r1[0]
+        q, r2, k = _pseudo_divide(r0, r1)
+        # L^k * r0 = q * r1 + r2, so r2 = L^k * s0 * a - q * s1 * a
+        s2 = list_dot([s0, q], [[r1[-1] ** k], [-c for c in s1]])
+        g = gcd(*r2, *s2)
+        if g > 1:
+            r2, s2 = [c // g for c in r2], [c // g for c in s2]
+        r0, s0, r1, s1 = r1, s1, r2, s2
+
+
+def coprime_split(nums: Sequence[Sequence[int]], H: Sequence[int], e: int, factors: Sequence[Sequence[int]]) -> list[list[tuple[list[int], int]]]:
+    """The parts of the values t^e * f / H, f in nums, over pairwise coprime
+    factors, on integer coefficient lists, lowest first: split[p][i] is
+    (h, s) with t^e * nums[i] / H the sum over p of h / (s * factors[p]) in
+    Q(t)/Lambda, len(h) <= deg factors[p] and s a nonzero integer.
+
+    H and the factors have nonzero constant terms, and H divides the
+    product P of the factors over Q.  The part over each factor F is
+    unique, as (1/P)Lambda/Lambda is the direct sum of the
+    (1/F)Lambda/Lambda, so it is computed directly: with K = P / H,
+    t^e * f / H = t^e * K * f / P, and 1/P is the sum over F of c_F / F
+    for c_F the inverse of P/F modulo F, so the part over F is
+    (t^e * K * c_F * f mod F) / F.  z = t^e * K * c_F mod F is made once
+    per factor (_inverse_mod, _inverse_t_power), so each value costs one
+    product f * z and one _pseudo_remainder per factor.  Raises ValueError
+    when H does not divide P or the factors are not pairwise coprime.
     """
-    fs = [f.monic_ordinary() if not f.is_zero() else f for f in factors]
-    if any(f.is_zero() for f in fs):
-        raise ValueError("zero factor")
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            if not laurent_gcd(fs[i], fs[j]).is_one():
-                raise ValueError(f"factors {fs[i]} and {fs[j]} are not coprime")
-    if x.is_zero():
-        return [TORSION_ZERO] * len(fs)
-    den = x.den
-    product = ONE
-    for f in fs:
-        product = product * f
-    if not divides(den, product):
-        raise ValueError("product of the factors does not annihilate the class")
-    parts: list[TorsionClass] = []
-    rem_num = x.num
-    gs = [laurent_gcd(den, f) for f in fs]
-    for i in range(len(fs)):
-        gi = gs[i]
-        if i == len(fs) - 1:
-            parts.append(TorsionClass(rem_num, gi))
-            break
-        rest = ONE
-        for gj in gs[i + 1:]:
-            rest = rest * gj
-        _, s, u = extended_gcd(gi, rest)
-        # 1/(gi*rest) = u/gi + s/rest
-        parts.append(TorsionClass(rem_num * u, gi))
-        rem_num = rem_num * s
-    return parts
+    P, cofactors = _products(factors)
+    K, r, k = _pseudo_divide(P, H)
+    if any(r):
+        raise ValueError("the product of the factors does not annihilate the values")
+    scale_H = H[-1] ** k
+    split = []
+    for F, others in zip(factors, cofactors):
+        c, s = _inverse_mod(others, F)
+        w, sw = _inverse_t_power(F, -e) if e < 0 else ([0] * e + [1], 1)
+        z, kz = _pseudo_remainder(list_dot([list_dot([c], [w])], [K]), F)
+        L = F[-1]
+        scale = scale_H * s * sw * L**kz
+        part = []
+        for f in nums:
+            h, kh = _pseudo_remainder(list_dot([f], [z]), F)
+            part.append((h, scale * L**kh))
+        split.append(part)
+    return split
 
 
 def gcd_free_basis(polys: list[LaurentPoly]) -> list[LaurentPoly]:

@@ -13,12 +13,13 @@ The Laurent ring is a PID (a localization of the rational polynomial ring),
 so Smith normal form exists; pivoting works on ordinary-polynomial degrees
 after stripping t-power units, which keeps the Euclidean algorithm honest.
 snf runs on integer coefficient lists, each entry t^v * c(t) / d in one
-canonical form, and makes LaurentPoly entries only for its result.
+canonical form, and keeps them in its result, which makes the LaurentPoly
+matrices U, D and V only when they are read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import floordiv
 from typing import Iterable, Sequence
@@ -333,16 +334,50 @@ def inverse_qt(M: LambdaMatrix) -> tuple[list[int], list[list[list[int]]]]:
     return [0] * V + _interpolate(xs, dets), F
 
 
-@dataclass(frozen=True)
 class SnfResult:
-    """U*M*V = D with U, V unimodular and D diagonal with divisibility."""
+    """U*M*V = D with U, V unimodular and D diagonal with divisibility.
 
-    U: LambdaMatrix
-    D: LambdaMatrix
-    V: LambdaMatrix
-    diagonal: tuple[LaurentPoly, ...]
-    invariant_factors: tuple[LaurentPoly, ...]
-    rank: int
+    Held as snf's integer entries (see _entry), entries = (U, D, V) as
+    grids: the diagonal, the invariant factors and the rank are made at
+    once, the LaurentPoly matrices U, D and V on first read, and
+    integer_column gives a column of V on integer coefficient lists.
+    """
+
+    def __init__(self, U: list[list], D: list[list], V: list[list]):
+        self.entries = (U, D, V)
+        self.diagonal = tuple(_poly(D[i][i]) for i in range(min(len(D), len(V))))
+        self.rank = sum(1 for d in self.diagonal if not d.is_zero())
+        self.invariant_factors = tuple(d for d in self.diagonal if not d.is_zero() and not d.is_unit())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SnfResult):
+            return NotImplemented
+        return self.entries == other.entries
+
+    __hash__ = None
+
+    @cached_property
+    def U(self) -> LambdaMatrix:
+        return _matrix(self.entries[0])
+
+    @cached_property
+    def D(self) -> LambdaMatrix:
+        return _matrix(self.entries[1])
+
+    @cached_property
+    def V(self) -> LambdaMatrix:
+        return _matrix(self.entries[2])
+
+    def integer_column(self, j: int) -> tuple[list[list[int]], int, int]:
+        """Column j of V as laurent.integer_lists gives it: (lists, m, v)
+        with V[i][j] = t^v * lists[i] / m, one positive m and the least
+        exponent v for the whole column."""
+        col = [row[j] for row in self.entries[2]]
+        nonzero = [e for e in col if e is not None]
+        if not nonzero:
+            return [[] for _ in col], 1, 0
+        v, m = min(e[0] for e in nonzero), lcm(*(e[2] for e in nonzero))
+        return [[] if e is None else [0] * (e[0] - v) + [x * (m // e[2]) for x in e[1]] for e in col], m, v
 
 
 def snf(M: LambdaMatrix) -> SnfResult:
@@ -352,9 +387,10 @@ def snf(M: LambdaMatrix) -> SnfResult:
     row then column index, so the output is deterministic.  Diagonal entries
     are monic ordinary polynomials in a divisibility chain; the non-unit
     ones are the invariant factors.  D, U and V hold integer coefficient
-    lists (see _entry): an update a - q*b is one integer convolution over
-    lcm(da, dq*db), a quotient an integer pseudo-division by the pivot and
-    a divisibility test a pseudo-remainder.
+    lists (see _entry), and so does the result: an update a - q*b is one
+    integer convolution over lcm(da, dq*db), a quotient an integer
+    pseudo-division by the pivot and a divisibility test a
+    pseudo-remainder.
     """
     r, c = M.rows, M.cols
     entries, m, low = integer_lists([e for row in M._e for e in row])
@@ -440,11 +476,7 @@ def snf(M: LambdaMatrix) -> SnfResult:
             addmul_row(k, bad, (0, [-1], 1))
         k += 1
 
-    U, D, V = (LambdaMatrix([[_poly(e) for e in row] for row in X]) for X in (U, D, V))
-    diag = tuple(D.entry(i, i) for i in range(min(r, c)))
-    rank = sum(1 for d in diag if not d.is_zero())
-    invariant = tuple(d for d in diag if not d.is_zero() and not d.is_unit())
-    return SnfResult(U=U, D=D, V=V, diagonal=diag, invariant_factors=invariant, rank=rank)
+    return SnfResult(U, D, V)
 
 
 def _entry(v: int, c: list[int], d: int):
@@ -468,6 +500,10 @@ def _entry(v: int, c: list[int], d: int):
         if g != 1:
             c, d = [x // g for x in c], d // g
     return v + lo, c, d
+
+
+def _matrix(X: list[list]) -> LambdaMatrix:
+    return LambdaMatrix([[_poly(e) for e in row] for row in X])
 
 
 def _poly(e) -> LaurentPoly:

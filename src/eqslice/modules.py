@@ -422,7 +422,8 @@ class RationalBasis:
         for i, d in enumerate(s.diagonal):
             if d.is_unit():
                 continue
-            (col, m, v), ((p,), md, _) = integer_lists(s.V.col(i)), integer_lists([d])
+            # the diagonal entry is monic and ordinary: (0, p, md) with p[-1] = md
+            (col, m, v), (_, p, md) = s.integer_column(i), s.entries[1][i][i]
             u = []
             for k in range(R.rows):
                 # L^j * w = q * p, so w / (mr * m) over p / md is q * md / (L^j * mr * m)

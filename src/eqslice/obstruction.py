@@ -12,26 +12,30 @@ a positive-definite combination (signs of semidefinite forms may be
 flipped first, which is harmless: a common zero kills every combination)
 certifies that only the zero element is isotropic, which is the k = 0
 input of the genus bound.
+
+The certificate is made and checked on integer coefficient lists: G as
+pair_values returns it, one laurent.coprime_split per certificate, each
+part's forms stored as integer layers over one denominator, and
+definiteness decided by fraction-free elimination.  Rational forms are
+built only where they are read.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, reduce
-from math import ceil, lcm
-from operator import mul
+from functools import cached_property
+from math import ceil, gcd, lcm
 from typing import Sequence
 
 from .laurent import (
-    ONE,
     LaurentPoly,
     TorsionClass,
-    _pseudo_remainder,
+    _products,
+    _pseudo_divide,
     classes_over,
     coprime_split,
-    divexact,
-    divides,
+    first_difference,
     gcd_free_basis,
     integer_lists,
     list_dot,
@@ -39,7 +43,7 @@ from .laurent import (
     symmetric_quadratic_tests,
 )
 from .modules import ModuleElement, RationalBasis
-from .pairing import pair, pair_grid, pair_values
+from .pairing import pair, pair_values
 from .witt import AxiomCheck, EquivariantTriple, validate
 
 CERTIFIED_K0 = "CERTIFIED_K0"
@@ -60,22 +64,19 @@ IntegerForm = tuple[tuple[int, ...], ...]
 class CoprimePart:
     """Quadratic forms appearing over one coprime factor power of the order.
 
-    forms[m] is the coefficient form of t^m in the numerator over the
-    denominator; layers run from 0 to deg(denominator) - 1.
+    The forms are layers[m] / q, q the least positive integer that clears
+    them all: layers[m] is the integer coefficient form of t^m in the
+    numerator over the denominator, for m from 0 to deg(denominator) - 1.
     """
 
     denominator: LaurentPoly
-    forms: tuple[FormMatrix, ...]
-
-    def nonzero_forms(self) -> list[FormMatrix]:
-        return [Q for Q in self.forms if any(any(row) for row in Q)]
+    q: int
+    layers: tuple[IntegerForm, ...]
 
     @cached_property
-    def integer_forms(self) -> tuple[int, tuple[IntegerForm, ...]]:
-        """(q, layers) with forms[m] = layers[m] / q: q is the least positive
-        integer that clears every entry of every form."""
-        q = lcm(*(c.denominator for Q in self.forms for row in Q for c in row))
-        return q, tuple(tuple(tuple(c.numerator * (q // c.denominator) for c in row) for row in Q) for Q in self.forms)
+    def forms(self) -> tuple[FormMatrix, ...]:
+        """The rational forms layers[m] / q, built on first read."""
+        return tuple(tuple(tuple(Fraction(c, self.q) for c in row) for row in Q) for Q in self.layers)
 
 
 @dataclass(frozen=True)
@@ -87,15 +88,26 @@ class QuadraticCertificate:
     evidence: dict = field(default_factory=dict)
     seed: int = 0
 
-    def all_forms(self) -> list[FormMatrix]:
-        return [Q for part in self.parts for Q in part.nonzero_forms()]
+    @cached_property
+    def common(self) -> tuple[list[int], list[list[int]]]:
+        """(P, weights) on integer coefficient lists, P an integer multiple
+        of the product of the part denominators: the sum over parts p of
+        (f_p / q_p) / denominator_p is sum_p f_p * weights[p] / P.  Made
+        once per certificate, for _check_forms and every
+        _certificate_value."""
+        dens = [integer_lists([part.denominator])[0][0] for part in self.parts]
+        P, cofactors = _products(dens)
+        S = lcm(*(part.q for part in self.parts))
+        # 1 / denominator_p = d[-1] / d, and 1 / d = cofactor / P
+        weights = [[S // part.q * d[-1] * c for c in cofactor] for part, d, cofactor in zip(self.parts, dens, cofactors)]
+        return [S * c for c in P], weights
 
     def to_dict(self) -> dict:
         out = {
             "verdict": self.verdict,
             "dimension": self.basis.dimension,
             "parts": [
-                {"denominator": str(p.denominator), "forms": len(p.forms)}
+                {"denominator": str(p.denominator), "forms": len(p.layers)}
                 for p in self.parts
             ],
             "evidence": self.evidence,
@@ -121,41 +133,45 @@ def _cleared(v: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (m // x.denominator) for x in v], m
 
 
-def _support(Q: FormMatrix) -> list[int]:
+def _support(Q: Sequence[Sequence[int]]) -> list[int]:
     return [i for i, row in enumerate(Q) if any(row)]
 
 
-def _definiteness(Q: Sequence[Sequence[Fraction]]) -> tuple[int, list[Fraction]] | None:
-    """Sign and pivot weights when Q is definite, else None.
+def _definiteness(Q: Sequence[Sequence[int]]) -> tuple[int, list[int]] | None:
+    """Sign and leading principal minors D_1 .. D_n when the integer
+    symmetric Q is definite, else None.
 
-    Symmetric Gaussian reduction (completion of squares) with rational
-    pivots.  A vanishing pivot means the form is singular or indefinite:
-    definite matrices never hit one, so the certificate declines either way
-    (semidefinite-with-kernel counts as not definite here).
+    Fraction-free (Bareiss) elimination in order, with no pivoting: after
+    step k the pivot is D_(k+1), and each division by the previous pivot
+    is exact.  The pivots of symmetric Gaussian reduction (completion of
+    squares) are D_k / D_(k-1), D_0 = 1, so Q is definite iff they share
+    one sign.  A vanishing minor means the form is singular or indefinite:
+    definite matrices never hit one, so the certificate declines either
+    way (semidefinite-with-kernel counts as not definite here).
     """
     n = len(Q)
     if n == 0:
         return None
     A = [list(row) for row in Q]
-    sign = 0
-    pivots: list[Fraction] = []
+    sign, prev = 0, 1
+    minors: list[int] = []
     for k in range(n):
         piv = A[k][k]
         if piv == 0:
             return None
-        s = 1 if piv > 0 else -1
+        s = 1 if (piv > 0) == (prev > 0) else -1
         if sign == 0:
             sign = s
         elif s != sign:
             return None
-        pivots.append(piv)
+        minors.append(piv)
+        row_k = A[k]
         for i in range(k + 1, n):
-            f = A[i][k] / piv
-            if f:
-                for j in range(k + 1, n):
-                    A[i][j] -= f * A[k][j]
-                A[i][k] = Fraction(0)
-    return sign, pivots
+            row, f = A[i], A[i][k]
+            for j in range(k + 1, n):
+                row[j] = (piv * row[j] - f * row_k[j]) // prev
+        prev = piv
+    return sign, minors
 
 
 def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
@@ -168,22 +184,27 @@ def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
     quadratic forms.  The basis is made of cyclic blocks: b_k = t^a u_i for
     the block generators u_i, and tau(t^b u_j) = t^-b tau(u_j), so
     sesquilinearity gives grid[k][l] = t^(a+b) G_ij with
-    G_ij = pair(u_i, tau u_j), and only G is paired.  The grid is the
-    forms' matrix as it stands: for every triple that passes validate it is
-    symmetric, as anti-isometry, involutivity and the Hermitian property
-    give pair(u_j, tau u_i) = conj(pair(tau u_j, u_i)) = pair(u_i, tau u_j).
-    The grid is symmetric iff G is, and a G that is not raises
-    RuntimeError.
+    G_ij = pair(u_i, tau u_j), and only G is paired, by one pair_values
+    call: t^e * nums / H on integer coefficient lists, with no canonical
+    class.  The grid is the forms' matrix as it stands: for every triple
+    that passes validate it is symmetric, as anti-isometry, involutivity
+    and the Hermitian property give
+    pair(u_j, tau u_i) = conj(pair(tau u_j, u_i)) = pair(u_i, tau u_j).
+    The grid is symmetric iff G is, which laurent.first_difference decides,
+    and a G that is not raises RuntimeError at its first asymmetric pair.
 
-    Each nonzero G_ij is split over the factor powers once.  The split is
-    Lambda-linear and t is a unit, so the part of t^s G_ij over F is
-    h_s / F, with h_0 / F the part of G_ij and h_(s+1) = t h_s mod F, one
-    companion step; the forms' (k, l) entries in part F are the
-    coefficients of h_(a+b), so each block pair of a form is a Hankel
-    matrix.  Before returning, the stored forms are compared exactly with
-    t^(a+b) G_ij on every basis pair, one block pair at a time (see
-    _check_forms), and two seeded random vectors are evaluated end to
-    end, through from_coords, the involution and the pairing
+    The factor powers F = f^e of the order, f in its gcd-free basis, are
+    made on integer lists, e counted by exact pseudo-division.  One
+    laurent.coprime_split splits every nonzero G_ij over them at once.
+    The split is Lambda-linear and t is a unit, so the part of t^s G_ij
+    over F is h_s / F, with h_0 / F the part of G_ij and
+    h_(s+1) = t h_s mod F, one companion step; the forms' (k, l) entries
+    in part F are the coefficients of h_(a+b), so each block pair of a form
+    is a Hankel matrix.  Each part's entries are put over one integer
+    denominator and stored as integer layers.  Before returning, the
+    stored forms are compared exactly with t^(a+b) G_ij on every basis
+    pair (see _check_forms), and two seeded random vectors are evaluated
+    end to end, through from_coords, the involution and the pairing
     (_check_samples).
     """
     basis = RationalBasis(T.module)
@@ -195,107 +216,106 @@ def tau_quadratic(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
     gens = [u for u, _ in basis.blocks]
     sizes = [d.degree() for d in basis.factors]
     offsets = [sum(sizes[:i]) for i in range(len(sizes))]
-    G = pair_grid(T.pairing, gens, [T.involution.apply(u) for u in gens])
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if G[i][j] != G[j][i]:
-                raise RuntimeError(
-                    f"pairing against the involution is not symmetric at ({offsets[i]}, {offsets[j]}): the triple is not valid"
-                )
-
-    base = gcd_free_basis(list(T.module.invariant_factors))
-    factor_powers: list[LaurentPoly] = []
-    for f in base:
-        e = 0
-        rest = T.module.order
-        while divides(f, rest):
-            rest = divexact(rest, f)
-            e += 1
-        factor_powers.append((f ** e).monic_ordinary())
-
-    part_forms: list[list[list[list[Fraction]]]] = []
-    for F in factor_powers:
-        deg = F.degree()
-        part_forms.append([[[Fraction(0)] * dim for _ in range(dim)] for _ in range(deg)])
-
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
-            if G[i][j].is_zero():
-                continue
-            pieces = coprime_split(G[i][j], factor_powers)
-            for idx, piece in enumerate(pieces):
-                if piece.is_zero():
-                    continue
-                F = factor_powers[idx]
-                f = F.dense()
-                D = len(f) - 1
-                h = (piece.num * divexact(F, piece.den)).dense()
-                h += [Fraction(0)] * (D - len(h))
-                forms = part_forms[idx]
-                for s in range(sizes[i] + sizes[j] - 1):
-                    if s:
-                        # h <- t * h mod F
-                        top = h[-1]
-                        h = [Fraction(0)] + h[:-1]
-                        if top:
-                            h = [c - top * fm for c, fm in zip(h, f)]
-                    for a in range(max(0, s - sizes[j] + 1), min(s, sizes[i] - 1) + 1):
-                        k, l = offsets[i] + a, offsets[j] + s - a
-                        for m, coeff in enumerate(h):
-                            if coeff:
-                                forms[m][k][l] = forms[m][l][k] = coeff
-
-    parts: list[CoprimePart] = []
-    for idx, F in enumerate(factor_powers):
-        layers = tuple(
-            tuple(tuple(row) for row in part_forms[idx][m]) for m in range(F.degree())
+    b = len(gens)
+    nums, H, e = pair_values(T.pairing, gens, [T.involution.apply(u) for u in gens])
+    above = [(i, j) for i in range(b) for j in range(i + 1, b)]
+    asymmetric = first_difference(((nums[i * b + j], nums[j * b + i]) for i, j in above), H, e, H, e)
+    if asymmetric is not None:
+        i, j = above[asymmetric]
+        raise RuntimeError(
+            f"pairing against the involution is not symmetric at ({offsets[i]}, {offsets[j]}): the triple is not valid"
         )
-        if any(any(any(row) for row in Q) for Q in layers):
-            parts.append(CoprimePart(denominator=F, forms=layers))
+
+    # factor powers f^e, e the multiplicity of f in the order
+    (order,), _, _ = integer_lists([T.module.order])
+    factor_powers: list[list[int]] = []
+    for f in gcd_free_basis(list(T.module.invariant_factors)):
+        (fi,), _, _ = integer_lists([f])
+        F = [1]
+        while True:
+            q, r, _ = _pseudo_divide(order, fi)
+            if any(r):
+                break
+            g = gcd(*q)
+            order, F = [c // g for c in q], list_dot([F], [fi])
+        factor_powers.append(F)
+
+    entries = [(i, j) for i in range(b) for j in range(i, b) if any(nums[i * b + j])]
+    split = coprime_split([nums[i * b + j] for i, j in entries], H, e, factor_powers)
+    parts: list[CoprimePart] = []
+    for F, values in zip(factor_powers, split):
+        D, L = len(F) - 1, F[-1]
+        # (h, s, positions): the entries h / s of the forms at positions
+        filled = []
+        for (i, j), (h, s) in zip(entries, values):
+            # h / (s * F) is h / (s * L) over the monic denominator F / L
+            h, s = h + [0] * (D - len(h)), s * L
+            for shift in range(sizes[i] + sizes[j] - 1):
+                if shift:
+                    # h <- t * h mod F, over s * L where F is taken off
+                    top, h = h[-1], [0] + h[:-1]
+                    if top:
+                        h = [L * c - top * fm for c, fm in zip(h, F)]
+                        s *= L
+                if any(h):
+                    lo, hi = max(0, shift - sizes[j] + 1), min(shift, sizes[i] - 1)
+                    filled.append((h, s, [(offsets[i] + a, offsets[j] + shift - a) for a in range(lo, hi + 1)]))
+        if not filled:
+            continue
+        # over Q0 = lcm of the scales, then cancelled to the least clearing q
+        Q0 = lcm(*(s for _, s, _ in filled))
+        scaled = [([c * (Q0 // s) for c in h], positions) for h, s, positions in filled]
+        g = gcd(Q0, *(c for h, _ in scaled for c in h))
+        layers = [[[0] * dim for _ in range(dim)] for _ in range(D)]
+        for h, positions in scaled:
+            for m, c in enumerate(h):
+                if c:
+                    for k, l in positions:
+                        layers[m][k][l] = layers[m][l][k] = c // g
+        denominator = LaurentPoly((j, Fraction(c, L)) for j, c in enumerate(F))
+        parts.append(CoprimePart(denominator, Q0 // g, tuple(tuple(tuple(row) for row in Q) for Q in layers)))
 
     cert = QuadraticCertificate(basis=basis, parts=tuple(parts), verdict=UNDECIDED, seed=seed)
-    _check_forms(cert, G)
+    _check_forms(cert, nums, H, e)
     _check_samples(T, cert)
     return cert
 
 
-def _check_forms(cert: QuadraticCertificate, G: list[list[TorsionClass]]) -> None:
+def _check_forms(cert: QuadraticCertificate, nums: Sequence[Sequence[int]], H: Sequence[int], e: int) -> None:
     """Raise unless the stored parts give pair(x, tau x) for every rational x.
 
-    G is tau_quadratic's symmetric generator grid: with v the coordinates
-    of x, pair(x, tau x) is the sum over the basis pairs b_k = t^a u_i,
-    b_l = t^b u_j of v_k v_l t^(a+b) G_ij.  The stored parts put the sum
-    over parts of (sum_m forms[m][k][l] t^m)/denominator in place of
-    t^(a+b) G_ij: rebuilt/P on integer coefficient lists, the forms read as
-    integers (CoprimePart.integer_forms) and P a multiple of the product of
-    the part denominators.  For G_ij = num/den, the pseudo-remainder
-    r_s = L^e t^s num - q den, L the leading coefficient of den, gives
-    t^s G_ij = r_s/(L^e den).  Both fractions are proper, and two proper
-    fractions are equal in Q(t)/Lambda only when equal in Q(t), so
-    cross-multiplying decides each entry with no gcd or canonical class.
-    Symmetric forms that agree at every k <= l are right on every vector.
+    (nums, H, e) is tau_quadratic's symmetric generator grid as pair_values
+    returns it, G_ij = t^e * nums[i * b + j] / H for b blocks: with v the
+    coordinates of x, pair(x, tau x) is the sum over the basis pairs
+    b_k = t^a u_i, b_l = t^c u_j of v_k v_l t^(a+c) G_ij.  The stored parts
+    put the sum over parts of (sum_m layers[m][k][l] t^m)/(q * denominator)
+    in place of t^(a+c) G_ij: rebuilt / P on integer coefficient lists, with
+    (P, weights) the certificate's common.  Every layer is first checked
+    symmetric, then laurent.first_difference compares the two fractions in
+    Q(t)/Lambda at every k <= l, with P * H formed once and no gcd or
+    canonical class.  Symmetric forms that agree at every k <= l are right
+    on every vector.
     """
-    P, weights = _over_common_denominator(cert.parts)
-    minus_P = [-c for c in P]
+    P, weights = cert.common
     sizes = [d.degree() for d in cert.basis.factors]
+    b = len(sizes)
     # basis element k is t^a u_i for blocks[k] = (i, a)
     blocks = [(i, a) for i, size in enumerate(sizes) for a in range(size)]
-    # shifted[i, j][s] = (r_s, L^e den)
-    shifted = {}
-    for i in range(len(sizes)):
-        for j in range(i, len(sizes)):
-            (num, den), _, _ = integer_lists([G[i][j].num, G[i][j].den])
-            remainders = (_pseudo_remainder([0] * s + num, den) for s in range(sizes[i] + sizes[j] - 1))
-            shifted[i, j] = [(r, [den[-1] ** e * c for c in den]) for r, e in remainders]
-    layers = [part.integer_forms[1] for part in cert.parts]
-    for k, (i, a) in enumerate(blocks):
-        for l, (j, b) in enumerate(blocks[k:], k):
-            if any(Q[k][l] != Q[l][k] for forms in layers for Q in forms):
-                raise RuntimeError(f"quadratic certificate disagrees: forms are not symmetric at ({k}, {l})")
-            rebuilt = list_dot([[Q[k][l] for Q in forms] for forms in layers], weights)
-            r, den = shifted[i, j][a + b]
-            if any(list_dot([rebuilt, r], [den, minus_P])):
-                raise RuntimeError(f"quadratic certificate disagrees with the pairing at ({k}, {l})")
+    positions = [(k, l) for k in range(len(blocks)) for l in range(k, len(blocks))]
+    layers = [part.layers for part in cert.parts]
+    for k, l in positions:
+        if any(Q[k][l] != Q[l][k] for forms in layers for Q in forms):
+            raise RuntimeError(f"quadratic certificate disagrees: forms are not symmetric at ({k}, {l})")
+    pairs = (
+        (
+            list_dot([[Q[k][l] for Q in forms] for forms in layers], weights),
+            [0] * (blocks[k][1] + blocks[l][1]) + list(nums[blocks[k][0] * b + blocks[l][0]]),
+        )
+        for k, l in positions
+    )
+    wrong = first_difference(pairs, P, 0, H, e)
+    if wrong is not None:
+        raise RuntimeError(f"quadratic certificate disagrees with the pairing at {positions[wrong]}")
 
 
 def _check_samples(T: EquivariantTriple, cert: QuadraticCertificate) -> None:
@@ -315,31 +335,18 @@ def _check_samples(T: EquivariantTriple, cert: QuadraticCertificate) -> None:
             raise RuntimeError("quadratic certificate disagrees with direct evaluation")
 
 
-def _over_common_denominator(parts: Sequence[CoprimePart]) -> tuple[list[int], list[list[int]]]:
-    """(P, weights) on integer coefficient lists, P an integer multiple of
-    the product of the part denominators: the sum over parts p of
-    (f_p / q_p) / denominator_p, q_p that of integer_forms, is
-    sum_p f_p * weights[p] / P."""
-    dens = [part.denominator for part in parts]
-    cofactors = [reduce(mul, dens[:i] + dens[i + 1 :], ONE) for i in range(len(dens))]
-    (P, *cofactors), _, _ = integer_lists([reduce(mul, dens, ONE), *cofactors])
-    qs = [part.integer_forms[0] for part in parts]
-    S = lcm(*qs)
-    return [S * c for c in P], [[S // q * c for c in cofactor] for q, cofactor in zip(qs, cofactors)]
-
-
 def _certificate_value(cert: QuadraticCertificate, v: Sequence[Fraction]) -> tuple[list[int], list[int]]:
     """(total, over) on integer coefficient lists, lowest first, with the
     stored parts' value at rational coordinates v equal to total / over.
 
     The part denominators are pairwise coprime, so the sum of the parts is
     one fraction over their product P.  Its numerator is summed from v
-    cleared to integers, v = w / m, and each part's forms read as integers
-    over one denominator (CoprimePart.integer_forms), over m^2 * P.
+    cleared to integers, v = w / m, and each part's integer layers, over
+    m^2 * P (see QuadraticCertificate.common).
     """
-    P, weights = _over_common_denominator(cert.parts)
+    P, weights = cert.common
     w, m = _cleared(v)
-    total = list_dot([[_eval_form(Q, w) for Q in part.integer_forms[1]] for part in cert.parts], weights)
+    total = list_dot([[_eval_form(Q, w) for Q in part.layers] for part in cert.parts], weights)
     return total, [m * m * c for c in P]
 
 
@@ -357,22 +364,27 @@ def certify_k0(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
     (2) positive-definiteness of sign-normalized nonnegative combinations
     of the forms, then (3) a randomized falsifier over bounded-height
     rational vectors.  UNDECIDED is a legitimate outcome.
+
+    Every route reads the integer layers: a layer is its form times the
+    part's q > 0, which keeps each pivot's sign, and a combination
+    sum_j w_j Q_j is sum_j w_j (S / q_j) layer_j over S = lcm q_j, whose
+    Gaussian pivots D_k / (S * D_(k-1)) are reported from its leading
+    minors D_k.
     """
     base = tau_quadratic(T, seed=seed)
     dim = base.basis.dimension
     if dim == 0:
         return replace(base, verdict=CERTIFIED_K0, evidence={"reason": "trivial module"})
-    forms = base.all_forms()
-    integer_forms = [Q for part in base.parts for Q in part.integer_forms[1] if any(any(row) for row in Q)]
+    # (q, layer) for every nonzero form, part by part
+    forms = [(part.q, Q) for part in base.parts for Q in part.layers if any(any(row) for row in Q)]
 
     if forms:
         # (1) support partition
         covered: set[int] = set()
         partition = []
-        for fi, Q in enumerate(forms):
+        for fi, (_, Q) in enumerate(forms):
             supp = _support(Q)
-            sub = [[Q[i][j] for j in supp] for i in supp]
-            d = _definiteness(sub)
+            d = _definiteness([[Q[i][j] for j in supp] for i in supp])
             if d is not None:
                 partition.append({"form": fi, "sign": d[0], "support": supp})
                 covered.update(supp)
@@ -381,23 +393,23 @@ def certify_k0(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
 
         # (2) sign-normalized nonnegative combinations; with no weight
         # flipped the plain sum is the same matrix, so it is not tried again
-        signs = [-1 if next((Q[i][i] for i in range(dim) if Q[i][i]), 0) < 0 else 1 for Q in forms]
+        signs = [-1 if next((Q[i][i] for i in range(dim) if Q[i][i]), 0) < 0 else 1 for _, Q in forms]
         combinations = [("sign_normalized_sum", signs)]
         if -1 in signs:
             combinations.append(("plain_sum", [1] * len(forms)))
+        S = lcm(*(q for q, _ in forms))
         for label, weights in combinations:
-            total = [[Fraction(0)] * dim for _ in range(dim)]
-            for w, Q in zip(weights, forms):
+            total = [[0] * dim for _ in range(dim)]
+            for w, (q, Q) in zip(weights, forms):
+                c = w * (S // q)
                 for row, total_row in zip(Q, total):
                     for j, entry in enumerate(row):
-                        if not entry:
-                            continue
-                        if w > 0:
-                            total_row[j] += entry
-                        else:
-                            total_row[j] -= entry
+                        if entry:
+                            total_row[j] += c * entry
             d = _definiteness(total)
             if d is not None and d[0] > 0:
+                minors = d[1]
+                pivots = [Fraction(D, S * prev) for D, prev in zip(minors, [1] + minors)]
                 return replace(
                     base,
                     verdict=CERTIFIED_K0,
@@ -405,17 +417,18 @@ def certify_k0(T: EquivariantTriple, seed: int = 0) -> QuadraticCertificate:
                         "combination": {
                             "kind": label,
                             "weights": weights,
-                            "pivots": [str(p) for p in d[1]],
+                            "pivots": [str(p) for p in pivots],
                         }
                     },
                 )
 
     # (3) falsifier
+    layers = [Q for _, Q in forms]
     for v in _falsifier_candidates(dim, FALSIFIER_SAMPLES, seed):
         if not any(v):
             continue
         w, _ = _cleared(v)
-        if all(_eval_form(Q, w) == 0 for Q in integer_forms):
+        if all(_eval_form(Q, w) == 0 for Q in layers):
             x = base.basis.from_coords(v)
             if not x.is_zero() and pair(T.pairing, x, T.involution.apply(x)).is_zero():
                 return replace(

@@ -52,8 +52,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from math import gcd
-from operator import truediv
+from math import gcd, lcm
+from operator import floordiv
 from typing import Sequence
 
 from .laurent import (
@@ -217,7 +217,9 @@ def check_nonsingular(B: GramPairing) -> bool:
     E_kl = eps(pair(b_k, b_l)) over a Q-basis b of the module (see the
     module docstring).  With a rational model the generators are a Q-basis
     and E is read off the gram's classes; any other module takes a
-    RationalBasis.
+    RationalBasis.  Each row of E is cleared to integers, which does not
+    change whether det E vanishes, and one fraction-free elimination
+    decides it.
     """
     module = B.module
     if not module.is_torsion:
@@ -229,7 +231,12 @@ def check_nonsingular(B: GramPairing) -> bool:
         xs = [basis.basis_element(k) for k in range(basis.dimension)]
         grid = pair_grid(B, xs, xs)
     E = [[g.num.coefficient(g.den.degree() - 1) for g in row] for row in grid]
-    return _eliminate(E, 0, 1, truediv, abs)[0] != 0
+    # each row cleared to integers: a positive row scaling keeps det E != 0
+    rows = []
+    for row in E:
+        m = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (m // x.denominator) for x in row])
+    return _eliminate(rows, 0, 1, floordiv, abs)[0] != 0
 
 
 def direct_sum_pairing(B1: GramPairing, B2: GramPairing, module: PresentedModule) -> GramPairing:

@@ -6,11 +6,15 @@ classes (sums, differences, ring multiples, conjugates) as the constructor
 applied to the cross-multiplied fraction.  Also kept: a naive fraction
 field, the symmetrised tau-grid, the per-entry quadratic parts and the
 part-by-part certificate sum that tau_quadratic and evaluate_certificate
-replaced, the block-by-block swap check that the library replaced, and
-the batched conjugation the Hermitian and anti-isometry checks used before
-they compared values without canonical classes.
+replaced, the block-by-block Fraction certificate (tau_parts_fraction,
+certify_k0_fraction) that tau_quadratic and certify_k0 made before they
+worked on integer lists, the block-by-block swap check that the library
+replaced, and the batched conjugation the Hermitian and anti-isometry
+checks used before they compared values without canonical classes.
 """
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 from eqslice.laurent import (
     ONE,
@@ -20,18 +24,24 @@ from eqslice.laurent import (
     TorsionClass,
     as_poly,
     classes_over,
-    coprime_split,
     divexact,
     divides,
     gcd_free_basis,
     integer_lists,
-    poly_divmod,
+    laurent_lcm,
 )
 from eqslice.matrices import LambdaMatrix, SingularMatrixError, in_span, seifert_pencil, snf
 from eqslice.modules import RationalBasis
-from eqslice.obstruction import CoprimePart
-from eqslice.pairing import pair_grid
-from laurent_oracle import oracle_divexact, oracle_laurent_gcd, poly_mod
+from eqslice.obstruction import (
+    CERTIFIED_K0,
+    COUNTEREXAMPLE,
+    FALSIFIER_SAMPLES,
+    UNDECIDED,
+    CoprimePart,
+    _falsifier_candidates,
+)
+from eqslice.pairing import pair, pair_grid
+from laurent_oracle import coprime_split_class, oracle_divexact, oracle_laurent_gcd, poly_divmod, poly_mod, poly_pow
 
 
 class Frac:
@@ -223,6 +233,37 @@ def symmetrised_grid(B, xs, ys):
     ]
 
 
+def grid_lists(G):
+    """(nums, H, 0) for a square grid of classes, in the form pair_values
+    returns, nums flattened row by row: each class over H, the lcm of the
+    grid's denominators, on integer coefficient lists."""
+    classes = [g for row in G for g in row]
+    H = reduce(laurent_lcm, (g.den for g in classes), ONE)
+    (den, *nums), _, _ = integer_lists([H] + [g.num * divexact(H, g.den) for g in classes])
+    return nums, den, 0
+
+
+def part_from_forms(denominator, forms):
+    """The CoprimePart whose rational forms are forms: integer layers over
+    the least positive q that clears every entry."""
+    q = lcm(*(c.denominator for Q in forms for row in Q for c in row))
+    layers = tuple(tuple(tuple(c.numerator * (q // c.denominator) for c in row) for row in Q) for Q in forms)
+    return CoprimePart(denominator, q, layers)
+
+
+def factor_powers_fraction(T):
+    """f^e, monic, for f in the gcd-free basis of the invariant factors and
+    e its multiplicity in the order, by Fraction division."""
+    out = []
+    for f in gcd_free_basis(list(T.module.invariant_factors)):
+        e, rest = 0, T.module.order
+        while divides(f, rest):
+            rest = divexact(rest, f)
+            e += 1
+        out.append(poly_pow(f, e).monic_ordinary())
+    return out
+
+
 def tau_parts_per_entry(T):
     """The parts of tau_quadratic as it made them before pairing only the
     block generators: the full grid pair(b_k, tau b_l) over every pair of
@@ -231,19 +272,13 @@ def tau_parts_per_entry(T):
     dim = basis.dimension
     beta = [basis.basis_element(k) for k in range(dim)]
     grid = pair_grid(T.pairing, beta, [T.involution.apply(b) for b in beta])
-    factor_powers = []
-    for f in gcd_free_basis(list(T.module.invariant_factors)):
-        e, rest = 0, T.module.order
-        while divides(f, rest):
-            rest = divexact(rest, f)
-            e += 1
-        factor_powers.append((f**e).monic_ordinary())
+    factor_powers = factor_powers_fraction(T)
     forms = [[[[Fraction(0)] * dim for _ in range(dim)] for _ in range(F.degree())] for F in factor_powers]
     for k in range(dim):
         for l in range(k, dim):
             if grid[k][l].is_zero():
                 continue
-            for idx, piece in enumerate(coprime_split(grid[k][l], factor_powers)):
+            for idx, piece in enumerate(coprime_split_class(grid[k][l], factor_powers)):
                 if piece.is_zero():
                     continue
                 num = piece.num * divexact(factor_powers[idx], piece.den)
@@ -253,10 +288,125 @@ def tau_parts_per_entry(T):
                         forms[idx][m][l][k] += coeff
     parts = []
     for F, layers in zip(factor_powers, forms):
-        layers = tuple(tuple(tuple(row) for row in Q) for Q in layers)
         if any(any(any(row) for row in Q) for Q in layers):
-            parts.append(CoprimePart(denominator=F, forms=layers))
+            parts.append(part_from_forms(F, layers))
     return tuple(parts)
+
+
+def tau_parts_fraction(T):
+    """The parts of tau_quadratic as it made them before it worked on
+    integer lists: the canonical generator grid G_ij = pair(u_i, tau u_j),
+    one per-class coprime split per nonzero G_ij, and the Hankel fill by
+    companion steps h <- t h mod F on Fraction coefficients."""
+    basis = RationalBasis(T.module)
+    dim = basis.dimension
+    gens = [u for u, _ in basis.blocks]
+    sizes = [d.degree() for d in basis.factors]
+    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    G = pair_grid(T.pairing, gens, [T.involution.apply(u) for u in gens])
+    factor_powers = factor_powers_fraction(T)
+    part_forms = [[[[Fraction(0)] * dim for _ in range(dim)] for _ in range(F.degree())] for F in factor_powers]
+    for i in range(len(gens)):
+        for j in range(i, len(gens)):
+            if G[i][j].is_zero():
+                continue
+            for idx, piece in enumerate(coprime_split_class(G[i][j], factor_powers)):
+                if piece.is_zero():
+                    continue
+                F = factor_powers[idx]
+                f = F.dense()
+                D = len(f) - 1
+                h = (piece.num * divexact(F, piece.den)).dense()
+                h += [Fraction(0)] * (D - len(h))
+                forms = part_forms[idx]
+                for s in range(sizes[i] + sizes[j] - 1):
+                    if s:
+                        top = h[-1]
+                        h = [Fraction(0)] + h[:-1]
+                        if top:
+                            h = [c - top * fm for c, fm in zip(h, f)]
+                    for a in range(max(0, s - sizes[j] + 1), min(s, sizes[i] - 1) + 1):
+                        k, l = offsets[i] + a, offsets[j] + s - a
+                        for m, coeff in enumerate(h):
+                            if coeff:
+                                forms[m][k][l] = forms[m][l][k] = coeff
+    parts = []
+    for F, layers in zip(factor_powers, part_forms):
+        if any(any(any(row) for row in Q) for Q in layers):
+            parts.append(part_from_forms(F, layers))
+    return basis, tuple(parts)
+
+
+def definiteness_fraction(Q):
+    """Sign and pivots of symmetric Gaussian reduction on Fraction entries
+    when Q is definite, else None: the LDL^T that certify_k0 ran before its
+    fraction-free elimination."""
+    n = len(Q)
+    if n == 0:
+        return None
+    A = [list(row) for row in Q]
+    sign = 0
+    pivots = []
+    for k in range(n):
+        piv = A[k][k]
+        if piv == 0:
+            return None
+        s = 1 if piv > 0 else -1
+        if sign == 0:
+            sign = s
+        elif s != sign:
+            return None
+        pivots.append(piv)
+        for i in range(k + 1, n):
+            f = A[i][k] / piv
+            if f:
+                for j in range(k + 1, n):
+                    A[i][j] -= f * A[k][j]
+                A[i][k] = Fraction(0)
+    return sign, pivots
+
+
+def certify_k0_fraction(T, seed=0):
+    """(parts, verdict, evidence, counterexample) as certify_k0 made them
+    before it worked on integer lists."""
+    basis, parts = tau_parts_fraction(T)
+    return (parts, *fraction_routes(T, basis, parts, seed))
+
+
+def fraction_routes(T, basis, parts, seed=0):
+    """(verdict, evidence, counterexample) of certify_k0's routes on the
+    parts' Fraction forms: (1) and (2) by definiteness_fraction, then the
+    falsifier, each candidate tried on every form by eval_form_fraction."""
+    dim = basis.dimension
+    if dim == 0:
+        return CERTIFIED_K0, {"reason": "trivial module"}, None
+    forms = [Q for part in parts for Q in part.forms if any(any(row) for row in Q)]
+    if forms:
+        covered, partition = set(), []
+        for fi, Q in enumerate(forms):
+            supp = [i for i, row in enumerate(Q) if any(row)]
+            d = definiteness_fraction([[Q[i][j] for j in supp] for i in supp])
+            if d is not None:
+                partition.append({"form": fi, "sign": d[0], "support": supp})
+                covered.update(supp)
+        if covered == set(range(dim)):
+            return CERTIFIED_K0, {"support_partition": partition}, None
+        signs = [-1 if next((Q[i][i] for i in range(dim) if Q[i][i]), 0) < 0 else 1 for Q in forms]
+        combinations = [("sign_normalized_sum", signs)]
+        if -1 in signs:
+            combinations.append(("plain_sum", [1] * len(forms)))
+        for label, weights in combinations:
+            total = [[sum((w * Q[i][j] for w, Q in zip(weights, forms)), Fraction(0)) for j in range(dim)] for i in range(dim)]
+            d = definiteness_fraction(total)
+            if d is not None and d[0] > 0:
+                evidence = {"combination": {"kind": label, "weights": weights, "pivots": [str(p) for p in d[1]]}}
+                return CERTIFIED_K0, evidence, None
+    for v in _falsifier_candidates(dim, FALSIFIER_SAMPLES, seed):
+        if any(v) and all(eval_form_fraction(Q, v) == 0 for Q in forms):
+            x = basis.from_coords(v)
+            if not x.is_zero() and pair(T.pairing, x, T.involution.apply(x)).is_zero():
+                return COUNTEREXAMPLE, {"coordinates": [str(c) for c in v]}, x
+    return UNDECIDED, {"falsifier_samples": FALSIFIER_SAMPLES}, None
 
 
 def eval_form_fraction(Q, v):

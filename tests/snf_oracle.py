@@ -7,10 +7,10 @@ entry a LaurentPoly, every update a ring operation, each quotient by
 laurent_quo and each divisibility test by the Fraction divides of
 laurent_oracle.
 """
-from eqslice.laurent import ONE, LaurentPoly, poly_divmod
-from eqslice.matrices import DEFAULT_DEGREE_CAP, DegreeCapError, LambdaMatrix, SnfResult
+from eqslice.laurent import ONE, LaurentPoly, integer_lists
+from eqslice.matrices import DEFAULT_DEGREE_CAP, DegreeCapError, LambdaMatrix, SnfResult, _entry
 from cases import identity
-from laurent_oracle import oracle_divides
+from laurent_oracle import oracle_divides, poly_divmod
 
 
 def laurent_quo(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -132,14 +132,18 @@ def oracle_snf(M: LambdaMatrix) -> SnfResult:
             break
         k += 1
 
-    diag = tuple(D[i][i] for i in range(min(r, c)))
-    rank = sum(1 for d in diag if not d.is_zero())
-    invariant = tuple(d for d in diag if not d.is_zero() and not d.is_unit())
-    return SnfResult(
-        U=LambdaMatrix(U),
-        D=LambdaMatrix(D),
-        V=LambdaMatrix(V),
-        diagonal=diag,
-        invariant_factors=invariant,
-        rank=rank,
-    )
+    return SnfResult(*(entries(X) for X in (U, D, V)))
+
+
+def entries(X):
+    """The grid of snf's canonical integer entries of LaurentPoly rows X,
+    the form SnfResult holds: the oracle's result is compared entry by
+    entry and read, integer column by column, like the library's."""
+    out = []
+    for row in X:
+        cleared = []
+        for e in row:
+            (c,), m, v = integer_lists([e])
+            cleared.append(_entry(v, c, m))
+        out.append(cleared)
+    return out

@@ -15,9 +15,8 @@ from eqslice.laurent import (
     coprime_split,
     divexact,
     divides,
-    extended_gcd,
-    poly_divmod,
     format_poly,
+    integer_lists,
     gcd_free_basis,
     laurent_gcd,
     normalize_alexander,
@@ -26,7 +25,7 @@ from eqslice.laurent import (
     symmetric_quadratic_tests,
     unit_equal,
 )
-from laurent_oracle import poly_mod
+from laurent_oracle import coprime_split_class, extended_gcd, poly_divmod, poly_mod, poly_pow
 from pairing_oracles import Frac, class_add, class_scale, class_sub
 from snf_oracle import laurent_quo
 
@@ -78,8 +77,8 @@ class TestArithmetic:
 
     def test_pow(self):
         p = P("t - 1")
-        assert p ** 3 == p * p * p
-        assert p ** 0 == ONE
+        assert poly_pow(p, 3) == p * p * p
+        assert poly_pow(p, 0) == ONE
 
 
 class TestConjugation:
@@ -343,17 +342,17 @@ class TestCoprimeSplit:
             TorsionClass(P("-1").scale(c1sq) * P("t - 1"), P("2*t - 1")),
             TorsionClass(P("-1").scale(c2sq) * P("t - 1"), P("t - 2")),
         )
-        parts = coprime_split(total, [P("2*t - 1"), P("t - 2")])
+        parts = coprime_split_class(total, [P("2*t - 1"), P("t - 2")])
         assert parts[0] == TorsionClass(-P("t - 1"), P("2*t - 1"))
         assert parts[1] == TorsionClass(-P("t - 1"), P("t - 2"))
 
     def test_zero_splits_to_zeros(self):
-        parts = coprime_split(TorsionClass(), [P("t - 2"), P("2*t - 1")])
+        parts = coprime_split_class(TorsionClass(), [P("t - 2"), P("2*t - 1")])
         assert all(p.is_zero() for p in parts)
 
     def test_parts_recombine(self):
         x = TorsionClass(P("3*t + 1"), P("t - 2") * P("2*t - 1"))
-        parts = coprime_split(x, [P("t - 2"), P("2*t - 1")])
+        parts = coprime_split_class(x, [P("t - 2"), P("2*t - 1")])
         total = TorsionClass()
         for p in parts:
             total = class_add(total, p)
@@ -364,9 +363,9 @@ class TestCoprimeSplit:
     def test_errors(self):
         x = TorsionClass(ONE, P("t - 2"))
         with pytest.raises(ValueError):
-            coprime_split(x, [P("t - 2"), P("2*t - 4")])
+            coprime_split_class(x, [P("t - 2"), P("2*t - 4")])
         with pytest.raises(ValueError):
-            coprime_split(x, [P("2*t - 1")])
+            coprime_split_class(x, [P("2*t - 1")])
 
     def test_random_splits_recombine(self):
         rng = random.Random(4)
@@ -374,8 +373,55 @@ class TestCoprimeSplit:
             f1, f2 = P("t - 2"), P("2*t - 1")
             num = rand_poly(rng, allow_zero=False, laurent=True)
             x = TorsionClass(num, f1 * f2)
-            parts = coprime_split(x, [f1, f2])
+            parts = coprime_split_class(x, [f1, f2])
             assert class_add(parts[0], parts[1]) == x
+
+
+class TestBatchCoprimeSplit:
+    """coprime_split on integer lists, one call for many values over one
+    denominator, against the per-class split it replaced
+    (laurent_oracle.coprime_split_class)."""
+
+    FACTORS = [P("t - 2"), P("2*t - 1"), P("t^2 - t + 1"), P("3*t + 1")]
+
+    def test_parts_equal_the_per_class_split(self):
+        rng = random.Random(25)
+        kinds = set()
+        for _ in range(80):
+            chosen = rng.sample(self.FACTORS, rng.randint(1, 3))
+            mults = [rng.randint(1, 3) for _ in chosen]
+            # H divides the product of the factor powers; a factor kept to
+            # power 0 is coprime to H
+            keep = [rng.randint(0, m) for m in mults]
+            H = LaurentPoly({0: rng.choice([1, -2, 3])})
+            for f, k in zip(chosen, keep):
+                H = H * poly_pow(f, k)
+            powers = [poly_pow(f, m) for f, m in zip(chosen, mults)]
+            e = rng.randint(-3, 4)
+            nums = [[] if rng.random() < 0.2 else [rng.randint(-5, 5) for _ in range(rng.randint(1, 7))] for _ in range(4)]
+            (den,), _, _ = integer_lists([H])
+            factors = [integer_lists([F])[0][0] for F in powers]
+            split = coprime_split(nums, den, e, factors)
+            assert len(split) == len(factors) and all(len(part) == len(nums) for part in split)
+            for i, f in enumerate(nums):
+                x = TorsionClass(LaurentPoly(enumerate(f)).shift(e), H)
+                expected = coprime_split_class(x, powers)
+                for p, F in enumerate(factors):
+                    h, scale = split[p][i]
+                    assert len(h) < len(F)
+                    assert TorsionClass(LaurentPoly(enumerate(h)), LaurentPoly(enumerate(F)).scale(scale)) == expected[p]
+                kinds.add("zero entry" if not f else "negative e" if e < 0 else "value")
+            kinds.update("coprime part" if not k else "multiplicity" if k > 1 else "simple" for k in keep)
+        assert kinds == {"zero entry", "negative e", "value", "coprime part", "multiplicity", "simple"}
+
+    def test_errors(self):
+        t2, t3 = [-2, 1], [-3, 1]
+        # H = (t - 2)^2 does not divide (t - 2)(t - 3)
+        with pytest.raises(ValueError, match="does not annihilate"):
+            coprime_split([[1]], [4, -4, 1], 0, [t2, t3])
+        # t - 2 and 2t - 4 share a factor
+        with pytest.raises(ValueError, match="not coprime"):
+            coprime_split([[1]], t2, 0, [t2, [-4, 2]])
 
 
 class TestGcdFreeBasis:
@@ -405,7 +451,7 @@ class TestGcdFreeBasis:
             for _ in range(3):
                 p = ONE
                 for f in rng.sample(lin, rng.randint(1, 3)):
-                    p = p * f ** rng.randint(1, 2)
+                    p = p * poly_pow(f, rng.randint(1, 2))
                 inputs.append(p)
             basis = gcd_free_basis(inputs)
             for i in range(len(basis)):

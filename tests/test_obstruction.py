@@ -18,6 +18,7 @@ from eqslice.obstruction import (
     _certificate_value,
     _check_forms,
     _cleared,
+    _definiteness,
     _eval_form,
     _falsifier_candidates,
     amphichiral_obstruction,
@@ -29,10 +30,21 @@ from eqslice.obstruction import (
 )
 from eqslice.involution import SemilinearMap
 from eqslice.matrices import LambdaMatrix
-from eqslice.pairing import pair, pair_grid
+from eqslice.pairing import pair, pair_grid, pair_values
 from eqslice.witt import EquivariantTriple, triple_sum, negate, validate
-from pairing_oracles import class_add, eval_form_fraction, evaluate_by_fold, symmetrised_grid, tau_parts_per_entry
-from cases import SINGULAR_DENSE, check_cases, swap_double_of
+from pairing_oracles import (
+    class_add,
+    certify_k0_fraction,
+    definiteness_fraction,
+    eval_form_fraction,
+    evaluate_by_fold,
+    fraction_routes,
+    grid_lists,
+    part_from_forms,
+    symmetrised_grid,
+    tau_parts_per_entry,
+)
+from cases import SINGULAR_DENSE, check_cases, seeded_swap_doubles, swap_double_of
 
 
 def nine46():
@@ -46,6 +58,10 @@ def nine46_sum(n):
 
 def genus_one(m, l, c=1):
     return assemble(builtin("genus_one_slice", m=m, l=l, c=c))
+
+
+def nonzero_forms(part):
+    return [Q for Q in part.forms if any(any(row) for row in Q)]
 
 
 def unknot():
@@ -62,7 +78,7 @@ class TestTauQuadratic:
         assert dens == ["t - 1/2", "t - 2"]
         # one form per part, a scaled square of a single linear functional
         for part in cert.parts:
-            forms = part.nonzero_forms()
+            forms = nonzero_forms(part)
             assert len(forms) == 1
             Q = forms[0]
             assert Q[0][0] * Q[1][1] - Q[0][1] * Q[1][0] == 0  # rank one
@@ -76,15 +92,13 @@ class TestTauQuadratic:
         # one linear denominator per coprime factor, carrying one rank-one
         # (semidefinite) form each; the two squared functionals are
         # independent, so the sign-normalized sum is definite
-        from eqslice.obstruction import _definiteness
-
         for c in (1, 2, Fraction(-3)):
             cert = tau_quadratic(genus_one(1, 1, c))
             assert len(cert.parts) == 2
             combined = [[Fraction(0)] * 2 for _ in range(2)]
             for part in cert.parts:
                 assert part.denominator.degree() == 1
-                forms = part.nonzero_forms()
+                forms = nonzero_forms(part)
                 assert len(forms) == 1
                 Q = forms[0]
                 assert Q[0][0] * Q[1][1] - Q[0][1] * Q[1][0] == 0  # rank one
@@ -93,7 +107,7 @@ class TestTauQuadratic:
                 for i in range(2):
                     for j in range(2):
                         combined[i][j] += flip * Q[i][j]
-            d = _definiteness(combined)
+            d = definiteness_fraction(combined)
             assert d is not None and d[0] > 0
 
     def test_representation_matches_direct_evaluation(self):
@@ -159,9 +173,8 @@ def with_forms(cert, idx, edit):
     part = cert.parts[idx]
     forms = [[list(row) for row in Q] for Q in part.forms]
     edit(forms)
-    layers = tuple(tuple(tuple(row) for row in Q) for Q in forms)
     parts = list(cert.parts)
-    parts[idx] = replace(part, forms=layers)
+    parts[idx] = part_from_forms(part.denominator, forms)
     return replace(cert, parts=tuple(parts))
 
 
@@ -216,7 +229,7 @@ class TestCertificateCheck:
         for _label, T in check_cases():
             cert = tau_quadratic(T)  # runs the exact check
             sampled_self_check(T, cert)
-            _check_forms(cert, generator_grid_oracle(T, cert.basis))
+            _check_forms(cert, *grid_lists(generator_grid_oracle(T, cert.basis)))
             assert_forms_match_the_grid(cert, tau_grid_oracle(T, cert.basis))
 
     @pytest.mark.parametrize(
@@ -232,12 +245,12 @@ class TestCertificateCheck:
     def test_mutations_rejected(self, triple):
         T = triple()
         cert = tau_quadratic(T)
-        sym = generator_grid_oracle(T, cert.basis)
+        sym = grid_lists(generator_grid_oracle(T, cert.basis))
         seen = []
         for label, bad in mutations(cert):
             seen.append(label)
             with pytest.raises(RuntimeError, match="quadratic certificate disagrees"):
-                _check_forms(bad, sym)
+                _check_forms(bad, *sym)
             with pytest.raises(RuntimeError, match="quadratic certificate disagrees"):
                 sampled_self_check(T, bad)
         assert {"dropped last part", "perturbed diagonal", "perturbed off-diagonal"} <= set(seen)
@@ -245,14 +258,14 @@ class TestCertificateCheck:
 
     def test_symmetrised_grid_gives_the_same_parts(self, monkeypatch):
         # the grid is already symmetric, so the old averaged one, put in its
-        # place, yields the same parts
+        # place on integer lists, yields the same parts
         for label, T in check_cases():
             cert = tau_quadratic(T)
             beta = [cert.basis.basis_element(k) for k in range(cert.basis.dimension)]
             images = [T.involution.apply(b) for b in beta]
             assert pair_grid(T.pairing, beta, images) == symmetrised_grid(T.pairing, beta, images), label
             with monkeypatch.context() as m:
-                m.setattr("eqslice.obstruction.pair_grid", symmetrised_grid)
+                m.setattr("eqslice.obstruction.pair_values", lambda B, xs, ys: grid_lists(symmetrised_grid(B, xs, ys)))
                 assert tau_quadratic(T).parts == cert.parts, label
 
     def test_asymmetric_grid_raises(self):
@@ -346,7 +359,7 @@ class TestBlockShift:
             cert = tau_quadratic(T)
             G = generator_grid_oracle(T, cert.basis)
             offsets = block_offsets(cert)
-            _check_forms(cert, G)
+            _check_forms(cert, *grid_lists(G))
             for i in range(len(G)):
                 for j in range(i, len(G)):
                     if G[i][j].is_zero():
@@ -358,27 +371,33 @@ class TestBlockShift:
                     bad[i][j] = bad[j][i] = value
                     at = re.escape(f"disagrees with the pairing at ({offsets[i]}, {offsets[j]})")
                     with pytest.raises(RuntimeError, match=at):
-                        _check_forms(cert, bad)
+                        _check_forms(cert, *grid_lists(bad))
         assert kinds == {"filled", "shifted"}
 
     def test_no_classes_over_call_per_certificate(self, monkeypatch):
-        # neither the exact check nor the two sampled evaluations, which
-        # compare values by same_class, builds a canonical class here
+        # no canonical class is made anywhere inside tau_quadratic: G comes
+        # from pair_values, its symmetry and the exact check are decided by
+        # same_class, and so are the two sampled evaluations
         calls = []
 
         def counting(nums, den, e=0):
             calls.append(len(nums))
             return classes_over(nums, den, e)
 
-        monkeypatch.setattr("eqslice.obstruction.classes_over", counting)
+        for module in ("laurent", "pairing", "obstruction"):
+            monkeypatch.setattr(f"eqslice.{module}.classes_over", counting)
         for label, T in block_shift_cases():
             calls.clear()
             tau_quadratic(T)
             assert calls == [], label
+        # the counter sees a class made through the constructor
+        TorsionClass(ONE, parse_poly("t - 2"))
+        assert calls == [1]
 
 class TestIntegerForms:
-    """Each part's forms are read as integer matrices over one denominator,
-    cached on the part; the Fraction evaluation is the oracle."""
+    """Each part stores its forms as integer layers over one denominator q;
+    the rational forms are built from them on first read, and the Fraction
+    evaluation is the oracle."""
 
     def test_integer_eval_form_matches_the_fraction_oracle(self):
         rng = random.Random(19)
@@ -389,8 +408,8 @@ class TestIntegerForms:
                 [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(dim)] for _ in range(3)
             ]
             for part in cert.parts:
-                q, layers = part.integer_forms
-                assert part.integer_forms is part.integer_forms
+                q, layers = part.q, part.layers
+                assert part.forms is part.forms
                 for v in vectors:
                     w, m = _cleared(v)
                     for Q, layer in zip(part.forms, layers):
@@ -405,12 +424,12 @@ class TestIntegerForms:
         ids=["nine46x2", "swap_nine46", "genus_one"],
     )
     def test_one_perturbed_coefficient_raises_at_its_entry(self, triple):
-        # in the Fraction forms, which a new part reads afresh, and in the
-        # cached integer forms; a symmetric change is caught against the
-        # pairing, a one-sided one as an asymmetry, each at its own (k, l)
+        # in the Fraction forms, stored afresh as layers, and in the stored
+        # integer layers; a symmetric change is caught against the pairing,
+        # a one-sided one as an asymmetry, each at its own (k, l)
         T = triple()
         cert = tau_quadratic(T)
-        grid = generator_grid_oracle(T, cert.basis)
+        grid = grid_lists(generator_grid_oracle(T, cert.basis))
         dim = cert.basis.dimension
         spots = [(idx, m, k, l) for idx, part in enumerate(cert.parts) for m in range(len(part.forms)) for k in range(dim) for l in range(k, dim)]
         for idx, m, k, l in random.Random(20).sample(spots, min(len(spots), 12)):
@@ -422,23 +441,21 @@ class TestIntegerForms:
                     forms[m][l][k] += 1
 
             with pytest.raises(RuntimeError, match=at):
-                _check_forms(with_forms(cert, idx, bump), grid)
+                _check_forms(with_forms(cert, idx, bump), *grid)
             part = cert.parts[idx]
-            q, layers = part.integer_forms
             for symmetric in (True, False):
                 if not symmetric and k == l:
                     continue
-                edited = [[list(row) for row in Q] for Q in layers]
+                edited = [[list(row) for row in Q] for Q in part.layers]
                 edited[m][k][l] += 1
                 if symmetric and k != l:
                     edited[m][l][k] += 1
-                fresh = replace(part)
-                fresh.__dict__["integer_forms"] = (q, tuple(tuple(tuple(row) for row in Q) for Q in edited))
+                fresh = replace(part, layers=tuple(tuple(tuple(row) for row in Q) for Q in edited))
                 bad = replace(cert, parts=cert.parts[:idx] + (fresh,) + cert.parts[idx + 1 :])
                 message = at if symmetric else re.escape(f"forms are not symmetric at ({k}, {l})")
                 with pytest.raises(RuntimeError, match=message):
-                    _check_forms(bad, grid)
-        _check_forms(cert, grid)
+                    _check_forms(bad, *grid)
+        _check_forms(cert, *grid)
 
 
 class TestCertifyK0:
@@ -508,14 +525,14 @@ class TestCertifyK0:
         with the given forms, one per part over a linear denominator."""
         cert = tau_quadratic(nine46())
         parts = tuple(
-            CoprimePart(
-                denominator=parse_poly(f"t - {idx + 2}"),
-                forms=(tuple(tuple(Fraction(c) for c in row) for row in Q),),
-            )
+            CoprimePart(parse_poly(f"t - {idx + 2}"), 1, (tuple(tuple(row) for row in Q),))
             for idx, Q in enumerate(forms)
         )
         monkeypatch.setattr("eqslice.obstruction.tau_quadratic", lambda T, seed=0: replace(cert, parts=parts))
-        return certify_k0(nine46())
+        got = certify_k0(nine46())
+        verdict, evidence, _ = fraction_routes(nine46(), cert.basis, parts)
+        assert (got.verdict, got.evidence) == (verdict, evidence)
+        return got
 
     def test_support_partition_route(self, monkeypatch):
         # route (1): each coordinate is covered by a form definite on its
@@ -537,6 +554,119 @@ class TestCertifyK0:
         a = certify_k0(nine46(), seed=7)
         b = certify_k0(nine46(), seed=7)
         assert a.verdict == b.verdict and a.evidence == b.evidence
+
+
+class TestFractionOracle:
+    """tau_quadratic and certify_k0 on integer lists against the Fraction
+    certificate they replaced (pairing_oracles.certify_k0_fraction): the
+    same parts, verdict, evidence and counterexample."""
+
+    @staticmethod
+    def cases():
+        yield from block_shift_cases()
+        for name, params in (("nine46", {}), ("genus_one_slice", {"m": 3, "l": 5})):
+            spec = builtin(name, **params)
+            for n in range(5, 9):
+                yield f"{name}{params} x{n}", assemble(sum_specs([spec] * n))
+        yield from seeded_swap_doubles()
+
+    def test_certificates_equal_the_fraction_oracle(self):
+        verdicts = set()
+        for label, T in self.cases():
+            cert = certify_k0(T)
+            parts, verdict, evidence, counterexample = certify_k0_fraction(T)
+            assert (cert.parts, cert.verdict, cert.evidence) == (parts, verdict, evidence), label
+            if counterexample is None:
+                assert cert.counterexample is None, label
+            else:
+                assert cert.counterexample.coeffs == counterexample.coeffs, label
+            verdicts.add(next(iter(cert.evidence)) if cert.verdict == CERTIFIED_K0 else cert.verdict)
+        assert verdicts == {"combination", COUNTEREXAMPLE, UNDECIDED}
+
+    def test_seeds_draw_the_same_samples_and_candidates(self):
+        for seed in (1, 9):
+            for label, T in list(block_shift_cases())[:6]:
+                cert = certify_k0(T, seed=seed)
+                _, verdict, evidence, _ = certify_k0_fraction(T, seed=seed)
+                assert (cert.verdict, cert.evidence, cert.seed) == (verdict, evidence, seed), label
+
+
+def symmetric_draws():
+    """(label, Q): seeded integer symmetric matrices of sizes 0 to 6, some
+    definite (B^T B + I and its negative), some with a zero leading minor
+    or a sign change at each position, and plain random ones."""
+    rng = random.Random(24)
+    yield "empty", []
+    for c in (-3, 0, 5):
+        yield "one by one", [[c]]
+    for n in range(1, 7):
+        for _ in range(12):
+            B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            G = [[sum(B[k][i] * B[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+            yield "definite", G
+            yield "negative definite", [[-x for x in row] for row in G]
+        for k in range(n if n > 1 else 0):
+            # L d L^T for L unit lower triangular has the LDL^T pivots d,
+            # whose sign changes at k
+            d = [rng.randint(1, 5) * (-1 if i == k else 1) for i in range(n)]
+            for sign in (1, -1):
+                L = [[int(i == j) if i >= j else 0 for j in range(n)] for i in range(n)]
+                for i in range(n):
+                    for j in range(i):
+                        L[i][j] = rng.randint(-2, 2)
+                Q = [[sign * sum(L[i][m] * d[m] * L[j][m] for m in range(n)) for j in range(n)] for i in range(n)]
+                yield f"sign change at {k}", Q
+        for k in range(n):
+            # the leading (k+1) x (k+1) minor vanishes: row and column k
+            # repeat an earlier one, or the entry is zero
+            Q = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            Q = [[Q[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            if k:
+                src = rng.randrange(k)
+                for j in range(n):
+                    Q[k][j] = Q[src][j]
+                for i in range(n):
+                    Q[i][k] = Q[i][src]
+                Q[k][k] = Q[src][src]
+            else:
+                Q[0][0] = 0
+            yield f"zero minor {k + 1}", Q
+        for _ in range(50):
+            Q = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            yield "random", [[Q[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+class TestDefiniteness:
+    """_definiteness by fraction-free elimination against the Fraction
+    LDL^T it replaced: the same sign, and pivots D_k / (S * D_(k-1)) equal
+    to the LDL^T pivots of the form over S."""
+
+    def test_minors_give_the_fraction_pivots(self):
+        draws = list(symmetric_draws())
+        assert len(draws) >= 500
+        for label, Q in draws:
+            got = _definiteness(Q)
+            for S in (1, 6):
+                expected = definiteness_fraction([[Fraction(x, S) for x in row] for row in Q])
+                if expected is None:
+                    assert got is None, (label, Q)
+                    continue
+                sign, minors = got
+                pivots = [Fraction(D, S * prev) for D, prev in zip(minors, [1] + minors)]
+                assert (sign, pivots) == expected, (label, Q)
+            if label.startswith(("sign change", "zero minor", "empty")):
+                assert got is None, (label, Q)
+            elif label in ("definite", "negative definite"):
+                assert got[0] == (1 if label == "definite" else -1), (label, Q)
+
+    def test_small_cases(self):
+        assert _definiteness([]) is None
+        assert _definiteness([[3]]) == (1, [3])
+        assert _definiteness([[-2]]) == (-1, [-2])
+        assert _definiteness([[0]]) is None
+        # leading minors 2, 2 * 3 - 1 = 5, then the pivots 2 and 5/2
+        assert _definiteness([[2, 1], [1, 3]]) == (1, [2, 5])
+        assert _definiteness([[1, 2], [2, 1]]) is None
 
 
 class TestGenusBound:

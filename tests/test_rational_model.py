@@ -23,6 +23,7 @@ from eqslice.modules import from_seifert
 from eqslice.pairing import check_nonsingular, gram_from_seifert
 
 from cases import CATALOG_GRID, dense_seifert, swap_double
+from laurent_oracle import poly_pow
 
 # C has one Jordan block of t^2 - 3t + 1 while e_0 spans a chain of degree
 # 2 only, so the chain presentation is [[p, q], [0, p]] with q != 0 and the
@@ -104,7 +105,7 @@ def test_jordan_case_takes_the_small_smith_form():
     T = M.model._chains()
     assert len(T) == 2 and not T[0][1].is_zero()
     assert T[0][0] == T[1][1] == parse_poly("t^2 - 3*t + 1")
-    assert M.invariant_factors == (parse_poly("t^2 - 3*t + 1") ** 2,)
+    assert M.invariant_factors == (poly_pow(parse_poly("t^2 - 3*t + 1"), 2),)
 
 
 @pytest.mark.parametrize("A", singular_draws(3))
