@@ -354,8 +354,6 @@ class SnfResult:
             return NotImplemented
         return self.entries == other.entries
 
-    __hash__ = None
-
     @cached_property
     def U(self) -> LambdaMatrix:
         return _matrix(self.entries[0])

@@ -25,7 +25,6 @@ from eqslice.laurent import (
     as_poly,
     classes_over,
     divexact,
-    divides,
     gcd_free_basis,
     integer_lists,
     laurent_lcm,
@@ -41,7 +40,7 @@ from eqslice.obstruction import (
     _falsifier_candidates,
 )
 from eqslice.pairing import pair, pair_grid
-from laurent_oracle import coprime_split_class, oracle_divexact, oracle_laurent_gcd, poly_divmod, poly_mod, poly_pow
+from laurent_oracle import coprime_split_class, oracle_divexact, oracle_divides, oracle_laurent_gcd, poly_divmod, poly_mod, poly_pow
 
 
 class Frac:
@@ -257,8 +256,8 @@ def factor_powers_fraction(T):
     out = []
     for f in gcd_free_basis(list(T.module.invariant_factors)):
         e, rest = 0, T.module.order
-        while divides(f, rest):
-            rest = divexact(rest, f)
+        while oracle_divides(f, rest):
+            rest = oracle_divexact(rest, f)
             e += 1
         out.append(poly_pow(f, e).monic_ordinary())
     return out
