@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .laurent import ONE, ZERO, same_classes
 from .matrices import LambdaMatrix, block_diag, mat_vec
-from .modules import ModuleElement, PresentedModule
+from .modules import ModuleElement, PresentedModule, _combine
 from .pairing import GramPairing, pair_values
 
 
@@ -40,26 +40,89 @@ class SemilinearMap:
         """is_well_defined of this map, decided once."""
         return is_well_defined(self)
 
+    @cached_property
+    def model_images(self) -> tuple[list[list[int]], int, int]:
+        """(W, c, v): W[i] = c * C^-v * phi(tau e_i), the vector of column i
+        on the module's rational model, for one positive integer c and one
+        exponent v (see modules._combine), made once for both axiom checks."""
+        return _combine(self.module.model, [self.matrix.col(i) for i in range(self.module.generators)])
+
 
 def is_well_defined(T: SemilinearMap) -> bool:
-    """Relation columns must map to zero in the module."""
+    """Relation columns must map to zero in the module.
+
+    On the rational model (Q^n with t acting by C, and phi the map from
+    Lambda^n whose kernel is the relation span; see
+    modules._RationalModel) let V hold the columns v_i = phi(tau e_i), so
+    phi(tau y) = sum_i y_i(C^-1) v_i.  tau is well defined iff C V C = V.
+    If so, C^-1 V = V C, so y_i(C^-1) V = V y_i(C) and
+    phi(tau y) = V phi(y) vanishes on ker phi.  Conversely, if it vanishes
+    there, phi(tau y) = U phi(y) for a matrix U, U = V on the unit
+    vectors, and tau(t y) = t^-1 tau(y) gives V C = C^-1 V.  _combine
+    makes W = c * C^-v * V, and C W C = W iff C V C = V, so the test is
+    num W num = scale^2 W, two integer matrix products in which zero
+    entries cost nothing (a swap is a permutation).  Without a model each
+    relation column's image is tested against the relation span.
+    """
     M = T.module
-    R = M.relations
-    for col in range(R.cols):
-        r = [R.entry(i, col).conjugate() for i in range(R.rows)]
-        if not ModuleElement(M, mat_vec(T.matrix, r)).is_zero():
+    model = M.model
+    if model is None:
+        R = M.relations
+        for col in range(R.cols):
+            r = [R.entry(i, col).conjugate() for i in range(R.rows)]
+            if not ModuleElement(M, mat_vec(T.matrix, r)).is_zero():
+                return False
+        return True
+    W, _, _ = T.model_images
+    # W * num column by column, then num times each column
+    square = model.scale**2
+    for j in range(model.n):
+        column = [0] * model.n
+        for k, w in enumerate(W):
+            a = model.num[k][j]
+            if a:
+                for r, x in enumerate(w):
+                    if x:
+                        column[r] += a * x
+        if model.times_t(column) != [square * x for x in W[j]]:
             return False
     return True
 
 
 def is_involutive(T: SemilinearMap) -> bool:
-    """tau composed with itself is the identity modulo relations."""
+    """tau composed with itself is the identity modulo relations.
+
+    tau(tau e_j) = sum_i conj(T_ij) tau(e_i), so on the rational model
+    (see is_well_defined) the test is x_j = e_j for every j, with
+    x_j = sum_i conj(T_ij)(C) v_i.  From W = c * C^-v * V, one more
+    _combine, over the columns of conj(T) and the vectors w_i, gives
+    G[j] = c2 * C^-v2 * sum_i conj(T_ij)(C) w_i = c * c2 * C^k * x_j, with
+    k = -v - v2 >= 0 the span of the exponents in T.  So x_j = e_j iff
+    scale^k * G[j] = c * c2 * num^k e_j, which stays right for a map that
+    is not well defined (for one that is, it reduces to W^2 = c^2 I).
+    Without a model the columns of T * conj(T) - I are tested against the
+    relation span.
+    """
     M = T.module
     n = M.generators
-    square = T.matrix * T.matrix.conjugate()
-    for j in range(n):
-        diff = tuple(square.entry(i, j) - (ONE if i == j else ZERO) for i in range(n))
-        if not ModuleElement(M, diff).is_zero():
+    model = M.model
+    if model is None:
+        square = T.matrix * T.matrix.conjugate()
+        for j in range(n):
+            diff = tuple(square.entry(i, j) - (ONE if i == j else ZERO) for i in range(n))
+            if not ModuleElement(M, diff).is_zero():
+                return False
+        return True
+    W, c, v = T.model_images
+    conj = T.matrix.conjugate()
+    G, c2, v2 = _combine(model, [conj.col(j) for j in range(n)], W)
+    k = -v - v2
+    lift = model.scale**k
+    for j, g in enumerate(G):
+        target = [c * c2 * int(i == j) for i in range(n)]
+        for _ in range(k):
+            target = model.times_t(target)
+        if [lift * x for x in g] != target:
             return False
     return True
 

@@ -7,8 +7,9 @@ exactly.  Units of the ring are the monomials c*t^k with c a nonzero
 rational; canonical forms below fix that ambiguity.  The fraction field
 itself is never formed: a value num/den is kept as a TorsionClass in one
 canonical form, which classes_over alone decides, in integers, for t^e
-times many numerators over one integer denominator.  The constructor is
-its one-element case.  A value that is only compared makes no class:
+times many numerators over one integer denominator; its first half,
+reduce_over, gives the same values as integer lists with no class made.
+The constructor is its one-element case.  A value that is only compared makes no class:
 same_class decides equality of two fractions by one integer divisibility.
 classes_over, same_class, the exact gcd, divides and divexact, the batch
 coprime_split, and the pairing's and the certificates' guards work on
@@ -527,47 +528,67 @@ TORSION_ZERO = object.__new__(TorsionClass)
 TORSION_ZERO.num, TORSION_ZERO.den = ZERO, ONE
 
 
-def classes_over(nums: Sequence[Sequence[int]], den: Sequence[int], e: int = 0) -> list[TorsionClass]:
-    """The canonical classes of t^e * f / den for f in nums, on integer
-    coefficient lists, lowest first: the one place a class's canonical form
-    is decided (see TorsionClass).
+def reduce_over(nums: Sequence[Sequence[int]], den: Sequence[int], e: int = 0) -> tuple[list[int], list[tuple[list[int], int]]]:
+    """(p, reduced): t^e * f / den = r / (s * p) in Q(t)/Lambda for each f
+    in nums and (r, s) in reduced, on integer coefficient lists, lowest
+    first, with p primitive with positive leading and nonzero constant
+    coefficient, len(r) <= deg p and s a nonzero integer; the first half of
+    classes_over, which makes each r / (s * p) canonical.
 
-    With den = g * t^v * p, g its content and p primitive of degree D with
-    leading coefficient L, the t^v moves into e and the monic p / L is
-    built once, for all the classes.  For 0 <= e < D each f is only
+    With den = g * t^v * p, g its content (signed so that p leads
+    positive), the t^v moves into e.  For 0 <= e < deg p each f is only
     shifted; any other e is made once, as t^e = w / s modulo p, in
     O(log |e|) products (_power_mod), and each f takes one product by w.  An
     integer pseudo-remainder r = L^k * f - q * p then reduces f to degree
-    below D, so the class's numerator is r / (g * s * L^(k+1)).  It is
-    canonical once r and p are coprime, which their images modulo _PRIME
-    certify; where they cannot (a factor shared over Q, an unlucky prime,
-    or L vanishing modulo it), laurent_gcd cancels the gcd exactly.
+    below deg p, and s is g * L^k times the scale of w.  A den of one term
+    gives p = [1] and every r empty.
     """
     support = [i for i, c in enumerate(den) if c]
     if not support:
         raise ZeroDivisionError("zero denominator")
     v, top = support[0], support[-1]
     if v == top:
-        return [TORSION_ZERO] * len(nums)
-    content = gcd(*den)
+        return [1], [([], 1)] * len(nums)
+    content = gcd(*den) if den[top] > 0 else -gcd(*den)
     p = [c // content for c in den[v : top + 1]]
-    L, e = p[-1], e - v
-    monic = LaurentPoly((j, Fraction(c, L)) for j, c in enumerate(p))
-    image = _image(p)
-    certifies = len(image) == len(p)
+    e -= v
     shift = 0 <= e < len(p) - 1
     w, s = ([1], 1) if shift else _inverse_t_power(p, -e) if e < 0 else _power_mod(p, [0, 1], 1, e)
-    out = []
+    L = p[-1]
+    reduced = []
     for f in nums:
         if not shift:
             f = list_dot([w], [f])
         elif e and f:
             f = [0] * e + list(f)
         r, k = _pseudo_remainder(f, p)
+        reduced.append((r, content * s * L**k))
+    return p, reduced
+
+
+def classes_over(nums: Sequence[Sequence[int]], den: Sequence[int], e: int = 0) -> list[TorsionClass]:
+    """The canonical classes of t^e * f / den for f in nums, on integer
+    coefficient lists, lowest first: the one place a class's canonical form
+    is decided (see TorsionClass).
+
+    reduce_over gives each as r / (s * p), deg r < deg p = D; the monic
+    p / L is built once, for all the classes, and the class's numerator is
+    r / (s * L).  It is canonical once r and p are coprime, which their
+    images modulo _PRIME certify; where they cannot (a factor shared over
+    Q, an unlucky prime, or L vanishing modulo it), laurent_gcd cancels the
+    gcd exactly.
+    """
+    p, reduced = reduce_over(nums, den, e)
+    L = p[-1]
+    monic = LaurentPoly((j, Fraction(c, L)) for j, c in enumerate(p))
+    image = _image(p)
+    certifies = len(image) == len(p)
+    out = []
+    for r, s in reduced:
         if not any(r):
             out.append(TORSION_ZERO)
             continue
-        scale = content * s * L ** (k + 1)
+        scale = s * L
         num, over = LaurentPoly((j, Fraction(c, scale)) for j, c in enumerate(r)), monic
         x = _image(r) if certifies else None
         if not x or not _coprime_images(image, x):

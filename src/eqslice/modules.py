@@ -14,7 +14,8 @@ module with a model takes the Smith form, with its unimodular transforms,
 on first use: a RationalBasis reads its cyclic block generators off it.
 
 The rational model is the one Krylov space: its integer arithmetic is the
-Horner sum _combine, which maps an element to its vector, and the
+Horner sum _combine, which maps elements to their vectors (and the
+involution's columns to theirs, for its axiom checks), and the
 fraction-free echelon step _reduce, which spins its chains.
 """
 from __future__ import annotations
@@ -107,7 +108,7 @@ class PresentedModule:
         if all(c.is_zero() for c in x.coeffs):
             return True
         if self.model is not None:
-            return not any(_combine(self.model, x.coeffs))
+            return not any(_combine(self.model, [x.coeffs])[0][0])
         return in_span(list(x.coeffs), self.relations, self.snf) is not None
 
     def __eq__(self, other) -> bool:
@@ -208,8 +209,9 @@ class _RationalModel:
         self.scale = d // g
 
     def times_t(self, v: list[int]) -> list[int]:
-        """num * v, that is scale * C * v."""
-        return [sum(a * b for a, b in zip(row, v) if b) for row in self.num]
+        """num * v, that is scale * C * v; zero entries of v cost nothing."""
+        nonzero = [(j, b) for j, b in enumerate(v) if b]
+        return [sum(row[j] * b for j, b in nonzero) for row in self.num]
 
     @cached_property
     def invariant_factors(self) -> tuple[LaurentPoly, ...]:
@@ -327,29 +329,44 @@ class _RationalModel:
         return [[columns[j][l] if l < len(columns[j]) else ZERO for j in range(k)] for l in range(k)]
 
 
-def _combine(model: _RationalModel, r: Sequence[LaurentPoly]) -> list[int]:
-    """The vector sum_j r_j(C) e_j of the element r, by Horner in t.
+def _combine(
+    model: _RationalModel, columns: Sequence[Sequence[LaurentPoly]], vectors: Sequence[list[int]] | None = None
+) -> tuple[list[list[int]], int, int]:
+    """(out, c, v) with out[k] = c * C^-v * sum_j columns[k][j](C) * vectors[j]
+    for every k, by one Horner in t over all the columns.
 
-    The result is that vector times t^-v, v the least exponent in r, and
-    times a positive integer that clears the denominators of r and the
-    scale of num; neither factor changes whether it is zero.
+    v is the least exponent in the columns and c a positive integer that
+    clears their denominators and the scale of num, both shared by every
+    column.  vectors default to the unit vectors, when out[k] stands for the
+    element columns[k] of the module: it is zero iff the element is.  A zero
+    coefficient costs nothing.
     """
-    out = [0] * model.n
-    nonzero = [e for e in r if not e.is_zero()]
-    if not nonzero:
-        return out
-    v = min(e.valuation() for e in nonzero)
-    # times_t multiplies by scale, so the terms added after k steps carry
-    # scale^k to keep one multiple throughout
-    mult = lcm(*(c.denominator for e in nonzero for _, c in e.items()))
-    for m in range(max(e.degree() for e in nonzero), v - 1, -1):
-        out = model.times_t(out)
-        for j, e in enumerate(r):
-            c = e.coefficient(m)
-            if c:
-                out[j] += c.numerator * (mult // c.denominator)
-        mult *= model.scale
-    return out
+    lists, m, v = integer_lists([e for column in columns for e in column])
+    terms, start = [], 0
+    for column in columns:
+        terms.append([(j, f) for j, f in enumerate(lists[start : start + len(column)]) if f])
+        start += len(column)
+    top = max((len(f) for column in terms for _, f in column), default=1)
+    out = [[0] * model.n for _ in columns]
+    # times_t multiplies by scale, so the terms added after i steps carry
+    # scale^i to keep one multiple throughout
+    weight = 1
+    for i in range(top - 1, -1, -1):
+        for k, column in enumerate(terms):
+            x = out[k] = model.times_t(out[k])
+            for j, f in column:
+                a = f[i] * weight if i < len(f) else 0
+                if not a:
+                    continue
+                if vectors is None:
+                    x[j] += a
+                else:
+                    for r, u in enumerate(vectors[j]):
+                        if u:
+                            x[r] += a * u
+        if i:
+            weight *= model.scale
+    return out, m * weight, v
 
 
 def _reduce(basis: dict[int, list[int]], v: list[int], width: int) -> tuple[list[int], int | None]:

@@ -2,9 +2,9 @@
 
 The pairing on the module presented by t*A - A^T is
     (x, y) -> (t - 1) * x^T (A - t A^T)^{-1} conj(y),
-with values in the torsion quotient.  The gram grid caches the classes of
-(t - 1) * (A - t A^T)^{-1} over the generators; sesquilinearity makes that
-grid determine the pairing everywhere.
+with values in the torsion quotient.  Its values on the generators, the
+entries of (t - 1) * (A - t A^T)^{-1}, determine it everywhere by
+sesquilinearity.
 
 With det A != 0 the inverse comes from the module's exponent mu, of
 degree d: A - t A^T = (I - t C) A with C = A^T A^-1, and mu(C) = 0 gives
@@ -14,16 +14,19 @@ model of the module computes it in integers, with d - 1 matrix products
 (see modules._RationalModel.inverse_pencil).  inverse_qt, which
 interpolates a determinant and adjugate of degree n, serves only det A = 0.
 Both routes give the inverse as F / den on integer coefficient lists, and
-one laurent.classes_over call makes every gram entry the TorsionClass of
-(t - 1) * f over den: the monic den is built once, and each class is
-certified in integers, without a gcd over Q unless the certificate fails.
+one laurent.reduce_over call reduces every (t - 1) * f modulo the
+primitive den, in integers, with no class made: the pairing is held as
+that integer form, and its canonical classes are built from it only when
+the gram is read (blanchfield, direct sums, negation).
 
 Values are summed over one common denominator, on integer coefficient
-lists: each pairing caches den, the lcm of the distinct denominators of its
-gram (a gram from classes_over has one, so no lcm is taken) as a primitive
-integer polynomial, and N, with gram = N / (scale * den) for one integer
-scale.  A value is the class of x^T N conj(y) over scale * den, the entries
-of x and of conj(y) cleared to integers by one scale and one power of t.
+lists: each pairing holds den, a primitive integer polynomial with a
+nonzero constant term, and N, with gram = N / (scale * den) for one integer
+scale.  gram_from_seifert makes them from the inverse; a pairing given by
+its classes takes den as the lcm of their denominators (one, and no lcm,
+when they share it).  A value is the class of x^T N conj(y) over
+scale * den, the entries of x and of conj(y) cleared to integers by one
+scale and one power of t.
 pair_values is the only evaluator, and no Laurent-polynomial one is kept:
 it pairs a list of elements against another on integer lists, forming
 each N * conj(y) once.  pair_grid makes its whole grid canonical by one
@@ -39,18 +42,19 @@ f of degree below D = deg den, den monic, to the t^(D-1) coefficient of f;
 that does not depend on the monic den chosen.  eps kills no nonzero
 submodule of Q(t)/Lambda: if f is not 0 mod den, the submodule f/den
 generates holds g/den for the monic g = gcd(f, den), of degree below D,
-and eps takes 1 on t^(D-1-deg g) g/den (Trotter 1973, Invent. Math. 20; Milnor 1969, Invent.
-Math. 8).  So for a Hermitian, well-defined pairing, x is in the kernel of
-the adjoint iff eps(pair(x, t^k y)) = 0 for every k and y, i.e. iff x is
-in the kernel of the Q-form eps(pair(-, -)), and the pairing is
-nonsingular iff that form's matrix over a Q-basis is invertible.  On any
-other gram the verdict means nothing.  eps is read off canonical classes,
-each over its own monic denominator: the gram's own when the generators
-are a Q-basis, pair_grid's on a RationalBasis otherwise.
+and eps takes 1 on t^(D-1-deg g) g/den (Trotter 1973, Invent. Math. 20;
+Milnor 1969, Invent. Math. 8).  So for a Hermitian, well-defined
+pairing, x is in the kernel of the adjoint iff eps(pair(x, t^k y)) = 0
+for every k and y, i.e. iff x is in the kernel of the Q-form
+eps(pair(-, -)), and the pairing is nonsingular iff that form's matrix
+over a Q-basis is invertible.  On any other gram the verdict means
+nothing.  When the generators are a Q-basis, eps is read off the integer
+form: N_ij / den is the proper representative over the monic
+den / den[D], so eps is N_ij[D - 1] / (scale * den[D]).  On a
+RationalBasis it is read off pair_grid's canonical classes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from math import gcd, lcm
 from operator import floordiv
@@ -67,28 +71,60 @@ from .laurent import (
     integer_lists,
     laurent_lcm,
     list_dot,
+    reduce_over,
     same_classes,
 )
 from .matrices import _eliminate, block_diag, inverse_qt, seifert_pencil
 from .modules import ModuleElement, PresentedModule, RationalBasis, from_seifert
 
 
-@dataclass(frozen=True)
 class GramPairing:
-    """Hermitian pairing on a presented module, cached on generator pairs."""
+    """Hermitian pairing on a presented module, given on generator pairs.
 
-    module: PresentedModule
-    gram: tuple[tuple[TorsionClass, ...], ...]
+    It is held in one of two forms, and the other is derived when read:
+    gram, the grid of canonical classes, or common, (den, N, scale) on
+    integer coefficient lists.  gram_from_seifert gives common, which every
+    check reads; its gram is a view that one classes_over call builds each
+    time it is read and that is not kept, so the pairing holds integer
+    lists only.  A pairing given by its classes (a direct sum, a negation)
+    derives common from them once.
+    """
+
+    def __init__(
+        self,
+        module: PresentedModule,
+        gram: tuple[tuple[TorsionClass, ...], ...] | None = None,
+        *,
+        common: tuple[list[int], list[list[list[int]]], int] | None = None,
+    ):
+        if (gram is None) == (common is None):
+            raise ValueError("a pairing is given by its gram or by its common form, not both")
+        self.module = module
+        self._gram = gram
+        if common is not None:
+            self.__dict__["common"] = common
+
+    @property
+    def gram(self) -> tuple[tuple[TorsionClass, ...], ...]:
+        """The canonical classes N[i][j] / (scale * den), by one classes_over
+        call when the pairing is held as common."""
+        if self._gram is not None:
+            return self._gram
+        den, N, scale = self.common
+        n = len(N)
+        classes = classes_over([f for row in N for f in row], [scale * c for c in den])
+        return tuple(tuple(classes[i * n : (i + 1) * n]) for i in range(n))
 
     @cached_property
     def common(self) -> tuple[list[int], list[list[list[int]]], int]:
         """(den, N, scale) on integer coefficient lists, lowest first, with
         gram[i][j] the class of N[i][j] / (scale * den).
 
-        den is the lcm of the gram denominators made primitive, so it has a
-        nonzero constant term, and every N[i][j] has degree below deg den.
+        den is primitive with a nonzero constant term, and every N[i][j]
+        has degree below deg den.  Derived here from a gram of classes,
+        den is the lcm of their denominators made primitive.
         """
-        classes = [g for row in self.gram for g in row]
+        classes = [g for row in self._gram for g in row]
         # only the zero class has den 1
         den, cofactors = _lcm_cofactors(frozenset(g.den for g in classes) - {ONE})
         # all ordinary, den with a nonzero constant term: one scale m, no t-power
@@ -100,7 +136,7 @@ class GramPairing:
             lists = {d: c for (d, _), c in zip(cofactors, N)}
             N = [f and (list_dot([f], [lists[g.den]]) if g.den in lists else [m * c for c in f]) for g, f in zip(classes, N[len(cofactors) :])]
             scale *= m
-        n = len(self.gram)
+        n = len(self._gram)
         return [c // content for c in den_list], [N[i * n : (i + 1) * n] for i in range(n)], scale
 
 
@@ -115,16 +151,19 @@ def _lcm_cofactors(dens: frozenset[LaurentPoly]) -> tuple[LaurentPoly, tuple[tup
 
 
 def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None = None) -> GramPairing:
-    """Gram grid of the pairing for an integer Seifert matrix.
+    """The pairing of an integer Seifert matrix, held as its common form.
 
     module, when given, is from_seifert(A).  With det A != 0 its rational
     model gives (A - t*A^T)^-1 = A^-1 * sum_(j<d) c_j(t)*C^j / rev mu(t)
     from the exponent mu of degree d (see _RationalModel.inverse_pencil).
     inverse_qt, which interpolates a degree-n determinant and adjugate,
     serves only det A = 0.  Both give the inverse as F / den, on integer
-    coefficient lists, and classes_over makes every gram entry the class of
-    (t - 1) * f / den at once; as deg (t - 1) * f <= deg den on the
-    exponent route, each takes one pseudo-remainder step.
+    coefficient lists, and laurent.reduce_over reduces every (t - 1) * f
+    modulo the primitive den at once, to r / (s * den); as
+    deg (t - 1) * f <= deg den on the exponent route, each takes one
+    pseudo-remainder step.  N[i][j] is r * (scale / s) over the lcm scale
+    of the s, a multiple of each, so the quotient keeps its sign.  No
+    canonical class is made; the gram is built from common when read.
     """
     if module is None:
         module = from_seifert(A)
@@ -134,9 +173,10 @@ def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None
         den, F = inverse_qt(-seifert_pencil(A).transpose())
     n = len(F)
     # (t - 1) * f on coefficient lists
-    classes = classes_over([[b - a for a, b in zip(f + [0], [0] + f)] for row in F for f in row], den)
-    gram = tuple(tuple(classes[i * n : (i + 1) * n]) for i in range(n))
-    return GramPairing(module=module, gram=gram)
+    den, reduced = reduce_over([[b - a for a, b in zip(f + [0], [0] + f)] for row in F for f in row], den)
+    scale = lcm(*(s for _, s in reduced))
+    N = [[c * (scale // s) for c in r] if any(r) else [] for r, s in reduced]
+    return GramPairing(module, common=(den, [N[i * n : (i + 1) * n] for i in range(n)], scale))
 
 
 def pair_values(B: GramPairing, xs: Sequence[ModuleElement], ys: Sequence[ModuleElement]) -> tuple[list[list[int]], list[int], int]:
@@ -215,27 +255,31 @@ def check_nonsingular(B: GramPairing) -> bool:
     B must be Hermitian and well defined (check_hermitian,
     vanishes_on_relations).  The verdict is det E != 0 for
     E_kl = eps(pair(b_k, b_l)) over a Q-basis b of the module (see the
-    module docstring).  With a rational model the generators are a Q-basis
-    and E is read off the gram's classes; any other module takes a
-    RationalBasis.  Each row of E is cleared to integers, which does not
-    change whether det E vanishes, and one fraction-free elimination
-    decides it.
+    module docstring).  With a rational model the generators are a Q-basis,
+    and E is read off common: N_kl / den, with den(0) != 0 and
+    deg N_kl < D = deg den, is the proper representative over the monic
+    den / den[D], so eps(gram_kl) = N_kl[D - 1] / (scale * den[D]), and E
+    is the integer matrix of the N_kl[D - 1] up to one nonzero factor.  Any
+    other module takes a RationalBasis and reads eps off pair_grid's
+    classes, each row of E cleared to integers, which does not change
+    whether det E vanishes.  One fraction-free elimination decides it.
     """
     module = B.module
     if not module.is_torsion:
         return False
     if module.model is not None:
-        grid = B.gram
+        den, N, _ = B.common
+        D = len(den) - 1
+        rows = [[f[D - 1] if 0 < D == len(f) else 0 for f in row] for row in N]
     else:
         basis = RationalBasis(module)
         xs = [basis.basis_element(k) for k in range(basis.dimension)]
-        grid = pair_grid(B, xs, xs)
-    E = [[g.num.coefficient(g.den.degree() - 1) for g in row] for row in grid]
-    # each row cleared to integers: a positive row scaling keeps det E != 0
-    rows = []
-    for row in E:
-        m = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (m // x.denominator) for x in row])
+        rows = []
+        for row in pair_grid(B, xs, xs):
+            E = [g.num.coefficient(g.den.degree() - 1) for g in row]
+            # a positive row scaling keeps det E != 0
+            m = lcm(*(x.denominator for x in E))
+            rows.append([x.numerator * (m // x.denominator) for x in E])
     return _eliminate(rows, 0, 1, floordiv, abs)[0] != 0
 
 

@@ -75,12 +75,18 @@ def check_cases():
             yield f"swap dense g{genus} #{i}", swap_double_of(dense_seifert(genus, rng), f"swap_g{genus}_{i}")
 
 
-def seeded_swap_doubles():
-    """(label, triple): the swap doubles of the benchmark's swap_doubles
-    workload at seed 0, 15 of genus 1 and 45 of genus 2, drawn as
-    bench/workloads.py draws them, then its genus-3 probe."""
+def seeded_swap_matrices():
+    """(label, name, A): the Seifert matrices of the benchmark's
+    swap_doubles workload at seed 0, 15 of genus 1 and 45 of genus 2, drawn
+    as bench/workloads.py draws them, then its genus-3 probe."""
     rng = random.Random("swap_doubles:0")
     for genus, count in ((1, 15), (2, 45)):
         for i in range(count):
-            yield f"swap g{genus} #{i}", swap_double_of(dense_seifert(genus, rng), f"swap_g{genus}_{i}")
-    yield "swap g3 probe", swap_double_of(dense_seifert(3, random.Random("swap_doubles:probe:0")), "swap_g3_0")
+            yield f"swap g{genus} #{i}", f"swap_g{genus}_{i}", swap_double(dense_seifert(genus, rng))
+    yield "swap g3 probe", "swap_g3_0", swap_double(dense_seifert(3, random.Random("swap_doubles:probe:0")))
+
+
+def seeded_swap_doubles():
+    """(label, triple): the triples of seeded_swap_matrices."""
+    for label, name, A in seeded_swap_matrices():
+        yield label, assemble(KnotSpec(name=name, seifert=A, involution="swap"))

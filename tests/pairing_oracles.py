@@ -9,8 +9,10 @@ part-by-part certificate sum that tau_quadratic and evaluate_certificate
 replaced, the block-by-block Fraction certificate (tau_parts_fraction,
 certify_k0_fraction) that tau_quadratic and certify_k0 made before they
 worked on integer lists, the block-by-block swap check that the library
-replaced, and the batched conjugation the Hermitian and anti-isometry
-checks used before they compared values without canonical classes.
+replaced, the batched conjugation the Hermitian and anti-isometry
+checks used before they compared values without canonical classes, and
+the eager gram of canonical classes and the class-based nonsingularity
+check that the pairing's integer form replaced.
 """
 from fractions import Fraction
 from functools import reduce
@@ -29,7 +31,7 @@ from eqslice.laurent import (
     integer_lists,
     laurent_lcm,
 )
-from eqslice.matrices import LambdaMatrix, SingularMatrixError, in_span, seifert_pencil, snf
+from eqslice.matrices import LambdaMatrix, SingularMatrixError, in_span, inverse_qt, seifert_pencil, snf
 from eqslice.modules import RationalBasis
 from eqslice.obstruction import (
     CERTIFIED_K0,
@@ -158,25 +160,24 @@ def conjugates(xs):
 
 def pair_per_term(B, x, y):
     """sum over i, j of gram[i][j] * x_i * conj(y_j), one torsion class per term."""
-    n = B.module.generators
+    n, gram = B.module.generators, B.gram
     acc = TORSION_ZERO
     for j in range(n):
         cj = y.coeffs[j].conjugate()
         for i in range(n):
-            acc = class_add(acc, class_scale(B.gram[i][j], x.coeffs[i] * cj))
+            acc = class_add(acc, class_scale(gram[i][j], x.coeffs[i] * cj))
     return acc
 
 
 def vanishes_per_term(B):
     """gram * conj(r) is the zero class for every relation column r."""
-    R = B.module.relations
-    n = B.module.generators
+    R, n, gram = B.module.relations, B.module.generators, B.gram
     for col in range(R.cols):
         r = [R.entry(i, col).conjugate() for i in range(n)]
         for i in range(n):
             acc = TORSION_ZERO
             for j in range(n):
-                acc = class_add(acc, class_scale(B.gram[i][j], r[j]))
+                acc = class_add(acc, class_scale(gram[i][j], r[j]))
             if not acc.is_zero():
                 return False
     return True
@@ -468,3 +469,50 @@ def swap_by_block_smith_forms(M):
         entries[i][h + i] = ONE
         entries[h + i][i] = ONE
     return LambdaMatrix(entries)
+
+
+def eager_gram(A, module):
+    """The gram as gram_from_seifert made it before it kept the integer
+    form: one classes_over call over the inverse's den, on the model's
+    exponent route or, for det A = 0, inverse_qt's."""
+    if module.model is not None:
+        den, F = module.model.inverse_pencil()
+    else:
+        den, F = inverse_qt(-seifert_pencil(A).transpose())
+    n = len(F)
+    classes = classes_over([[b - a for a, b in zip(f + [0], [0] + f)] for row in F for f in row], den)
+    return tuple(tuple(classes[i * n : (i + 1) * n]) for i in range(n))
+
+
+def fraction_rank(rows):
+    """The rank of a matrix of rationals, by Fraction Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank, width = 0, len(rows[0]) if rows else 0
+    for c in range(width):
+        p = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def eps_nonsingular(B):
+    """check_nonsingular as it read eps off canonical classes: the t^(D-1)
+    coefficient of each class over its own monic denominator, on the gram
+    when the module has a rational model and on pair_grid over a
+    RationalBasis otherwise; det E != 0 by Fraction elimination."""
+    module = B.module
+    if not module.is_torsion:
+        return False
+    if module.model is not None:
+        grid = B.gram
+    else:
+        basis = RationalBasis(module)
+        xs = [basis.basis_element(k) for k in range(basis.dimension)]
+        grid = pair_grid(B, xs, xs)
+    E = [[g.num.coefficient(g.den.degree() - 1) for g in row] for row in grid]
+    return fraction_rank(E) == len(E)

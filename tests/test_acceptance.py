@@ -7,12 +7,9 @@ to see the per-criterion lines.
 import random
 from fractions import Fraction
 
-import pytest
-
 from eqslice.catalog import assemble, build, builtin, sum_specs
 from eqslice.involution import is_involutive, is_well_defined, verify_anti_isometry
 from eqslice.laurent import (
-    ONE,
     ZERO,
     LaurentPoly,
     TorsionClass,
@@ -24,8 +21,6 @@ from eqslice.laurent import (
 from eqslice.matrices import LambdaMatrix, det, in_span, kernel, mat_vec, snf
 from eqslice.modules import (
     PresentedModule,
-    direct_sum,
-    from_seifert,
     submodule_presentation,
 )
 from eqslice.obstruction import (

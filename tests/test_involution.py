@@ -14,7 +14,7 @@ from eqslice.involution import (
 from eqslice.laurent import ONE, ZERO, LaurentPoly, parse_poly
 from eqslice.matrices import LambdaMatrix
 from eqslice.modules import PresentedModule, direct_sum, from_seifert
-from eqslice.pairing import direct_sum_pairing, gram_from_seifert, negate_pairing, pair
+from eqslice.pairing import direct_sum_pairing, gram_from_seifert, negate_pairing
 from pairing_oracles import swap_by_block_smith_forms
 from cases import check_cases, identity
 

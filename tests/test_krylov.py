@@ -101,4 +101,39 @@ def test_combine_over_the_model(seed):
         expected = [e + sum(a * b for a, b in zip(row, v)) for e, row in zip(expected, power)]
         power = mat_mul(C, power)
     assert any(expected)
-    assert positive_multiple(_combine(model, coeffs), expected)
+    (out,), _, _ = _combine(model, [coeffs])
+    assert positive_multiple(out, expected)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_combine_batch_over_vectors(seed):
+    # out[k] = c * C^-v * sum_j columns[k][j](C) * vectors[j] exactly, with
+    # one c > 0 and one v, the least exponent, for every column
+    rng = random.Random(100 + seed)
+    model = None
+    while model is None:
+        A = dense_seifert(rng.choice([1, 2]), rng)
+        model = from_seifert(A).model
+    n = len(A)
+    C = mat_mul([list(col) for col in zip(*A)], fraction_inverse(A))
+    vectors = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n + 1)]
+    columns = [
+        [random_poly(rng, rng.randint(-3, 1), rng.randint(1, 3)) if rng.random() < 0.7 else LaurentPoly() for _ in vectors]
+        for _ in range(3)
+    ]
+    for given in (vectors, None):
+        width = len(given) if given else n
+        cols = [column[:width] for column in columns]
+        out, c, v = _combine(model, cols, given)
+        assert c > 0 and v == min(e.valuation() for column in cols for e in column if not e.is_zero())
+        for column, got in zip(cols, out):
+            expected = [Fraction(0)] * n
+            for j, e in enumerate(column):
+                u = given[j] if given else [int(i == j) for i in range(n)]
+                for k, a in e.items():
+                    # a * C^(k - v) * u
+                    w = [Fraction(x) for x in u]
+                    for _ in range(k - v):
+                        w = [sum(x * y for x, y in zip(row, w)) for row in C]
+                    expected = [x + a * y for x, y in zip(expected, w)]
+            assert got == [c * x for x in expected]

@@ -8,7 +8,6 @@ from eqslice.laurent import (
     ZERO,
     LaurentPoly,
     divexact,
-    divides,
     laurent_gcd,
     parse_poly,
     unit_equal,

@@ -33,7 +33,7 @@ from eqslice.pairing import (
 )
 from eqslice.witt import EquivariantTriple, validate
 from cases import CATALOG_GRID, SINGULAR_DENSE, check_cases, dense_seifert, identity, swap_double
-from pairing_oracles import class_add, class_conjugate, class_scale
+from pairing_oracles import class_add, class_conjugate, class_scale, eps_nonsingular
 
 
 def kernel_oracle(B):
@@ -247,6 +247,17 @@ def verdicts(family):
 def test_agrees_with_kernel_oracle(family):
     assert verdicts(family)
     disagree = [(label, new, old) for _, label, new, old in verdicts(family) if new != old]
+    assert not disagree
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_eps_from_the_integer_form_agrees_with_the_class_based_eps(family):
+    # the model route reads eps off common (held by gram_from_seifert,
+    # derived from the classes of a crafted gram); the oracle reads it off
+    # canonical classes
+    cases = [(label, B) for label, B in FAMILIES[family]() if check_hermitian(B) and vanishes_on_relations(B)]
+    assert cases
+    disagree = [label for label, B in cases if check_nonsingular(B) != eps_nonsingular(B)]
     assert not disagree
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from eqslice.catalog import assemble, builtin, sum_specs
-from eqslice.laurent import ONE, TORSION_ZERO, ZERO, LaurentPoly, TorsionClass, classes_over, parse_poly, unit_equal
+from eqslice.laurent import ONE, TORSION_ZERO, ZERO, LaurentPoly, TorsionClass, classes_over, parse_poly
 from eqslice.obstruction import (
     CERTIFIED_K0,
     COUNTEREXAMPLE,
@@ -30,8 +30,8 @@ from eqslice.obstruction import (
 )
 from eqslice.involution import SemilinearMap
 from eqslice.matrices import LambdaMatrix
-from eqslice.pairing import pair, pair_grid, pair_values
-from eqslice.witt import EquivariantTriple, triple_sum, negate, validate
+from eqslice.pairing import pair, pair_grid
+from eqslice.witt import EquivariantTriple, triple_sum, validate
 from pairing_oracles import (
     class_add,
     certify_k0_fraction,
@@ -393,6 +393,25 @@ class TestBlockShift:
         # the counter sees a class made through the constructor
         TorsionClass(ONE, parse_poly("t - 2"))
         assert calls == [1]
+
+    @pytest.mark.parametrize("spec", [builtin("swap_double", inner="nine46"), sum_specs([builtin("nine46")] * 4)], ids=["swap double", "nine46 x4"])
+    def test_assemble_and_certificate_build_no_gram_classes(self, monkeypatch, spec):
+        # the pairing is held as integer lists from the inverse pencil, and
+        # validate reads them, so assemble makes no canonical class; the
+        # certificate makes none either, except the counterexample's one
+        # confirming value, pair(x, tau x)
+        calls = []
+
+        def counting(nums, den, e=0):
+            calls.append(len(nums))
+            return classes_over(nums, den, e)
+
+        monkeypatch.setattr("eqslice.pairing.classes_over", counting)
+        T = assemble(spec)
+        assert calls == []
+        verdict = certify_k0(T).verdict
+        assert calls == ([1] if verdict == COUNTEREXAMPLE else [])
+        assert verdict == (COUNTEREXAMPLE if spec.involution == "swap" else CERTIFIED_K0)
 
 class TestIntegerForms:
     """Each part stores its forms as integer layers over one denominator q;

@@ -14,7 +14,7 @@ import pytest
 import eqslice.involution
 import eqslice.matrices
 import eqslice.modules
-from eqslice.catalog import assemble, build, builtin
+from eqslice.catalog import assemble, build, builtin, sum_specs
 from eqslice.cli import main
 from eqslice.involution import SemilinearMap
 from eqslice.laurent import ONE, ZERO, LaurentPoly, parse_poly
@@ -22,7 +22,7 @@ from eqslice.matrices import LambdaMatrix, block_diag, in_span, mat_vec, snf
 from eqslice.modules import from_seifert
 from eqslice.pairing import check_nonsingular, gram_from_seifert
 
-from cases import CATALOG_GRID, dense_seifert, swap_double
+from cases import CATALOG_GRID, check_cases, dense_seifert, seeded_swap_doubles, swap_double
 from laurent_oracle import poly_pow
 
 # C has one Jordan block of t^2 - 3t + 1 while e_0 spans a chain of degree
@@ -186,6 +186,50 @@ def test_involution_axioms_match_in_span(name, params):
     x = T.module.element([random_poly(rng) for _ in range(T.module.generators)])
     assert (T.apply(T.apply(x)) - x).is_zero()
     assert not (T.apply(x) - x - T.module.generator(0)).is_zero()
+
+
+def workload_maps():
+    """(label, map): for each triple of check_cases, the benchmark's seed-0
+    swap doubles and sums of nine46 and genus_one_slice:m=3,l=5, its
+    involution, the identity, t*I, the entrywise conjugate of its matrix,
+    p*T for a seeded p (well defined, and involutive only where
+    p*conj(p) acts as 1) and four seeded one-entry perturbations."""
+    rng = random.Random(77)
+    triples = [*check_cases(), *seeded_swap_doubles()]
+    for name, params in (("nine46", {}), ("genus_one_slice", {"m": 3, "l": 5})):
+        for k in (2, 3, 4):
+            triples.append((f"{name}{params} x{k}", assemble(sum_specs([builtin(name, **params)] * k))))
+    t = LaurentPoly({1: 1})
+    for label, T in triples:
+        tau = T.involution
+        M, entries = tau.module, tau.matrix.to_lists()
+        n = M.generators
+        p = random_poly(rng, -1, 1)
+        yield label, tau
+        yield f"{label} identity", SemilinearMap(M, LambdaMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)]))
+        yield f"{label} t*I", SemilinearMap(M, LambdaMatrix([[t if i == j else ZERO for j in range(n)] for i in range(n)]))
+        yield f"{label} conjugate", SemilinearMap(M, tau.matrix.conjugate())
+        yield f"{label} p*T", SemilinearMap(M, LambdaMatrix([[p * e for e in row] for row in entries]))
+        for k in range(4):
+            bumped = [list(row) for row in entries]
+            i, j = rng.randrange(n), rng.randrange(n)
+            bumped[i][j] = bumped[i][j] + random_poly(rng, -1, 1)
+            yield f"{label} bump {k} at ({i},{j})", SemilinearMap(M, LambdaMatrix(bumped))
+
+
+def test_model_axioms_match_in_span_on_workload_maps():
+    # is_well_defined and is_involutive decide on the rational model by
+    # integer matrix identities; the oracles test each column against the
+    # relation span through the Smith form
+    verdicts = []
+    for label, tau in workload_maps():
+        assert tau.module.model is not None, label
+        got = (eqslice.involution.is_well_defined(tau), eqslice.involution.is_involutive(tau))
+        assert got == (oracle_well_defined(tau), oracle_involutive(tau)), label
+        verdicts.append(got)
+    assert len(verdicts) >= 700
+    assert verdicts.count((True, False)) >= 30
+    assert {(True, True), (False, False), (False, True)} <= set(verdicts)
 
 
 @pytest.fixture

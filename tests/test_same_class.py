@@ -169,17 +169,19 @@ class TestIntegerGcd:
 
 def hermitian_by_classes(B):
     """The canonical route: every conjugate made a class and compared."""
-    n = len(B.gram)
+    gram = B.gram
+    n = len(gram)
     upper = [(i, j) for i in range(n) for j in range(i, n)]
-    conj = conjugates([B.gram[i][j] for i, j in upper])
-    return all(B.gram[j][i] == c for (i, j), c in zip(upper, conj))
+    conj = conjugates([gram[i][j] for i, j in upper])
+    return all(gram[j][i] == c for (i, j), c in zip(upper, conj))
 
 
 def anti_isometric_by_classes(T, B):
     n = T.module.generators
     images = [ModuleElement(T.module, T.matrix.col(i)) for i in range(n)]
     conj = conjugates([g for row in pair_grid(B, images, images) for g in row])
-    return all(B.gram[i][j] == conj[i * n + j] for i in range(n) for j in range(n))
+    gram = B.gram
+    return all(gram[i][j] == conj[i * n + j] for i in range(n) for j in range(n))
 
 
 def with_entry(B, i, j, x):
