@@ -15,18 +15,17 @@ model of the module computes it in integers, with d - 1 matrix products
 interpolates a determinant and adjugate of degree n, serves only det A = 0.
 Both routes give the inverse as F / den on integer coefficient lists, and
 one laurent.reduce_over call reduces every (t - 1) * f modulo the
-primitive den, in integers, with no class made: the pairing is held as
-that integer form, and its canonical classes are built from it only when
-the gram is read (blanchfield, direct sums, negation).
+primitive den, in integers, with no class made.
 
-Values are summed over one common denominator, on integer coefficient
-lists: each pairing holds den, a primitive integer polynomial with a
-nonzero constant term, and N, with gram = N / (scale * den) for one integer
-scale.  gram_from_seifert makes them from the inverse; a pairing given by
-its classes takes den as the lcm of their denominators (one, and no lcm,
-when they share it).  A value is the class of x^T N conj(y) over
-scale * den, the entries of x and of conj(y) cleared to integers by one
-scale and one power of t.
+A pairing has one form, common = (den, N, scale) on integer coefficient
+lists: den primitive with a nonzero constant term, every N[i][j] of degree
+below deg den, and gram[i][j] the class of N[i][j] / (scale * den) for one
+integer scale.  gram_from_seifert divides the content of (N, scale) out;
+negation is (den, -N, scale), and a block sum puts both blocks over the
+lcm of their dens (their den, when they share it) by exact integer
+cofactors.  The canonical classes are a view, built only when the gram is
+read.  A value is the class of x^T N conj(y) over scale * den, the entries
+of x and of conj(y) cleared to integers by one scale and one power of t.
 pair_values is the only evaluator, and no Laurent-polynomial one is kept:
 it pairs a list of elements against another on integer lists, forming
 each N * conj(y) once.  pair_grid makes its whole grid canonical by one
@@ -55,19 +54,16 @@ RationalBasis it is read off pair_grid's canonical classes.
 """
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
 from math import gcd, lcm
 from operator import floordiv
 from typing import Sequence
 
 from .laurent import (
-    ONE,
-    TORSION_ZERO,
     LaurentPoly,
     TorsionClass,
+    _pseudo_divide,
     _pseudo_remainder,
     classes_over,
-    divexact,
     integer_lists,
     laurent_lcm,
     list_dot,
@@ -79,75 +75,25 @@ from .modules import ModuleElement, PresentedModule, RationalBasis, from_seifert
 
 
 class GramPairing:
-    """Hermitian pairing on a presented module, given on generator pairs.
-
-    It is held in one of two forms, and the other is derived when read:
-    gram, the grid of canonical classes, or common, (den, N, scale) on
-    integer coefficient lists.  gram_from_seifert gives common, which every
-    check reads; its gram is a view that one classes_over call builds each
-    time it is read and that is not kept, so the pairing holds integer
-    lists only.  A pairing given by its classes (a direct sum, a negation)
-    derives common from them once.
+    """Hermitian pairing on a presented module, given on generator pairs by
+    common = (den, N, scale) on integer coefficient lists, lowest first:
+    den is primitive with a nonzero constant term, every N[i][j] has degree
+    below deg den, and the pairing of generators i and j is the class of
+    N[i][j] / (scale * den).  Every check reads common; gram is a view.
     """
 
-    def __init__(
-        self,
-        module: PresentedModule,
-        gram: tuple[tuple[TorsionClass, ...], ...] | None = None,
-        *,
-        common: tuple[list[int], list[list[list[int]]], int] | None = None,
-    ):
-        if (gram is None) == (common is None):
-            raise ValueError("a pairing is given by its gram or by its common form, not both")
+    def __init__(self, module: PresentedModule, common: tuple[list[int], list[list[list[int]]], int]):
         self.module = module
-        self._gram = gram
-        if common is not None:
-            self.__dict__["common"] = common
+        self.common = common
 
     @property
     def gram(self) -> tuple[tuple[TorsionClass, ...], ...]:
         """The canonical classes N[i][j] / (scale * den), by one classes_over
-        call when the pairing is held as common."""
-        if self._gram is not None:
-            return self._gram
+        call each time it is read; the pairing keeps integer lists only."""
         den, N, scale = self.common
         n = len(N)
         classes = classes_over([f for row in N for f in row], [scale * c for c in den])
         return tuple(tuple(classes[i * n : (i + 1) * n]) for i in range(n))
-
-    @cached_property
-    def common(self) -> tuple[list[int], list[list[list[int]]], int]:
-        """(den, N, scale) on integer coefficient lists, lowest first, with
-        gram[i][j] the class of N[i][j] / (scale * den).
-
-        den is primitive with a nonzero constant term, and every N[i][j]
-        has degree below deg den.  Derived here from a gram of classes,
-        den is the lcm of their denominators made primitive.
-        """
-        classes = [g for row in self._gram for g in row]
-        # only the zero class has den 1
-        den, cofactors = _lcm_cofactors(frozenset(g.den for g in classes) - {ONE})
-        # all ordinary, den with a nonzero constant term: one scale m, no t-power
-        (den_list, *N), m, _ = integer_lists([den, *(c for _, c in cofactors), *(g.num for g in classes)])
-        content = gcd(*den_list)
-        scale = content
-        if cofactors:
-            # num / d = num * (den / d) / den, over m * den_list
-            lists = {d: c for (d, _), c in zip(cofactors, N)}
-            N = [f and (list_dot([f], [lists[g.den]]) if g.den in lists else [m * c for c in f]) for g, f in zip(classes, N[len(cofactors) :])]
-            scale *= m
-        n = len(self._gram)
-        return [c // content for c in den_list], [N[i * n : (i + 1) * n] for i in range(n)], scale
-
-
-@lru_cache(maxsize=256)
-def _lcm_cofactors(dens: frozenset[LaurentPoly]) -> tuple[LaurentPoly, tuple[tuple[LaurentPoly, LaurentPoly], ...]]:
-    """(den, cofactors): den the lcm of the monic denominators dens (1 for
-    none), and (d, den / d) for each d other than den.  A gram from
-    classes_over has one denominator; the grams of a block sum repeat one
-    set of them, hence the cache."""
-    den = reduce(laurent_lcm, dens) if dens else ONE
-    return den, tuple((d, divexact(den, d)) for d in dens if d != den)
 
 
 def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None = None) -> GramPairing:
@@ -162,8 +108,10 @@ def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None
     modulo the primitive den at once, to r / (s * den); as
     deg (t - 1) * f <= deg den on the exponent route, each takes one
     pseudo-remainder step.  N[i][j] is r * (scale / s) over the lcm scale
-    of the s, a multiple of each, so the quotient keeps its sign.  No
-    canonical class is made; the gram is built from common when read.
+    of the s, a multiple of each, so the quotient keeps its sign.  The
+    content den and F share, large on the exponent route, is divided out
+    before the reduction and any content of (N, scale) left after it, so
+    every step runs on small integers.  No canonical class is made.
     """
     if module is None:
         module = from_seifert(A)
@@ -172,11 +120,15 @@ def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None
     else:
         den, F = inverse_qt(-seifert_pencil(A).transpose())
     n = len(F)
-    # (t - 1) * f on coefficient lists
-    den, reduced = reduce_over([[b - a for a, b in zip(f + [0], [0] + f)] for row in F for f in row], den)
+    g = gcd(*den, *(c for row in F for f in row for c in f))
+    # (t - 1) * f / g on coefficient lists
+    den, reduced = reduce_over([[(b - a) // g for a, b in zip(f + [0], [0] + f)] for row in F for f in row], [c // g for c in den])
     scale = lcm(*(s for _, s in reduced))
     N = [[c * (scale // s) for c in r] if any(r) else [] for r, s in reduced]
-    return GramPairing(module, common=(den, [N[i * n : (i + 1) * n] for i in range(n)], scale))
+    g = gcd(scale, *(c for f in N for c in f))
+    if g > 1:
+        N = [[c // g for c in f] for f in N]
+    return GramPairing(module, (den, [N[i * n : (i + 1) * n] for i in range(n)], scale // g))
 
 
 def pair_values(B: GramPairing, xs: Sequence[ModuleElement], ys: Sequence[ModuleElement]) -> tuple[list[list[int]], list[int], int]:
@@ -184,11 +136,11 @@ def pair_values(B: GramPairing, xs: Sequence[ModuleElement], ys: Sequence[Module
     on integer coefficient lists, lowest first, forming each N * conj(y)
     once.
 
-    The one place the pairing is evaluated, from the cached
-    (den, N, scale): the entries of all xs are cleared to integers by one
-    scale and one power of t, and so are those of all conj(y), so every
-    value is t^e * x^T N conj(y) / (c * den) for one exponent e and one
-    integer c, and H = c * den keeps den's nonzero constant term.
+    The one place the pairing is evaluated, from common: the entries of
+    all xs are cleared to integers by one scale and one power of t, and so
+    are those of all conj(y), so every value is t^e * x^T N conj(y) /
+    (c * den) for one exponent e and one integer c, and H = c * den keeps
+    den's nonzero constant term.
     """
     n = B.module.generators
     if any(len(v.coeffs) != n for v in (*xs, *ys)):
@@ -284,11 +236,28 @@ def check_nonsingular(B: GramPairing) -> bool:
 
 
 def direct_sum_pairing(B1: GramPairing, B2: GramPairing, module: PresentedModule) -> GramPairing:
-    return GramPairing(module=module, gram=block_diag([B1.gram, B2.gram], TORSION_ZERO))
+    """The block sum of B1 and B2 on module, the direct_sum of their modules:
+    block i is N_i * (den / den_i) * (scale / scale_i) over den, the lcm of
+    the two dens (their den, when they share it), and scale, the lcm of the
+    two scales.  The dens are primitive, so by Gauss's lemma den / den_i is
+    integral, _pseudo_divide's quotient over L_i^k (L_i = den_i's leading
+    coefficient), and a sum of content-free forms is content-free.
+    """
+    (d1, N1, s1), (d2, N2, s2) = B1.common, B2.common
+    den = d1
+    if d1 != d2:
+        # the monic lcm cleared by the lcm of its denominators is primitive
+        (den,), _, _ = integer_lists([laurent_lcm(LaurentPoly(enumerate(d1)), LaurentPoly(enumerate(d2)))])
+    scale = lcm(s1, s2)
+    blocks = []
+    for d, N, s in ((d1, N1, s1), (d2, N2, s2)):
+        q, _, k = _pseudo_divide(den, d)
+        cofactor = [c // d[-1] ** k * (scale // s) for c in q]
+        blocks.append([[list_dot([f], [cofactor]) for f in row] for row in N])
+    return GramPairing(module, (den, [list(row) for row in block_diag(blocks, [])], scale))
 
 
 def negate_pairing(B: GramPairing) -> GramPairing:
-    return GramPairing(
-        module=B.module,
-        gram=tuple(tuple(-g for g in row) for row in B.gram),
-    )
+    """-B on B's module: (den, -N, scale)."""
+    den, N, scale = B.common
+    return GramPairing(B.module, (den, [[[-c for c in f] for f in row] for row in N], scale))

@@ -12,11 +12,12 @@ worked on integer lists, the block-by-block swap check that the library
 replaced, the batched conjugation the Hermitian and anti-isometry
 checks used before they compared values without canonical classes, and
 the eager gram of canonical classes and the class-based nonsingularity
-check that the pairing's integer form replaced.
+check that the pairing's integer form replaced, and pairing_from_gram, the
+pairing of a grid of classes, for pairings built by hand.
 """
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 
 from eqslice.laurent import (
     ONE,
@@ -41,7 +42,7 @@ from eqslice.obstruction import (
     CoprimePart,
     _falsifier_candidates,
 )
-from eqslice.pairing import pair, pair_grid
+from eqslice.pairing import GramPairing, pair, pair_grid
 from laurent_oracle import coprime_split_class, oracle_divexact, oracle_divides, oracle_laurent_gcd, poly_divmod, poly_mod, poly_pow
 
 
@@ -156,6 +157,18 @@ def conjugates(xs):
         for i, x in zip(members, classes_over(nums, rev)):
             out[i] = x
     return out
+
+
+def pairing_from_gram(module, gram):
+    """The GramPairing on module whose gram is the given grid of classes:
+    den is the lcm of their denominators, each numerator is put over it by
+    its cofactor, and one integer_lists call clears them all to integers."""
+    classes = [g for row in gram for g in row]
+    den = reduce(laurent_lcm, {g.den for g in classes}, ONE)
+    (den_list, *N), _, _ = integer_lists([den, *(g.num * divexact(den, g.den) for g in classes)])
+    content = gcd(*den_list)
+    n = len(gram)
+    return GramPairing(module, ([c // content for c in den_list], [N[i * n : (i + 1) * n] for i in range(n)], content))
 
 
 def pair_per_term(B, x, y):

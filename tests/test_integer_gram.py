@@ -7,7 +7,9 @@ tests/pairing_oracles.py: eager_gram makes every class at once with
 classes_over, and eps_nonsingular reads eps off canonical classes.  The
 cases are the catalog grid, n-fold sums of nine46 and genus_one_slice:m=3,l=5,
 the benchmark's seed-0 swap doubles, dense draws of genus 2 to 8 and
-SINGULAR_DENSE, which takes the interpolated inverse.
+SINGULAR_DENSE, which takes the interpolated inverse.  The integer form is
+also checked to be content-free, after negation and block sums too, and its
+trace form to stay small on a dense genus-14 draw.
 """
 import random
 from functools import lru_cache
@@ -18,8 +20,8 @@ import pytest
 import eqslice.laurent
 import eqslice.pairing
 from eqslice.catalog import builtin, sum_specs
-from eqslice.modules import from_seifert
-from eqslice.pairing import check_nonsingular, gram_from_seifert
+from eqslice.modules import direct_sum, from_seifert
+from eqslice.pairing import check_nonsingular, direct_sum_pairing, gram_from_seifert, negate_pairing
 
 from cases import CATALOG_GRID, SINGULAR_DENSE, dense_seifert, seeded_swap_matrices, swap_double
 from pairing_oracles import eager_gram, eps_nonsingular
@@ -69,6 +71,35 @@ def test_classes_of_the_integer_form_match_the_eager_gram(label):
 def test_eps_from_N_matches_the_class_based_eps(label):
     _, _, B = pairing_and_module(label)
     assert check_nonsingular(B) == eps_nonsingular(B)
+
+
+def content(B):
+    """gcd(scale, every coefficient of N)."""
+    _, N, scale = B.common
+    return gcd(scale, *(c for row in N for f in row for c in f))
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_the_integer_form_is_content_free(label):
+    # and negation and block sums keep it, with nine46 (another den, or the
+    # same) and with itself, by Gauss's lemma; a dense draw of genus 5 or
+    # more is not summed, as its direct_sum module's Smith form takes
+    # seconds to minutes
+    _, M, B = pairing_and_module(label)
+    B46 = pairing_and_module("nine46{}")[2]
+    assert content(B) == 1
+    assert content(negate_pairing(B)) == 1
+    if M.generators <= 8 or not label.startswith("dense"):
+        for other in (B46, B):
+            assert content(direct_sum_pairing(B, other, direct_sum(M, other.module))) == 1
+
+
+def test_the_trace_form_stays_small_on_dense_genus_14():
+    # E = [N_ij[D - 1]] is what check_nonsingular eliminates; with the
+    # content of (N, scale) left in, its largest entry here had 2216 bits
+    den, N, _ = gram_from_seifert(dense_seifert(14, random.Random(7))).common
+    D = len(den) - 1
+    assert max(abs(f[D - 1]).bit_length() for row in N for f in row if len(f) == D) <= 192
 
 
 def test_the_cases_take_both_inverse_routes():

@@ -23,7 +23,6 @@ from eqslice.laurent import ONE, ZERO, LaurentPoly, TorsionClass, divexact, laur
 from eqslice.matrices import LambdaMatrix, in_span, kernel
 from eqslice.modules import PresentedModule, direct_sum
 from eqslice.pairing import (
-    GramPairing,
     check_hermitian,
     check_nonsingular,
     direct_sum_pairing,
@@ -33,7 +32,7 @@ from eqslice.pairing import (
 )
 from eqslice.witt import EquivariantTriple, validate
 from cases import CATALOG_GRID, SINGULAR_DENSE, check_cases, dense_seifert, identity, swap_double
-from pairing_oracles import class_add, class_conjugate, class_scale, eps_nonsingular
+from pairing_oracles import class_add, class_conjugate, class_scale, eps_nonsingular, pairing_from_gram
 
 
 def kernel_oracle(B):
@@ -69,7 +68,7 @@ def P(coeffs):
 
 
 def with_gram(B, gram):
-    return GramPairing(module=B.module, gram=tuple(tuple(row) for row in gram))
+    return pairing_from_gram(B.module, gram)
 
 
 def scaled(B, p):
@@ -215,7 +214,7 @@ def random_module_cases():
         ]
         zero = [TorsionClass()] * n
         gram = [zero + row for row in H] + [[class_conjugate(h) for h in row] + zero for row in H]
-        B = GramPairing(module=direct_sum(module, PresentedModule(n, R.conjugate())), gram=tuple(map(tuple, gram)))
+        B = pairing_from_gram(direct_sum(module, PresentedModule(n, R.conjugate())), gram)
         yield f"random module #{made}", B
         yield f"random module #{made} composed with t - 1", composed(B, P([-1, 1]))
         yield f"random module #{made} composed with a factor", composed(B, max(diag[:n], key=LaurentPoly.degree))
@@ -278,7 +277,7 @@ def ill_defined_cases():
         if not vanishes_on_relations(B):
             yield label, B
     R = LambdaMatrix([[P([-2, 1]) * P([-2, 1])]])
-    yield "Lambda/(t - 2)^2", GramPairing(module=PresentedModule(1, R), gram=((TorsionClass(ONE, P([-2, 1])),),))
+    yield "Lambda/(t - 2)^2", pairing_from_gram(PresentedModule(1, R), ((TorsionClass(ONE, P([-2, 1])),),))
 
 
 def nonsingular_check(T):
@@ -330,7 +329,7 @@ def test_model_and_basis_routes_agree(name, params):
     mu = B.module.invariant_factors[-1]
     for C, verdict in ((B, True), (composed(B, mu), False)):
         assert check_nonsingular(C) is verdict
-        assert check_nonsingular(GramPairing(module=bare, gram=C.gram)) is verdict
+        assert check_nonsingular(pairing_from_gram(bare, C.gram)) is verdict
 
 
 # Delta = t - 3 + t^-1 and Delta' = 2t - 5 + 2t^-1 = (2t - 1)(t - 2)/t are
@@ -363,7 +362,7 @@ CYCLIC = {
 def test_cyclic_module_by_hand(case):
     rel, num, den, verdict = CYCLIC[case]
     module = PresentedModule(1, LambdaMatrix([[rel]]))
-    B = GramPairing(module=module, gram=((TorsionClass(num, den),),))
+    B = pairing_from_gram(module, ((TorsionClass(num, den),),))
     assert module.model is None
     assert check_hermitian(B) and vanishes_on_relations(B)
     assert check_nonsingular(B) is verdict
@@ -371,11 +370,11 @@ def test_cyclic_module_by_hand(case):
 
 
 def test_module_without_generators_is_nonsingular():
-    assert check_nonsingular(GramPairing(module=PresentedModule(0), gram=()))
+    assert check_nonsingular(pairing_from_gram(PresentedModule(0), ()))
 
 
 def test_non_torsion_module_is_singular():
     # Lambda itself, with the zero pairing
     module = PresentedModule(1, LambdaMatrix([[ZERO]]))
     assert not module.is_torsion
-    assert not check_nonsingular(GramPairing(module=module, gram=((TorsionClass(),),)))
+    assert not check_nonsingular(pairing_from_gram(module, ((TorsionClass(),),)))

@@ -8,6 +8,7 @@ from eqslice import laurent, pairing
 from eqslice.catalog import assemble, builtin, sum_specs
 from eqslice.laurent import (
     ONE,
+    TORSION_ZERO,
     ZERO,
     LaurentPoly,
     TorsionClass,
@@ -26,8 +27,9 @@ from eqslice.pairing import (
     pair_grid,
     vanishes_on_relations,
 )
+from eqslice.witt import negate, triple_sum
 from cases import CATALOG_GRID, SINGULAR_DENSE, check_cases, dense_seifert, swap_double
-from pairing_oracles import class_add, class_scale, pair_per_term, pair_via_solve, vanishes_per_term
+from pairing_oracles import class_add, class_scale, pair_per_term, pair_via_solve, pairing_from_gram, vanishes_per_term
 
 
 def P(s):
@@ -125,7 +127,7 @@ class TestPair:
         for (i, j), den, kept in [((1, 1), "t - 2", False), ((0, 1), "t - 3", False), ((0, 0), "t - 2", True)]:
             gram = [list(row) for row in B.gram]
             gram[i][j] = class_add(gram[i][j], cls("1", den))
-            shifted = GramPairing(module=B.module, gram=tuple(tuple(r) for r in gram))
+            shifted = pairing_from_gram(B.module, gram)
             assert vanishes_on_relations(shifted) is kept
             assert vanishes_per_term(shifted) is kept
 
@@ -151,7 +153,7 @@ class TestHermitian:
         B = gram_from_seifert(NINE46)
         bad = list(list(row) for row in B.gram)
         bad[0][0] = class_add(bad[0][0], cls("1", "t - 2"))
-        assert not check_hermitian(GramPairing(module=B.module, gram=tuple(tuple(r) for r in bad)))
+        assert not check_hermitian(pairing_from_gram(B.module, bad))
 
     @pytest.mark.parametrize("A", [NINE46, swap_double(SINGULAR_DENSE)], ids=["nine46", "singular_swap"])
     def test_perturbed_strictly_lower_or_upper_entry_fails(self, A):
@@ -162,7 +164,7 @@ class TestHermitian:
         for i, j in ((n - 1, 0), (0, n - 1), (1, 0), (0, 1)):
             bad = list(list(row) for row in B.gram)
             bad[i][j] = class_add(bad[i][j], cls("1", "t - 2"))
-            assert not check_hermitian(GramPairing(module=B.module, gram=tuple(tuple(r) for r in bad))), (i, j)
+            assert not check_hermitian(pairing_from_gram(B.module, bad)), (i, j)
 
     def test_empty(self):
         assert check_hermitian(gram_from_seifert([]))
@@ -175,7 +177,7 @@ class TestNonsingular:
     def test_zero_pairing_on_nontrivial_module(self):
         M = from_seifert(NINE46)
         zero = TorsionClass()
-        B = GramPairing(module=M, gram=((zero, zero), (zero, zero)))
+        B = pairing_from_gram(M, ((zero, zero), (zero, zero)))
         assert not check_nonsingular(B)
 
     def test_unknot_vacuous(self):
@@ -246,14 +248,14 @@ def hand_built(zero):
     coprime linear and quadratic factors, and a square; or the zero gram."""
     M = direct_sum(from_seifert(NINE46), from_seifert([[1, 1], [0, -1]]))
     if zero:
-        return GramPairing(module=M, gram=tuple((TorsionClass(),) * 4 for _ in range(4))), 1, None
+        return pairing_from_gram(M, tuple((TorsionClass(),) * 4 for _ in range(4))), 1, None
     entries = [
         [cls("1", "t - 2"), TorsionClass(), cls("5", "t^3"), cls("t + 1", "2*t^2 - 5*t + 2")],
         [cls("2*t", "t^2 - 3*t + 1"), cls("1", "t + 1"), TorsionClass(), cls("1 - t", "t - 2")],
         [TorsionClass(), cls("3", "2*t - 1"), cls("t", "t^2 - 4*t + 4"), cls("1/2", "t^2 - t + 1")],
         [cls("t^-1", "t^2 - t + 1"), TorsionClass(), cls("1", "t - 3"), cls("-4*t + 1", "t^2 - 3*t + 1")],
     ]
-    return GramPairing(module=M, gram=tuple(tuple(r) for r in entries)), 1, None
+    return pairing_from_gram(M, entries), 1, None
 
 
 def swap_case(A):
@@ -472,23 +474,74 @@ def test_rational_cases_reach_several_denominators_and_both_verdicts():
     assert True in verdicts and False in verdicts
 
 
+def negated(B):
+    """negate_pairing(B) and its class oracle, the pairing of the negated
+    classes."""
+    return negate_pairing(B), pairing_from_gram(B.module, [[-g for g in row] for row in B.gram])
+
+
+def summed(B1, B2):
+    """direct_sum_pairing(B1, B2) and its class oracle, the pairing of the
+    block-diagonal gram."""
+    M = direct_sum(B1.module, B2.module)
+    return direct_sum_pairing(B1, B2, M), pairing_from_gram(M, block_diag([B1.gram, B2.gram], TORSION_ZERO))
+
+
+def metabolizer_double():
+    """T + (-T) as witt.diagonal_metabolizer builds it, T the nine46 triple."""
+    T = assemble(builtin("nine46"))
+    double = triple_sum(T, negate(T))
+    gram = T.pairing.gram
+    return double.pairing, pairing_from_gram(double.module, block_diag([gram, [[-g for g in row] for row in gram]], TORSION_ZERO))
+
+
+def integer_form_cases():
+    """(label, build): build() gives (pairing, oracle), a negation or block
+    sum made on the integer form and the same made on classes."""
+    nine46 = partial(gram_from_seifert, NINE46)
+    for label, build in RATIONAL_CASES.items():
+        yield f"{label} negated", lambda build=build: negated(build())
+        yield f"{label} + nine46", lambda build=build: summed(build(), nine46())
+        yield f"{label} doubled", lambda build=build: summed(build(), build())
+    four = partial(gram_from_seifert, seifert_of("nine46", {}, 4))
+    yield "nine46 x 4 negated", lambda: negated(four())
+    yield "nine46 x 4 + nine46", lambda: summed(four(), nine46())
+    yield "nine46 x 4 doubled", lambda: summed(four(), four())
+    yield "T + (-T)", metabolizer_double
+
+
+INTEGER_FORM = dict(integer_form_cases())
+
+
+@pytest.mark.parametrize("label", INTEGER_FORM)
+def test_integer_negation_and_block_sum_match_the_class_oracle(label):
+    B, oracle = INTEGER_FORM[label]()
+    assert B.gram == oracle.gram
+    for check in (check_hermitian, vanishes_on_relations, check_nonsingular):
+        assert check(B) == check(oracle), check.__name__
+
+
+def test_a_block_sum_takes_the_lcm_of_different_dens():
+    # nine46's den divides that of its sum with genus_one(2, 3)
+    B1, B2 = gram_from_seifert(NINE46), several_denominators()
+    assert B1.common[0] != B2.common[0]
+    assert direct_sum_pairing(B1, B2, direct_sum(B1.module, B2.module)).common[0] == B2.common[0]
+
+
 def perturbed_N(B, i, j, k):
-    """A copy of B whose cached integer N has N[i][j]'s t^k coefficient
-    raised by 1; the gram is unchanged."""
+    """B with N[i][j]'s t^k coefficient raised by 1."""
     den, N, scale = B.common
     bad = [[list(f) for f in row] for row in N]
     bad[i][j] = bad[i][j] + [0] * (k + 1 - len(bad[i][j]))
     bad[i][j][k] += 1
-    copy = GramPairing(module=B.module, gram=B.gram)
-    copy.__dict__["common"] = (den, bad, scale)
-    return copy
+    return GramPairing(B.module, (den, bad, scale))
 
 
 @pytest.mark.parametrize("label", ["nine46", "swap double of dense genus 2", "direct sum, several denominators"])
 def test_a_perturbed_integer_N_is_caught(label):
-    # vanishes_on_relations and pair_grid read N, the oracles read the gram;
-    # every coefficient below deg den is perturbed in turn on the smallest
-    # case, and a few elsewhere
+    # vanishes_on_relations and pair_grid read N, the oracle reads B's
+    # gram; every coefficient below deg den is perturbed in turn on the
+    # smallest case, and a few elsewhere
     B = RATIONAL_CASES[label]()
     assert vanishes_on_relations(B)
     n, D = B.module.generators, len(B.common[0]) - 1
@@ -499,5 +552,5 @@ def test_a_perturbed_integer_N_is_caught(label):
         bad = perturbed_N(B, i, j, k)
         assert not vanishes_on_relations(bad), (i, j, k)
         x, y = B.module.generator(i), B.module.generator(j)
-        assert pair_grid(bad, [x], [y]) != [[pair_per_term(bad, x, y)]], (i, j, k)
+        assert pair_grid(bad, [x], [y]) != [[pair_per_term(B, x, y)]], (i, j, k)
         assert pair_grid(B, [x], [y]) == [[pair_per_term(B, x, y)]]

@@ -147,7 +147,7 @@ def test_membership_matches_in_span():
 
 def oracle_well_defined(T):
     R = T.module.relations
-    s = snf(R)
+    s = T.module.snf
     return all(
         in_span(list(mat_vec(T.matrix, [e.conjugate() for e in R.col(c)])), R, s) is not None
         for c in range(R.cols)
@@ -156,7 +156,7 @@ def oracle_well_defined(T):
 
 def oracle_involutive(T):
     n, R = T.module.generators, T.module.relations
-    s = snf(R)
+    s = T.module.snf
     square = T.matrix * T.matrix.conjugate()
     return all(
         in_span([square.entry(i, j) - (ONE if i == j else ZERO) for i in range(n)], R, s) is not None

@@ -32,11 +32,11 @@ from eqslice.laurent import (
 from eqslice.matrices import LambdaMatrix
 from eqslice.modules import ModuleElement
 from eqslice.obstruction import _certificate_value, evaluate_certificate, tau_quadratic
-from eqslice.pairing import GramPairing, check_hermitian, pair, pair_grid, pair_values
+from eqslice.pairing import check_hermitian, pair, pair_grid, pair_values
 from eqslice.witt import EquivariantTriple, validate
 from cases import CATALOG_GRID, check_cases
 from laurent_oracle import oracle_divexact, oracle_divides, oracle_laurent_gcd
-from pairing_oracles import class_add, conjugates
+from pairing_oracles import class_add, conjugates, pairing_from_gram
 
 
 def poly(f, e=0):
@@ -187,7 +187,7 @@ def anti_isometric_by_classes(T, B):
 def with_entry(B, i, j, x):
     gram = [list(row) for row in B.gram]
     gram[i][j] = x
-    return GramPairing(module=B.module, gram=tuple(tuple(row) for row in gram))
+    return pairing_from_gram(B.module, gram)
 
 
 class TestHermitian:

@@ -6,7 +6,7 @@ from eqslice.involution import SemilinearMap
 from eqslice.laurent import ONE, TORSION_ZERO, ZERO, LaurentPoly, parse_poly, unit_equal
 from eqslice.matrices import LambdaMatrix
 from eqslice.modules import PresentedModule, from_seifert
-from eqslice.pairing import GramPairing, gram_from_seifert
+from eqslice.pairing import gram_from_seifert
 from eqslice.witt import (
     EquivariantTriple,
     diagonal_metabolizer,
@@ -16,6 +16,7 @@ from eqslice.witt import (
     validate,
 )
 from cases import identity
+from pairing_oracles import pairing_from_gram
 
 
 def P(s):
@@ -55,11 +56,9 @@ def genus_one_triple(m, l, c):
 
 def trivial_triple():
     M = PresentedModule(0)
-    from eqslice.pairing import GramPairing
-
     return EquivariantTriple(
         module=M,
-        pairing=GramPairing(module=M, gram=()),
+        pairing=pairing_from_gram(M, ()),
         involution=SemilinearMap(module=M, matrix=LambdaMatrix([])),
     )
 
@@ -70,7 +69,7 @@ def one_generator_triple(relations):
     M = PresentedModule(1, relations)
     return EquivariantTriple(
         module=M,
-        pairing=GramPairing(module=M, gram=((TORSION_ZERO,),)),
+        pairing=pairing_from_gram(M, ((TORSION_ZERO,),)),
         involution=SemilinearMap(module=M, matrix=LambdaMatrix([[ONE]])),
     )
 
@@ -93,13 +92,12 @@ class TestValidate:
 
     def test_t_minus_one_divisible_order_fails(self):
         M = PresentedModule(1, LambdaMatrix([[P("t - 1")]]))
-        from eqslice.pairing import GramPairing
         from eqslice.laurent import TorsionClass
 
         g = TorsionClass(ONE, P("t - 1"))
         T = EquivariantTriple(
             module=M,
-            pairing=GramPairing(module=M, gram=((g,),)),
+            pairing=pairing_from_gram(M, ((g,),)),
             involution=SemilinearMap(module=M, matrix=LambdaMatrix([[ONE]])),
         )
         report = validate(T)
