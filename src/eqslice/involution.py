@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .laurent import ONE, ZERO, same_classes
-from .matrices import LambdaMatrix, block_diag, mat_vec
+from .matrices import LambdaMatrix, _product, block_diag, mat_vec
 from .modules import ModuleElement, PresentedModule, _combine
 from .pairing import GramPairing, pair_values
 
@@ -60,7 +60,7 @@ def is_well_defined(T: SemilinearMap) -> bool:
     there, phi(tau y) = U phi(y) for a matrix U, U = V on the unit
     vectors, and tau(t y) = t^-1 tau(y) gives V C = C^-1 V.  _combine
     makes W = c * C^-v * V, and C W C = W iff C V C = V, so the test is
-    num W num = scale^2 W, two integer matrix products in which zero
+    num W num = scale^2 W, two matrices._product calls in which zero
     entries cost nothing (a swap is a permutation).  Without a model each
     relation column's image is tested against the relation span.
     """
@@ -74,19 +74,10 @@ def is_well_defined(T: SemilinearMap) -> bool:
                 return False
         return True
     W, _, _ = T.model_images
-    # W * num column by column, then num times each column
-    square = model.scale**2
-    for j in range(model.n):
-        column = [0] * model.n
-        for k, w in enumerate(W):
-            a = model.num[k][j]
-            if a:
-                for r, x in enumerate(w):
-                    if x:
-                        column[r] += a * x
-        if model.times_t(column) != [square * x for x in W[j]]:
-            return False
-    return True
+    # the list W holds W's columns, the rows of W^T: test the transpose,
+    # num^T W^T num^T = scale^2 W^T
+    num_t, square = list(zip(*model.num)), model.scale**2
+    return _product(num_t, _product(W, num_t)) == [[square * x for x in w] for w in W]
 
 
 def is_involutive(T: SemilinearMap) -> bool:
@@ -99,7 +90,8 @@ def is_involutive(T: SemilinearMap) -> bool:
     G[j] = c2 * C^-v2 * sum_i conj(T_ij)(C) w_i = c * c2 * C^k * x_j, with
     k = -v - v2 >= 0 the span of the exponents in T.  So x_j = e_j iff
     scale^k * G[j] = c * c2 * num^k e_j, which stays right for a map that
-    is not well defined (for one that is, it reduces to W^2 = c^2 I).
+    is not well defined (for one that is, it reduces to W^2 = c^2 I); the
+    targets are the rows of c * c2 * (num^T)^k, by matrices._product.
     Without a model the columns of T * conj(T) - I are tested against the
     relation span.
     """
@@ -118,13 +110,11 @@ def is_involutive(T: SemilinearMap) -> bool:
     G, c2, v2 = _combine(model, [conj.col(j) for j in range(n)], W)
     k = -v - v2
     lift = model.scale**k
-    for j, g in enumerate(G):
-        target = [c * c2 * int(i == j) for i in range(n)]
-        for _ in range(k):
-            target = model.times_t(target)
-        if [lift * x for x in g] != target:
-            return False
-    return True
+    num_t = list(zip(*model.num))
+    targets = [[c * c2 * int(i == j) for i in range(n)] for j in range(n)]
+    for _ in range(k):
+        targets = _product(targets, num_t)
+    return [[lift * x for x in g] for g in G] == targets
 
 
 def verify_anti_isometry(T: SemilinearMap, B: GramPairing) -> bool:

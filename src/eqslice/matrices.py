@@ -136,6 +136,19 @@ def block_diag(blocks: Sequence[Sequence[Sequence]], zero) -> tuple[tuple, ...]:
     return tuple(rows)
 
 
+def _product(X: Sequence[Sequence[int]], Y: Sequence[Sequence[int]]) -> list[list[int]]:
+    """X * Y for integer matrices given as rows: row i is the combination of
+    Y's rows weighted by X's row i, so a zero entry of X costs nothing."""
+    out = []
+    for row in X:
+        acc = [0] * (len(Y[0]) if Y else 0)
+        for x, y in zip(row, Y):
+            if x:
+                acc = [a + x * b for a, b in zip(acc, y)]
+        out.append(acc)
+    return out
+
+
 def _dot(u: Sequence[LaurentPoly], v: Sequence[LaurentPoly]) -> LaurentPoly:
     acc = ZERO
     for a, b in zip(u, v):

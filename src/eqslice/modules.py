@@ -15,8 +15,9 @@ on first use: a RationalBasis reads its cyclic block generators off it.
 
 The rational model is the one Krylov space: its integer arithmetic is the
 Horner sum _combine, which maps elements to their vectors (and the
-involution's columns to theirs, for its axiom checks), and the
-fraction-free echelon step _reduce, which spins its chains.
+involution's columns to theirs, for its axiom checks), the fraction-free
+echelon step _reduce, which spins its chains, and the integer matrix
+product matrices._product, which makes num and the pencil inverse.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ from .matrices import (
     LambdaMatrix,
     SnfResult,
     _eliminate,
+    _product,
     block_diag,
     in_span,
     kernel,
@@ -199,9 +201,9 @@ class _RationalModel:
     """
 
     def __init__(self, A: Sequence[Sequence[int]], d: int, adj: list[list[int]]):
-        n = self.n = len(A)
+        self.n = len(A)
         self.det, self.adj = d, adj
-        num = [[sum(A[k][i] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        num = _product(list(zip(*A)), adj)
         g = gcd(d, *(e for row in num for e in row))
         if d < 0:
             g = -g
@@ -251,11 +253,13 @@ class _RationalModel:
         gives (I - t*C) * sum_(j<d) c_j(t)*C^j = rev mu(t) * I, with
         c_j(t) = sum_(k>j) a_k t^(d-k+j) and rev mu(t) = t^d mu(1/t).  So
         (A - t*A^T)^-1 = A^-1 * sum_(j<d) c_j(t)*C^j / rev mu(t).  With
-        A^-1 = adj/det, C = num/scale and the a_k made integers, that is
-        F = sum_j scale^(d-1-j) * c_j(t) * adj*num^j over
-        den = det * scale^(d-1) * rev mu: d - 1 integer matrix products and
-        no determinant of degree n.  den and each entry of F are integer
-        coefficient lists, lowest first, of lengths d + 1 and d.
+        A^-1 = adj/det, C = num/scale and the a_k made integers, the t^m
+        coefficient of F is F_m = scale^(d-1-m) * G_m over
+        den = det * scale^(d-1) * rev mu, where G_m runs by Horner:
+        G_0 = a_d * adj and G_m = a_(d-m) * scale^m * adj + G_(m-1) * num.
+        That is d - 1 integer matrix products and no determinant of
+        degree n.  den and each entry of F are integer coefficient lists,
+        lowest first, of lengths d + 1 and d.
         """
         if not self.n:
             return [1], []
@@ -263,26 +267,14 @@ class _RationalModel:
         clear = lcm(*(c.denominator for c in a))
         a = [c.numerator * (clear // c.denominator) for c in a]
         d = len(a) - 1
-        # W[j] = adj * num^j, row by row: a row of W[j] is a combination of
-        # the rows of num, so zero entries cost nothing
-        W = [self.adj]
-        for _ in range(d - 1):
-            rows = []
-            for row in W[-1]:
-                out = [0] * self.n
-                for x, nrow in zip(row, self.num):
-                    if x:
-                        out = [o + x * y for o, y in zip(out, nrow)]
-                rows.append(out)
-            W.append(rows)
-        # the t^m coefficient of F is sum_(j<=m) a_(d-m+j) * scale^(d-1-j) * W[j]
-        powers = [self.scale ** (d - 1 - j) for j in range(d)]
-        weights = [[(j, a[d - m + j] * powers[j]) for j in range(m + 1)] for m in range(d)]
-        F = [
-            [[sum(w * W[j][r][s] for j, w in terms) for terms in weights] for s in range(self.n)]
-            for r in range(self.n)
-        ]
-        return [self.det * powers[0] * c for c in reversed(a)], F
+        powers = [self.scale**m for m in range(d)]
+        G = [[[a[d] * x for x in row] for row in self.adj]]
+        for m in range(1, d):
+            w = a[d - m] * powers[m]
+            G.append([[w * x + y for x, y in zip(r, s)] for r, s in zip(self.adj, _product(G[-1], self.num))])
+        # F[r][s] lists scale^(d-1-m) * G[m][r][s] over m
+        F = [[[p * g for p, g in zip(reversed(powers), entry)] for entry in zip(*rows)] for rows in zip(*G)]
+        return [self.det * powers[-1] * c for c in reversed(a)], F
 
     def _chains(self) -> list[list[LaurentPoly]]:
         """Presentation of the module by Krylov chains of C, over Q[t].

@@ -12,8 +12,10 @@ worked on integer lists, the block-by-block swap check that the library
 replaced, the batched conjugation the Hermitian and anti-isometry
 checks used before they compared values without canonical classes, and
 the eager gram of canonical classes and the class-based nonsingularity
-check that the pairing's integer form replaced, and pairing_from_gram, the
-pairing of a grid of classes, for pairings built by hand.
+check that the pairing's integer form replaced, the table-and-weights
+pencil inverse that the model's Horner form replaced, and
+pairing_from_gram, the pairing of a grid of classes, for pairings built by
+hand.
 """
 from fractions import Fraction
 from functools import reduce
@@ -495,6 +497,35 @@ def eager_gram(A, module):
     n = len(F)
     classes = classes_over([[b - a for a, b in zip(f + [0], [0] + f)] for row in F for f in row], den)
     return tuple(tuple(classes[i * n : (i + 1) * n]) for i in range(n))
+
+
+def inverse_pencil_table(model):
+    """_RationalModel.inverse_pencil as it was before the Horner form: the
+    table W_j = adj * num^j, then the t^m coefficient of F as the weighted
+    sum over j <= m of a_(d-m+j) * scale^(d-1-j) * W_j."""
+    if not model.n:
+        return [1], []
+    a = model.invariant_factors[-1].dense()
+    clear = lcm(*(c.denominator for c in a))
+    a = [c.numerator * (clear // c.denominator) for c in a]
+    d = len(a) - 1
+    W = [model.adj]
+    for _ in range(d - 1):
+        rows = []
+        for row in W[-1]:
+            out = [0] * model.n
+            for x, nrow in zip(row, model.num):
+                if x:
+                    out = [o + x * y for o, y in zip(out, nrow)]
+            rows.append(out)
+        W.append(rows)
+    powers = [model.scale ** (d - 1 - j) for j in range(d)]
+    weights = [[(j, a[d - m + j] * powers[j]) for j in range(m + 1)] for m in range(d)]
+    F = [
+        [[sum(w * W[j][r][s] for j, w in terms) for terms in weights] for s in range(model.n)]
+        for r in range(model.n)
+    ]
+    return [model.det * powers[0] * c for c in reversed(a)], F
 
 
 def fraction_rank(rows):

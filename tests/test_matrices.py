@@ -7,6 +7,7 @@ from eqslice.matrices import (
     DegreeCapError,
     LambdaMatrix,
     SingularMatrixError,
+    _product,
     det,
     in_span,
     inverse_qt,
@@ -228,3 +229,31 @@ class TestInSpan:
             w = in_span(v, M)
             assert w is not None
             assert mat_vec(M, w) == v
+
+
+def naive_product(X, Y, width):
+    return [[sum(X[i][k] * Y[k][j] for k in range(len(Y))) for j in range(width)] for i in range(len(X))]
+
+
+class TestProduct:
+    def test_seeded_against_triple_loop(self):
+        # zero entries, zero rows and zero columns, rectangular shapes and
+        # entries past 64 bits
+        rng = random.Random(90)
+        for _ in range(200):
+            r, m, c = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+            density = rng.choice([0.0, 0.3, 0.7, 1.0])
+            X, Y = (
+                [[rng.randint(-2**70, 2**70) if rng.random() < density else 0 for _ in range(w)] for _ in range(h)]
+                for h, w in ((r, m), (m, c))
+            )
+            X[rng.randrange(r)] = [0] * m
+            for row in Y:
+                row[rng.randrange(c)] = 0
+            assert _product(X, Y) == naive_product(X, Y, c)
+
+    def test_empty(self):
+        # the n = 0 model multiplies 0 x 0 matrices
+        assert _product([], []) == []
+        assert _product([], [[1, 2]]) == []
+        assert _product([[], []], []) == [[], []]

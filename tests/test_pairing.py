@@ -29,7 +29,16 @@ from eqslice.pairing import (
 )
 from eqslice.witt import negate, triple_sum
 from cases import CATALOG_GRID, SINGULAR_DENSE, check_cases, dense_seifert, swap_double
-from pairing_oracles import class_add, class_scale, pair_per_term, pair_via_solve, pairing_from_gram, vanishes_per_term
+from pairing_oracles import (
+    class_add,
+    class_scale,
+    inverse_pencil_table,
+    pair_per_term,
+    pair_via_solve,
+    pairing_from_gram,
+    vanishes_per_term,
+)
+from test_exact_linear_algebra import assert_inverse
 
 
 def P(s):
@@ -393,11 +402,20 @@ def test_exponent_route_matches_inverse_qt(label, inverse_qt_calls):
     if short is not None:
         # swap doubles and sums have deg mu < n; a dense draw has one chain
         assert (M.invariant_factors[-1].degree() < len(A)) is short
+    # a gram does not see a factor that den and F share, so (den, F) is
+    # also compared with the W-table sum the Horner form replaced
+    assert M.model.inverse_pencil() == inverse_pencil_table(M.model)
     B = gram_from_seifert(A, M)
     assert inverse_qt_calls == []
     expected = gram_via_inverse_qt(A)
     assert B.gram == expected
     assert [[str(g) for g in row] for row in B.gram] == [[str(g) for g in row] for row in expected]
+
+
+@pytest.mark.parametrize("label", [*(f"dense genus {g}" for g in range(2, 9)), "8 x nine46{}", "unknot"])
+def test_inverse_pencil_inverts_the_pencil(label):
+    A = [] if label == "unknot" else EXPONENT_ROUTE[label]()[0]
+    assert_inverse(-seifert_pencil(A).transpose(), from_seifert(A).model.inverse_pencil())
 
 
 def test_singular_seifert_matrix_goes_through_inverse_qt(inverse_qt_calls):
