@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import floordiv
+from operator import floordiv, mul
 from typing import Iterable, Sequence
 
 from .laurent import (
@@ -137,10 +137,18 @@ def block_diag(blocks: Sequence[Sequence[Sequence]], zero) -> tuple[tuple, ...]:
 
 
 def _product(X: Sequence[Sequence[int]], Y: Sequence[Sequence[int]]) -> list[list[int]]:
-    """X * Y for integer matrices given as rows: row i is the combination of
-    Y's rows weighted by X's row i, so a zero entry of X costs nothing."""
+    """X * Y for integer matrices given as rows.  A row of X with more than
+    half its entries nonzero takes each output entry as one dot product
+    with a column of Y; any other row is the combination of Y's rows it
+    weights, so its zero entries cost nothing (block sums, permutations)."""
     out = []
+    cols = None
     for row in X:
+        if 2 * sum(map(bool, row)) > len(row):
+            if cols is None:
+                cols = list(zip(*Y))
+            out.append([sum(map(mul, row, c)) for c in cols])
+            continue
         acc = [0] * (len(Y[0]) if Y else 0)
         for x, y in zip(row, Y):
             if x:

@@ -10,21 +10,25 @@ Q^n with t acting by C = A^T A^-1 (see _RationalModel), which gives the
 invariant factors, decides whether an element is zero and inverts
 A - t*A^T for the pairing.  Every other presentation reads the first two
 off the Smith normal form of its relations, taken at construction.  A
-module with a model takes the Smith form, with its unimodular transforms,
-on first use: a RationalBasis reads its cyclic block generators off it.
+module with a model builds its relations t*A - A^T only when they are
+first read (by the Smith form, direct sums, the well-definedness checks,
+== and hash; the dense pipeline reads none), and takes the Smith form,
+with its unimodular transforms, on first use: a RationalBasis reads its
+cyclic block generators off it.
 
 The rational model is the one Krylov space: its integer arithmetic is the
 Horner sum _combine, which maps elements to their vectors (and the
 involution's columns to theirs, for its axiom checks), the fraction-free
 echelon step _reduce, which spins its chains, and the integer matrix
-product matrices._product, which makes num and the pencil inverse.
+product matrices._product, which makes num and the pencil inverse.  Both
+it and times_t take a dense row as one C-level dot product per entry.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import floordiv
+from operator import floordiv, mul
 from typing import Sequence
 
 from .laurent import (
@@ -57,7 +61,8 @@ class PresentedModule:
 
     model, when given, is the rational model of these relations (see
     from_seifert); it then replaces the Smith form for the invariant factors
-    and for deciding whether an element is zero.
+    and for deciding whether an element is zero, and relations left out are
+    built from its Seifert matrix on first read.
     """
 
     def __init__(
@@ -66,12 +71,13 @@ class PresentedModule:
         relations: LambdaMatrix | None = None,
         model: "_RationalModel | None" = None,
     ):
-        if relations is None:
+        if relations is None and model is None:
             relations = LambdaMatrix.zeros(generators, 0)
-        if relations.rows != generators:
-            raise ValueError("relation matrix must have one row per generator")
+        if relations is not None:
+            if relations.rows != generators:
+                raise ValueError("relation matrix must have one row per generator")
+            self.relations = relations
         self.generators = generators
-        self.relations = relations
         self.model = model
         if model is None:
             self.invariant_factors: tuple[LaurentPoly, ...] = self.snf.invariant_factors
@@ -87,6 +93,12 @@ class PresentedModule:
                 order = order * f
             self.order = order
         self.grk = self.free_rank + len(self.invariant_factors)
+
+    @cached_property
+    def relations(self) -> LambdaMatrix:
+        """t*A - A^T for the model's Seifert matrix A, built on first read
+        when the module was given its model and no relations."""
+        return seifert_pencil(self.model.seifert)
 
     @cached_property
     def snf(self) -> SnfResult:
@@ -177,12 +189,16 @@ def check_seifert(A: Sequence[Sequence[int]]) -> None:
 def from_seifert(A: Sequence[Sequence[int]]) -> PresentedModule:
     """Module presented by t*A - A^T for an integer Seifert matrix A.
 
-    With det A != 0 the module carries its rational model; a singular A
-    keeps the Smith form.
+    With det A != 0 the module carries its rational model and builds the
+    pencil only when its relations are first read; a singular A builds it
+    at once and keeps the Smith form.
     """
     check_seifert(A)
-    d, adj = _eliminate([list(r) for r in A], 0, 1, floordiv, abs, adjugate=True)
-    return PresentedModule(len(A), seifert_pencil(A), _RationalModel(A, d, adj) if d else None)
+    A = [list(r) for r in A]
+    d, adj = _eliminate(A, 0, 1, floordiv, abs, adjugate=True)
+    if not d:
+        return PresentedModule(len(A), seifert_pencil(A))
+    return PresentedModule(len(A), model=_RationalModel(A, d, adj))
 
 
 class _RationalModel:
@@ -197,11 +213,12 @@ class _RationalModel:
     are those of C.  C is kept as the integer matrix num = A^T adj(A) over
     the positive integer scale = det A, reduced by their common content,
     so a vector stands for its Q-span (see _combine).  det A and adj(A)
-    are kept for inverse_pencil.
+    are kept for inverse_pencil, and A for the module's relations.
     """
 
     def __init__(self, A: Sequence[Sequence[int]], d: int, adj: list[list[int]]):
         self.n = len(A)
+        self.seifert = A
         self.det, self.adj = d, adj
         num = _product(list(zip(*A)), adj)
         g = gcd(d, *(e for row in num for e in row))
@@ -211,8 +228,11 @@ class _RationalModel:
         self.scale = d // g
 
     def times_t(self, v: list[int]) -> list[int]:
-        """num * v, that is scale * C * v; zero entries of v cost nothing."""
+        """num * v, that is scale * C * v: one dot product per row when more
+        than half of v is nonzero, else a sum over v's nonzero entries only."""
         nonzero = [(j, b) for j, b in enumerate(v) if b]
+        if 2 * len(nonzero) > len(v):
+            return [sum(map(mul, row, v)) for row in self.num]
         return [sum(row[j] * b for j, b in nonzero) for row in self.num]
 
     @cached_property
@@ -287,36 +307,39 @@ class _RationalModel:
         p_j(t) x_j + sum_(l<j) q_lj(t) x_l = 0 with p_j monic of degree d_j.
         The chains' vectors are a basis of Q^n and these relations have
         determinant of degree n = dim M, so they present M: column j of the
-        returned matrix holds q_0j .. q_(j-1)j, p_j and zeros below.
+        returned matrix holds q_0j .. q_(j-1)j, p_j and zeros below.  Each
+        vector's scale is kept as an integer pair a / b, and each relation
+        coefficient is one Fraction over the lead's.
         """
         n = self.n
         basis: dict[int, list[int]] = {}
-        spun: list[tuple[int, int, Fraction]] = []  # chain, power, scale of each basis vector
+        spun: list[tuple[int, int, int, int]] = []  # chain, power, scale = a / b of each basis vector
         columns: list[list[LaurentPoly]] = []
         for s in range(n):
             if len(basis) == n:
                 break
-            # w is scale * C^power e_s, kept primitive
+            # w is (a / b) * C^power e_s, kept primitive
             w = [int(i == s) for i in range(n)]
-            scale, power = Fraction(1), 0
+            a, b, power = 1, 1, 0
             while True:
                 v, p = _reduce(basis, w + [int(i == len(spun)) for i in range(n + 1)], n)
                 if p is None:
                     break
                 basis[p] = v
-                spun.append((len(columns), power, scale))
+                spun.append((len(columns), power, a, b))
                 w = self.times_t(w)
                 c = gcd(*w)
                 w = [x // c for x in w]
-                scale, power = scale * self.scale / c, power + 1
+                a, b, power = a * self.scale, b * c, power + 1
             if power:
-                # sum over the spun vectors and w of combo * scale * t^power x_chain is 0
-                terms: list[dict[int, Fraction]] = [{} for _ in range(len(columns) + 1)]
-                for (j, i, sc), c in zip(spun + [(len(columns), power, scale)], v[n:]):
+                # sum over the spun vectors and w of combo * (a / b) * t^power x_chain
+                # is 0; each coefficient over the lead's is one Fraction
+                terms: list[dict[int, tuple[int, int]]] = [{} for _ in range(len(columns) + 1)]
+                for (j, i, sa, sb), c in zip(spun + [(len(columns), power, a, b)], v[n:]):
                     if c:
-                        terms[j][i] = c * sc
-                lead = terms[-1][power]
-                columns.append([LaurentPoly({i: c / lead for i, c in t.items()}) for t in terms])
+                        terms[j][i] = c * sa, sb
+                la, lb = terms[-1][power]
+                columns.append([LaurentPoly({i: Fraction(x * lb, y * la) for i, (x, y) in t.items()}) for t in terms])
         k = len(columns)
         return [[columns[j][l] if l < len(columns[j]) else ZERO for j in range(k)] for l in range(k)]
 

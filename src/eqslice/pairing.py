@@ -13,9 +13,11 @@ c_j(t) = sum_(k>j) a_k t^(d-k+j) and rev mu(t) = t^d mu(1/t).  The rational
 model of the module computes it in integers, with d - 1 matrix products
 (see modules._RationalModel.inverse_pencil).  inverse_qt, which
 interpolates a determinant and adjugate of degree n, serves only det A = 0.
-Both routes give the inverse as F / den on integer coefficient lists, and
-one laurent.reduce_over call reduces every (t - 1) * f modulo the
-primitive den, in integers, with no class made.
+Both routes give the inverse as F / den on integer coefficient lists.  On
+the exponent route deg (t - 1) * f = deg den, so each (t - 1) * f is
+reduced modulo the primitive den in the pass that forms it, by one
+pseudo-remainder step; inverse_qt's route takes one laurent.reduce_over
+call.  Both work in integers, with no class made.
 
 A pairing has one form, common = (den, N, scale) on integer coefficient
 lists: den primitive with a nonzero constant term, every N[i][j] of degree
@@ -104,14 +106,18 @@ def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None
     from the exponent mu of degree d (see _RationalModel.inverse_pencil).
     inverse_qt, which interpolates a degree-n determinant and adjugate,
     serves only det A = 0.  Both give the inverse as F / den, on integer
-    coefficient lists, and laurent.reduce_over reduces every (t - 1) * f
-    modulo the primitive den at once, to r / (s * den); as
-    deg (t - 1) * f <= deg den on the exponent route, each takes one
-    pseudo-remainder step.  N[i][j] is r * (scale / s) over the lcm scale
-    of the s, a multiple of each, so the quotient keeps its sign.  The
-    content den and F share, large on the exponent route, is divided out
-    before the reduction and any content of (N, scale) left after it, so
-    every step runs on small integers.  No canonical class is made.
+    coefficient lists.  The content g that den and F share, large on the
+    exponent route, is divided out first, so every step runs on small
+    integers; g takes the sign of den's top coefficient.
+
+    On the exponent route den(0) != 0 and deg (t - 1) * f = deg den, so
+    with den / g = c * p, c > 0 and p primitive, each h = (t - 1) * f / g
+    is reduced modulo p by one pseudo-remainder step, L * h - h_d * p with
+    L = p[d], over the positive scale c * L.  Otherwise laurent.reduce_over
+    reduces every h at once to r / (s * p), and N[i][j] is r * (scale / s)
+    over the lcm scale of the s, a multiple of each, so the quotient keeps
+    its sign.  Either way any content of (N, scale) left is divided out.
+    No canonical class is made.
     """
     if module is None:
         module = from_seifert(A)
@@ -121,11 +127,25 @@ def gram_from_seifert(A: Sequence[Sequence[int]], module: PresentedModule | None
         den, F = inverse_qt(-seifert_pencil(A).transpose())
     n = len(F)
     g = gcd(*den, *(c for row in F for f in row for c in f))
+    if den[-1] < 0:
+        g = -g
     # (t - 1) * f / g on coefficient lists
-    den, reduced = reduce_over([[(b - a) // g for a, b in zip(f + [0], [0] + f)] for row in F for f in row], [c // g for c in den])
-    scale = lcm(*(s for _, s in reduced))
-    N = [[c * (scale // s) for c in r] if any(r) else [] for r, s in reduced]
-    g = gcd(scale, *(c for f in N for c in f))
+    H = [[(b - a) // g for a, b in zip(f + [0], [0] + f)] for row in F for f in row]
+    den = [c // g for c in den]
+    if module.model is not None:
+        c = gcd(*den)
+        den = [x // c for x in den]
+        L, low = den[-1], den[:-1]
+        scale = c * L
+        N = []
+        for h in H:
+            r = [L * x - h[-1] * y for x, y in zip(h, low)]
+            N.append(r if any(r) else [])
+    else:
+        den, reduced = reduce_over(H, den)
+        scale = lcm(*(s for _, s in reduced))
+        N = [[c * (scale // s) for c in r] if any(r) else [] for r, s in reduced]
+    g = gcd(scale, *(gcd(*f) for f in N))
     if g > 1:
         N = [[c // g for c in f] for f in N]
     return GramPairing(module, (den, [N[i * n : (i + 1) * n] for i in range(n)], scale // g))

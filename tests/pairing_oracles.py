@@ -13,9 +13,10 @@ replaced, the batched conjugation the Hermitian and anti-isometry
 checks used before they compared values without canonical classes, and
 the eager gram of canonical classes and the class-based nonsingularity
 check that the pairing's integer form replaced, the table-and-weights
-pencil inverse that the model's Horner form replaced, and
-pairing_from_gram, the pairing of a grid of classes, for pairings built by
-hand.
+pencil inverse that the model's Horner form replaced, the reduce_over
+normalization of the exponent route that its one-pass reduction replaced,
+and pairing_from_gram, the pairing of a grid of classes, for pairings built
+by hand.
 """
 from fractions import Fraction
 from functools import reduce
@@ -33,6 +34,7 @@ from eqslice.laurent import (
     gcd_free_basis,
     integer_lists,
     laurent_lcm,
+    reduce_over,
 )
 from eqslice.matrices import LambdaMatrix, SingularMatrixError, in_span, inverse_qt, seifert_pencil, snf
 from eqslice.modules import RationalBasis
@@ -526,6 +528,23 @@ def inverse_pencil_table(model):
         for r in range(model.n)
     ]
     return [model.det * powers[0] * c for c in reversed(a)], F
+
+
+def common_via_reduce_over(den, F):
+    """gram_from_seifert's common form of (den, F) = (A - t*A^T)^-1 as the
+    exponent route made it before it fused the reduction into one pass:
+    the content of (den, F) divided out, one reduce_over call for every
+    (t - 1) * f, each r put over the lcm scale of the s, and the content
+    of (N, scale) divided out."""
+    n = len(F)
+    g = gcd(*den, *(c for row in F for f in row for c in f))
+    den, reduced = reduce_over([[(b - a) // g for a, b in zip(f + [0], [0] + f)] for row in F for f in row], [c // g for c in den])
+    scale = lcm(*(s for _, s in reduced))
+    N = [[c * (scale // s) for c in r] if any(r) else [] for r, s in reduced]
+    g = gcd(scale, *(c for f in N for c in f))
+    if g > 1:
+        N = [[c // g for c in f] for f in N]
+    return den, [N[i * n : (i + 1) * n] for i in range(n)], scale // g
 
 
 def fraction_rank(rows):

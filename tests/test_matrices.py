@@ -16,7 +16,8 @@ from eqslice.matrices import (
     seifert_pencil,
     snf,
 )
-from cases import identity
+from eqslice.modules import from_seifert
+from cases import dense_seifert, identity
 from test_exact_linear_algebra import as_polys, assert_inverse
 
 
@@ -251,6 +252,33 @@ class TestProduct:
             for row in Y:
                 row[rng.randrange(c)] = 0
             assert _product(X, Y) == naive_product(X, Y, c)
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 9])
+    def test_rows_at_the_density_switch(self, n):
+        # a row with more than n/2 nonzero entries takes dot products with
+        # Y's columns, any other the zero-skipping row combination: rows with
+        # n/2 - 1, n/2 and n/2 + 1 nonzero entries, past 64 bits, on both sides
+        rng = random.Random(n)
+        Y = [[rng.randint(-2**80, 2**80) for _ in range(n + 1)] for _ in range(n)]
+        X = []
+        for count in (n // 2 - 1, n // 2, n // 2 + 1):
+            for _ in range(3):
+                row = [0] * n
+                for j in rng.sample(range(n), count):
+                    row[j] = rng.choice([-1, 1]) * rng.randint(1, 2**70)
+                X.append(row)
+        assert _product(X, Y) == naive_product(X, Y, n + 1)
+
+    def test_times_t_against_a_plain_loop(self):
+        # times_t switches on the density of v as _product does on a row
+        rng = random.Random(91)
+        for genus in (1, 2, 3, 4):
+            model = from_seifert(dense_seifert(genus, rng)).model
+            n = model.n
+            for density in (0.0, 0.2, 0.5, 0.7, 1.0):
+                for _ in range(10):
+                    v = [rng.randint(-2**70, 2**70) if rng.random() < density else 0 for _ in range(n)]
+                    assert model.times_t(v) == [sum(model.num[i][j] * v[j] for j in range(n)) for i in range(n)]
 
     def test_empty(self):
         # the n = 0 model multiplies 0 x 0 matrices

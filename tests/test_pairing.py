@@ -32,6 +32,7 @@ from cases import CATALOG_GRID, SINGULAR_DENSE, check_cases, dense_seifert, swap
 from pairing_oracles import (
     class_add,
     class_scale,
+    common_via_reduce_over,
     inverse_pencil_table,
     pair_per_term,
     pair_via_solve,
@@ -425,6 +426,30 @@ def test_singular_seifert_matrix_goes_through_inverse_qt(inverse_qt_calls):
     assert inverse_qt_calls == [4]
     assert B.gram == gram_via_inverse_qt(SINGULAR_DENSE)
     assert check_hermitian(B) and vanishes_on_relations(B) and check_nonsingular(B)
+
+
+@pytest.mark.parametrize("label", EXPONENT_ROUTE)
+def test_one_pass_common_matches_reduce_over(label):
+    A = EXPONENT_ROUTE[label]()[0]
+    M = from_seifert(A)
+    assert gram_from_seifert(A, M).common == common_via_reduce_over(*M.model.inverse_pencil())
+
+
+def test_one_pass_common_on_dense_draws():
+    # a digest of the classes does not see the form: a negative scale leaves
+    # every class as it is but changes common
+    rng = random.Random(92)
+    draws = 0
+    for genus in range(2, 9):
+        for _ in range(12 if genus < 6 else 3):
+            A = dense_seifert(genus, rng)
+            M = from_seifert(A)
+            if M.model is None:
+                continue
+            common = gram_from_seifert(A, M).common
+            assert common == common_via_reduce_over(*M.model.inverse_pencil()) and common[2] > 0
+            draws += 1
+    assert draws >= 50
 
 
 def test_unknot_takes_no_inverse(inverse_qt_calls):

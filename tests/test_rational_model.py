@@ -18,11 +18,11 @@ from eqslice.catalog import assemble, build, builtin, sum_specs
 from eqslice.cli import main
 from eqslice.involution import SemilinearMap
 from eqslice.laurent import ONE, ZERO, LaurentPoly, parse_poly
-from eqslice.matrices import LambdaMatrix, block_diag, in_span, mat_vec, snf
+from eqslice.matrices import LambdaMatrix, block_diag, in_span, mat_vec, seifert_pencil, snf
 from eqslice.modules import from_seifert
 from eqslice.pairing import check_nonsingular, gram_from_seifert
 
-from cases import CATALOG_GRID, check_cases, dense_seifert, seeded_swap_doubles, swap_double
+from cases import CATALOG_GRID, SINGULAR_DENSE, check_cases, dense_seifert, seeded_swap_doubles, swap_double
 from laurent_oracle import poly_pow
 
 # C has one Jordan block of t^2 - 3t + 1 while e_0 spans a chain of degree
@@ -106,6 +106,31 @@ def test_jordan_case_takes_the_small_smith_form():
     assert len(T) == 2 and not T[0][1].is_zero()
     assert T[0][0] == T[1][1] == parse_poly("t^2 - 3*t + 1")
     assert M.invariant_factors == (poly_pow(parse_poly("t^2 - 3*t + 1"), 2),)
+
+
+def test_dense_pipeline_never_builds_the_pencil():
+    # the relations of a module with a rational model are t*A - A^T on first
+    # read; from_seifert, gram_from_seifert and check_nonsingular read none
+    A = dense_seifert(4, random.Random(29))
+    M = from_seifert(A)
+    assert check_nonsingular(gram_from_seifert(A, M))
+    assert "relations" not in vars(M)
+    assert M.relations == seifert_pencil(A)
+
+
+@pytest.mark.parametrize("case", ["dense g3 #0", "nine46{} x2", "jordan"])
+def test_lazy_pencil_compares_as_the_eager_one(case):
+    A = CASES[case]()
+    lazy, eager = from_seifert(A), from_seifert(A)
+    eager.relations
+    assert "relations" not in vars(lazy) and "relations" in vars(eager)
+    assert hash(lazy) == hash(eager) and lazy == eager
+    assert hash(lazy) == hash((len(A), seifert_pencil(A)))
+
+
+def test_singular_seifert_matrix_builds_its_pencil_at_once():
+    M = from_seifert(SINGULAR_DENSE)
+    assert M.model is None and vars(M)["relations"] == seifert_pencil(SINGULAR_DENSE)
 
 
 @pytest.mark.parametrize("A", singular_draws(3))
