@@ -1,11 +1,13 @@
 """Exact matrices over the Laurent ring: determinants, inverses, Smith
 normal form with unimodular transforms, kernels, and span membership.
 
-Determinants use one fraction-free (Bareiss) elimination, which divides
-exactly by the previous pivot: directly over the ring for `det`, and over
-the integers for `inverse_qt`, which samples the determinant and adjugate
-of the denominator-cleared matrix at integer points and interpolates them.
-Both take polynomially many ring operations.  The pairing inverts
+Determinants and adjugates come from one fraction-free (Bareiss)
+elimination over the integers, _steps, which divides exactly by the
+previous pivot and only swaps rows; obstruction._definiteness reads the
+same steps.  A Laurent matrix is cleared of denominators and negative
+exponents, sampled at integer points and eliminated there, and `det` and
+`inverse_qt` interpolate its determinant and adjugate from the integer
+values: polynomially many integer operations.  The pairing inverts
 A - t*A^T with `inverse_qt` only when det A = 0; otherwise the inverse
 comes from the module's exponent (see modules._RationalModel).
 
@@ -20,12 +22,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
-from operator import floordiv, mul
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .laurent import (
-    ONE,
     ZERO,
     LaurentPoly,
     _pseudo_divide,
@@ -171,92 +172,68 @@ def mat_vec(M: LambdaMatrix, v: Sequence[LaurentPoly]) -> tuple[LaurentPoly, ...
     return tuple(_dot(r, v) for r in M._e)
 
 
-def _eliminate(rows: list[list], zero, one, divide, size, adjugate: bool = False):
-    """Fraction-free (Bareiss) elimination over an integral domain.
+def _steps(a: list[list[int]], adjugate: bool = False):
+    """Fraction-free (Bareiss) elimination of the n integer rows a of an
+    n x n matrix M, in place, one step at a time.
 
-    divide(a, b) is the ring's exact division, and each step pivots on an
-    entry of least size(entry) in the remaining block.  Returns (det, adj),
-    where adj is None unless asked for, and also None when det is zero.
-    With the adjugate this is Gauss-Jordan on [M | I].  After step k every
-    entry is, up to sign, a minor of order k + 1 of [M | I], so each
-    division by the previous pivot is exact.  At the end the right block is
-    +-adj(M) with its rows permuted as the columns were, which is undone.
+    Step k takes a[k][k] as pivot when it is nonzero, else swaps in the
+    first row below with a nonzero entry in column k; only rows move.  It
+    yields (pivot, swapped) before clearing column k, so a caller may stop
+    there, and a zero pivot (column k is zero from row k down) ends it.
+    After step k every entry is, up to sign, a minor of order k + 1 of a,
+    so each division by the previous pivot is exact.  With adjugate, a is
+    [M | I] and the rows above the pivot are cleared too (Gauss-Jordan).
     """
-    n = len(rows)
-    a = [
-        list(r) + ([one if i == j else zero for j in range(n)] if adjugate else [])
-        for i, r in enumerate(rows)
-    ]
-    width = 2 * n if adjugate else n
-    cols = list(range(n))
-    negate = False
-    prev = one
+    n = len(a)
+    width = len(a[0]) if a else 0
+    prev = 1
     for k in range(n):
-        best = None
-        for i in range(k, n):
-            for j in range(k, n):
-                e = a[i][j]
-                if e != zero:
-                    s = size(e)
-                    if best is None or s < best[0]:
-                        best = (s, i, j)
-        if best is None:
-            return zero, None
-        _, p, q = best
-        if p != k:
+        p = k
+        if not a[k][k]:
+            p = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if p is None:
+                yield 0, False
+                return
             a[k], a[p] = a[p], a[k]
-            negate = not negate
-        if q != k:
-            for r in a:
-                r[k], r[q] = r[q], r[k]
-            cols[k], cols[q] = cols[q], cols[k]
-            negate = not negate
         rk = a[k]
         piv = rk[k]
+        yield piv, p != k
         # Columns up to k need no update: they end as piv * (unit vector).
-        for i in range(0 if adjugate else k + 1, n):
-            if i == k:
-                continue
-            ri = a[i]
+        for ri in a[:k] + a[k + 1 :] if adjugate else a[k + 1 :]:
             f = ri[k]
-            if f == zero:
+            if f:
                 for j in range(k + 1, width):
-                    if ri[j] != zero:
-                        ri[j] = divide(piv * ri[j], prev)
+                    ri[j] = (piv * ri[j] - f * rk[j]) // prev
             else:
                 for j in range(k + 1, width):
-                    ri[j] = divide(piv * ri[j] - f * rk[j], prev)
+                    if ri[j]:
+                        ri[j] = piv * ri[j] // prev
         prev = piv
-    d = -prev if negate else prev
-    if not adjugate:
-        return d, None
-    adj = [None] * n
-    for k in range(n):
-        adj[cols[k]] = [-e if negate else e for e in a[k][n:]]
-    return d, adj
 
 
-def _size(e: LaurentPoly) -> tuple[int, int]:
-    return e.span(), len(e.items())
+def _eliminate(rows: Sequence[Sequence[int]], adjugate: bool = False) -> tuple[int, list[list[int]] | None]:
+    """(det, adj) of a square integer matrix by _steps, adj None unless
+    asked for, and also None when det is zero.
 
-
-def det(M: LambdaMatrix) -> LaurentPoly:
-    """Exact determinant by fraction-free elimination over the ring."""
-    if not M.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    worst = sum(
-        max((e.span() for e in M.row(i) if not e.is_zero()), default=0) for i in range(M.rows)
-    )
-    if worst > DEFAULT_DEGREE_CAP:
-        raise DegreeCapError(f"determinant degree could reach {worst}, cap {DEFAULT_DEGREE_CAP}")
-    return _eliminate(M.to_lists(), ZERO, ONE, divexact, _size)[0]
+    With the adjugate the steps run on [M | I]; the left block ends as
+    d * I, d the last pivot, and the right block as d * M^-1, which is
+    adj(M) when an even number of rows were swapped and -adj(M) otherwise.
+    """
+    n = len(rows)
+    a = [list(r) + ([int(i == j) for j in range(n)] if adjugate else []) for i, r in enumerate(rows)]
+    piv, negate = 1, False
+    for piv, swapped in _steps(a, adjugate):
+        negate ^= swapped
+    if not piv:
+        return 0, None
+    sign = -1 if negate else 1
+    return sign * piv, [[sign * e for e in r[n:]] for r in a] if adjugate else None
 
 
 def seifert_form_det(A: Sequence[Sequence[int]]) -> int:
     """det(A - A^T) for a square integer matrix A."""
     n = len(A)
-    rows = [[A[i][j] - A[j][i] for j in range(n)] for i in range(n)]
-    return _eliminate(rows, 0, 1, floordiv, abs)[0]
+    return _eliminate([[A[i][j] - A[j][i] for j in range(n)] for i in range(n)])[0]
 
 
 def seifert_pencil(A: Sequence[Sequence[int]]) -> LambdaMatrix:
@@ -298,22 +275,17 @@ def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
     return poly
 
 
-def inverse_qt(M: LambdaMatrix) -> tuple[list[int], list[list[list[int]]]]:
-    """(den, F) with M^-1 = F / den, interpolated from integers.
+def _samples(M: LambdaMatrix, adjugate: bool):
+    """(scales, xs, dets, adjs): det P(x), and adj P(x) when asked for,
+    by one _eliminate at each of D + 1 integers x with det P(x) != 0.
 
-    Row i is scaled by s_i = L_i * t^(-v_i), with v_i its lowest exponent and
-    L_i the lcm of its coefficient denominators.  This makes P = S*M an
-    integer polynomial matrix whose determinant and adjugate have degree at
-    most D, the sum of its row degrees.  Both are interpolated from
-    fraction-free integer eliminations of P(x) at D + 1 integers x with
-    det P(x) != 0, and M^-1 = adj(P) * S / det(P).  With V = max(0, v_i),
-    that is F = adj(P) * t^V * S over den = t^V * det(P): den and each entry
-    of F are integer coefficient lists, lowest first, as in
-    modules._RationalModel.inverse_pencil.
+    P = S*M scales row i by s_i = L_i * t^(-v_i), scales[i] = (L_i, v_i),
+    v_i its lowest exponent and L_i the lcm of its coefficient
+    denominators.  So P is an integer polynomial matrix whose determinant
+    and adjugate have degree at most D, the sum of its row degrees.
+    Raises SingularMatrixError for a zero row or det P = 0, and
+    DegreeCapError when D exceeds DEFAULT_DEGREE_CAP.
     """
-    if not M.is_square():
-        raise ValueError("inverse of a non-square matrix")
-    n = M.rows
     scales: list[tuple[int, int]] = []
     P: list[list[list[int]]] = []
     for row in M._e:
@@ -326,27 +298,57 @@ def inverse_qt(M: LambdaMatrix) -> tuple[list[int], list[list[list[int]]]]:
         P.append([[int(c * L) for c in e.shift(-v).dense()] for e in row])
     D = sum(max(len(e) for e in row) - 1 for row in P)
     if D > DEFAULT_DEGREE_CAP:
-        raise DegreeCapError(f"inverse degree could reach {D}, cap {DEFAULT_DEGREE_CAP}")
+        raise DegreeCapError(f"degree could reach {D}, cap {DEFAULT_DEGREE_CAP}")
     # A nonzero det P has at most D integer roots, so 2D + 1 samples
     # 0, 1, -1, 2, -2, ... hold D + 1 non-roots unless det P = 0.
-    xs: list[int] = []
-    dets: list[int] = []
-    adjs: list[list[list[int]]] = []
+    xs, dets, adjs = [], [], []
     for k in range(2 * D + 1):
         x = (k + 1) // 2 if k % 2 else -(k // 2)
-        sample = [[_horner(e, x) for e in row] for row in P]
-        d, adj = _eliminate(sample, 0, 1, floordiv, abs, adjugate=True)
+        d, adj = _eliminate([[_horner(e, x) for e in row] for row in P], adjugate)
         if d:
             xs.append(x)
             dets.append(d)
             adjs.append(adj)
             if len(xs) == D + 1:
-                break
-    else:
-        raise SingularMatrixError("matrix is singular")
+                return scales, xs, dets, adjs
+    raise SingularMatrixError("matrix is singular")
+
+
+def det(M: LambdaMatrix) -> LaurentPoly:
+    """Exact determinant, interpolated from integers as in inverse_qt.
+
+    With P = S*M the denominator-cleared matrix of _samples, det M is
+    t^(v_1 + ... + v_n) * det P / (L_1 * ... * L_n), and det P is
+    interpolated from its values at D + 1 integers.  A zero row or
+    det P = 0 gives zero; DegreeCapError is raised when D, the sum of P's
+    row degrees, exceeds DEFAULT_DEGREE_CAP.
+    """
+    if not M.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    try:
+        scales, xs, dets, _ = _samples(M, adjugate=False)
+    except SingularMatrixError:
+        return ZERO
+    v = sum(v for _, v in scales)
+    L = prod(L for L, _ in scales)
+    return LaurentPoly((v + k, Fraction(c, L)) for k, c in enumerate(_interpolate(xs, dets)) if c)
+
+
+def inverse_qt(M: LambdaMatrix) -> tuple[list[int], list[list[list[int]]]]:
+    """(den, F) with M^-1 = F / den, interpolated from integers.
+
+    With P = S*M and the samples of _samples, det P and adj P are
+    interpolated from their values, and M^-1 = adj(P) * S / det(P).  With
+    V = max(0, v_i), that is F = adj(P) * t^V * S over den = t^V * det(P):
+    den and each entry of F are integer coefficient lists, lowest first, as
+    in modules._RationalModel.inverse_pencil.
+    """
+    if not M.is_square():
+        raise ValueError("inverse of a non-square matrix")
+    scales, xs, dets, adjs = _samples(M, adjugate=True)
     V = max([0] + [v for _, v in scales])
     F = []
-    for i in range(n):
+    for i in range(M.rows):
         row = []
         for j, (L, v) in enumerate(scales):
             values = [adj[i][j] for adj in adjs]

@@ -11,8 +11,9 @@ invariant factors, decides whether an element is zero and inverts
 A - t*A^T for the pairing.  Every other presentation reads the first two
 off the Smith normal form of its relations, taken at construction.  A
 module with a model builds its relations t*A - A^T only when they are
-first read (by the Smith form, direct sums, the well-definedness checks,
-== and hash; the dense pipeline reads none), and takes the Smith form,
+first read (by the Smith form, a direct sum with a module that has no
+model, the well-definedness checks, == and hash; the dense pipeline reads
+none), and takes the Smith form,
 with its unimodular transforms, on first use: a RationalBasis reads its
 cyclic block generators off it.
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import floordiv, mul
+from operator import mul
 from typing import Sequence
 
 from .laurent import (
@@ -195,7 +196,7 @@ def from_seifert(A: Sequence[Sequence[int]]) -> PresentedModule:
     """
     check_seifert(A)
     A = [list(r) for r in A]
-    d, adj = _eliminate(A, 0, 1, floordiv, abs, adjugate=True)
+    d, adj = _eliminate(A, adjugate=True)
     if not d:
         return PresentedModule(len(A), seifert_pencil(A))
     return PresentedModule(len(A), model=_RationalModel(A, d, adj))
@@ -407,6 +408,10 @@ def _primitive(v: list[int]) -> list[int]:
 
 
 def direct_sum(M1: PresentedModule, M2: PresentedModule) -> PresentedModule:
+    """M1 + M2 on the block sum of their relations: the module of the block
+    sum of their Seifert matrices when both have a rational model."""
+    if M1.model is not None and M2.model is not None:
+        return from_seifert(block_diag([M1.model.seifert, M2.model.seifert], 0))
     return PresentedModule(
         M1.generators + M2.generators,
         LambdaMatrix(block_diag([M1.relations.to_lists(), M2.relations.to_lists()], ZERO)),

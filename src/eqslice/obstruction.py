@@ -16,8 +16,7 @@ input of the genus bound.
 The certificate is made and checked on integer coefficient lists: G as
 pair_values returns it, one laurent.coprime_split per certificate, each
 part's forms stored as integer layers over one denominator, and
-definiteness decided by fraction-free elimination.  Rational forms are
-built only where they are read.
+definiteness decided by the fraction-free steps of matrices._steps.
 """
 from __future__ import annotations
 
@@ -42,6 +41,7 @@ from .laurent import (
     same_class,
     symmetric_quadratic_tests,
 )
+from .matrices import _steps
 from .modules import ModuleElement, RationalBasis
 from .pairing import pair, pair_values
 from .witt import AxiomCheck, EquivariantTriple, validate
@@ -56,7 +56,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # Seeded random vectors the falsifier tries after the unit and e_k +- e_l ones.
 FALSIFIER_SAMPLES = 300
 
-FormMatrix = tuple[tuple[Fraction, ...], ...]
 IntegerForm = tuple[tuple[int, ...], ...]
 
 
@@ -72,11 +71,6 @@ class CoprimePart:
     denominator: LaurentPoly
     q: int
     layers: tuple[IntegerForm, ...]
-
-    @cached_property
-    def forms(self) -> tuple[FormMatrix, ...]:
-        """The rational forms layers[m] / q, built on first read."""
-        return tuple(tuple(tuple(Fraction(c, self.q) for c in row) for row in Q) for Q in self.layers)
 
 
 @dataclass(frozen=True)
@@ -141,36 +135,26 @@ def _definiteness(Q: Sequence[Sequence[int]]) -> tuple[int, list[int]] | None:
     """Sign and leading principal minors D_1 .. D_n when the integer
     symmetric Q is definite, else None.
 
-    Fraction-free (Bareiss) elimination in order, with no pivoting: after
-    step k the pivot is D_(k+1), and each division by the previous pivot
-    is exact.  The pivots of symmetric Gaussian reduction (completion of
+    The pivots of matrices._steps in order are the minors D_k, read up to
+    the first step with D_k = 0 (a row swap or a zero pivot) or a change of
+    sign.  The pivots of symmetric Gaussian reduction (completion of
     squares) are D_k / D_(k-1), D_0 = 1, so Q is definite iff they share
     one sign.  A vanishing minor means the form is singular or indefinite:
     definite matrices never hit one, so the certificate declines either
     way (semidefinite-with-kernel counts as not definite here).
     """
-    n = len(Q)
-    if n == 0:
+    if not Q:
         return None
-    A = [list(row) for row in Q]
     sign, prev = 0, 1
     minors: list[int] = []
-    for k in range(n):
-        piv = A[k][k]
-        if piv == 0:
+    for piv, swapped in _steps([list(row) for row in Q]):
+        if swapped or not piv:
             return None
         s = 1 if (piv > 0) == (prev > 0) else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
+        if sign and s != sign:
             return None
+        sign, prev = s, piv
         minors.append(piv)
-        row_k = A[k]
-        for i in range(k + 1, n):
-            row, f = A[i], A[i][k]
-            for j in range(k + 1, n):
-                row[j] = (piv * row[j] - f * row_k[j]) // prev
-        prev = piv
     return sign, minors
 
 

@@ -57,7 +57,6 @@ RationalBasis it is read off pair_grid's canonical classes.
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import floordiv
 from typing import Sequence
 
 from .laurent import (
@@ -252,7 +251,7 @@ def check_nonsingular(B: GramPairing) -> bool:
             # a positive row scaling keeps det E != 0
             m = lcm(*(x.denominator for x in E))
             rows.append([x.numerator * (m // x.denominator) for x in E])
-    return _eliminate(rows, 0, 1, floordiv, abs)[0] != 0
+    return _eliminate(rows)[0] != 0
 
 
 def direct_sum_pairing(B1: GramPairing, B2: GramPairing, module: PresentedModule) -> GramPairing:

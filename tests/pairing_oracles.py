@@ -15,8 +15,8 @@ the eager gram of canonical classes and the class-based nonsingularity
 check that the pairing's integer form replaced, the table-and-weights
 pencil inverse that the model's Horner form replaced, the reduce_over
 normalization of the exponent route that its one-pass reduction replaced,
-and pairing_from_gram, the pairing of a grid of classes, for pairings built
-by hand.
+pairing_from_gram, the pairing of a grid of classes, for pairings built
+by hand, and rational_forms, a CoprimePart's forms over Q.
 """
 from fractions import Fraction
 from functools import reduce
@@ -268,6 +268,12 @@ def part_from_forms(denominator, forms):
     return CoprimePart(denominator, q, layers)
 
 
+def rational_forms(part):
+    """The rational forms layers[m] / q of a CoprimePart: the inverse of
+    part_from_forms."""
+    return tuple(tuple(tuple(Fraction(c, part.q) for c in row) for row in Q) for Q in part.layers)
+
+
 def factor_powers_fraction(T):
     """f^e, monic, for f in the gcd-free basis of the invariant factors and
     e its multiplicity in the order, by Fraction division."""
@@ -397,7 +403,7 @@ def fraction_routes(T, basis, parts, seed=0):
     dim = basis.dimension
     if dim == 0:
         return CERTIFIED_K0, {"reason": "trivial module"}, None
-    forms = [Q for part in parts for Q in part.forms if any(any(row) for row in Q)]
+    forms = [Q for part in parts for Q in rational_forms(part) if any(any(row) for row in Q)]
     if forms:
         covered, partition = set(), []
         for fi, Q in enumerate(forms):
@@ -446,7 +452,7 @@ def evaluate_by_fold(cert, v):
     each sum made canonical."""
     total = TORSION_ZERO
     for part in cert.parts:
-        num = LaurentPoly({m: eval_form_fraction(Q, v) for m, Q in enumerate(part.forms)})
+        num = LaurentPoly({m: eval_form_fraction(Q, v) for m, Q in enumerate(rational_forms(part))})
         if not num.is_zero():
             total = class_add(total, TorsionClass(num, part.denominator))
     return total

@@ -82,16 +82,13 @@ def content(B):
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_the_integer_form_is_content_free(label):
     # and negation and block sums keep it, with nine46 (another den, or the
-    # same) and with itself, by Gauss's lemma; a dense draw of genus 5 or
-    # more is not summed, as its direct_sum module's Smith form takes
-    # seconds to minutes
+    # same) and with itself, by Gauss's lemma
     _, M, B = pairing_and_module(label)
     B46 = pairing_and_module("nine46{}")[2]
     assert content(B) == 1
     assert content(negate_pairing(B)) == 1
-    if M.generators <= 8 or not label.startswith("dense"):
-        for other in (B46, B):
-            assert content(direct_sum_pairing(B, other, direct_sum(M, other.module))) == 1
+    for other in (B46, B):
+        assert content(direct_sum_pairing(B, other, direct_sum(M, other.module))) == 1
 
 
 def test_the_trace_form_stays_small_on_dense_genus_14():

@@ -12,7 +12,7 @@ from eqslice.laurent import (
     parse_poly,
     unit_equal,
 )
-from eqslice.matrices import LambdaMatrix, mat_vec
+from eqslice.matrices import LambdaMatrix, block_diag, mat_vec
 from eqslice.modules import (
     PresentedModule,
     RationalBasis,
@@ -20,6 +20,7 @@ from eqslice.modules import (
     from_seifert,
     submodule_presentation,
 )
+from cases import dense_seifert
 from laurent_oracle import poly_mod
 
 
@@ -114,6 +115,24 @@ class TestDirectSum:
         assert S.grk == 1
         assert len(S.invariant_factors) == 1
         assert unit_equal(S.invariant_factors[0], P("t - 2") * P("2*t - 1"))
+
+    def test_two_models_sum_to_a_model(self):
+        # the module of the block-sum Seifert matrix: equal, with the same
+        # hash, to the module of the block relations, and with their Smith
+        # form's invariant factors
+        M1, M2 = from_seifert(dense_seifert(3, random.Random(91))), from_seifert(NINE46)
+        S = direct_sum(M1, M2)
+        eager = PresentedModule(
+            S.generators, LambdaMatrix(block_diag([M1.relations.to_lists(), M2.relations.to_lists()], ZERO))
+        )
+        assert S.model is not None and eager.model is None
+        assert S == eager and hash(S) == hash(eager)
+        assert S.invariant_factors == eager.snf.invariant_factors
+
+    def test_a_sum_without_two_models_takes_the_smith_form(self):
+        S = direct_sum(from_seifert(NINE46), cyclic(P("t^2 - 3*t + 1")))
+        assert S.model is None
+        assert S.invariant_factors == S.snf.invariant_factors
 
     def test_order_multiplies(self):
         rng = random.Random(20)
